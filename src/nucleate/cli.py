@@ -123,7 +123,7 @@ def cmd_meshsim(args) -> int:
     model_hash = formats.content_hash(doc)
     net = MeshNetwork(model, args.size, master_seed=args.seed)
     net.init_round0()
-    events = net.run(args.rounds, parallel=args.parallel)
+    events = net.run(args.rounds)
     cfg, coloring = net.extract_configuration()
     check = col.check_weak_coloring(coloring)
     plus = col.find_monochromatic_plus(coloring) if model.k == 2 else None
@@ -157,7 +157,7 @@ def cmd_experiment(args) -> int:
         model, doc = formats.load_agent_model(args.model)
         model_hash = formats.content_hash(doc)
     else:
-        named = nucleation_family(args.sizes[0], args.pi_nu, args.rule)
+        named = nucleation_family(args.pi_nu, args.rule)
         model = named.system
         model_hash = formats.content_hash(formats.agent_model_document(
             model, named.identifier))
@@ -246,8 +246,6 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--size", type=_positive("size"), required=True)
     p.add_argument("--rounds", type=int, default=10)
-    p.add_argument("--parallel", action="store_true",
-                   help="evaluate each round on a thread pool (same trace)")
     p.add_argument("--expect-valid", action="store_true")
     p.add_argument("--ppm", action="store_true")
     p.set_defaults(func=cmd_meshsim)

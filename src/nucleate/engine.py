@@ -17,7 +17,15 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .lattice import Mesh, Point, add, directions, opposite_index
-from .tiles import Configuration, TileAssemblySystem, attachments, glues_bind
+from .tiles import (
+    AttachableTypes,
+    Configuration,
+    TileAssemblySystem,
+    attachments,
+    bond_total,
+    facing_glues,
+    glues_bind,
+)
 
 
 @dataclass(frozen=True)
@@ -94,19 +102,7 @@ def run(system: TileAssemblySystem, window: Optional[Mesh] = None,
     temperature = system.temperature
     dirs = directions(system.k)
     cells: dict[Point, str] = system.seed.cells()
-
-    def options_at(v: Point) -> tuple[str, ...]:
-        total_by_name = []
-        for name, t in tiles.items():
-            s = 0
-            for d in dirs:
-                w = add(v, d.vector)
-                occ = cells.get(w)
-                if occ is not None:
-                    s += glues_bind(t.glue(d.index), tiles[occ].glue(opposite_index(d.index)))
-            if s >= temperature:
-                total_by_name.append(name)
-        return tuple(total_by_name)
+    attachable = AttachableTypes(tiles, temperature)
 
     def empty_neighbors(v: Point):
         for d in dirs:
@@ -126,7 +122,7 @@ def run(system: TileAssemblySystem, window: Optional[Mesh] = None,
         for v in set(cells):
             for w in empty_neighbors(v):
                 if w not in candidates:
-                    names = options_at(w)
+                    names = attachable.names(facing_glues(cells, tiles, w))
                     if names:
                         candidates[w] = names
 
@@ -140,7 +136,7 @@ def run(system: TileAssemblySystem, window: Optional[Mesh] = None,
         additions.append(Addition(stage, v, name))
         candidates.pop(v, None)
         for w in empty_neighbors(v):
-            names = options_at(w)
+            names = attachable.names(facing_glues(cells, tiles, w))
             if names:
                 candidates[w] = names
             else:
@@ -168,13 +164,12 @@ class DeterminismReport:
 def _replay(seq: AssemblySequence):
     """Validate and replay a sequence; yields per-addition binding data.
 
-    Returns (cells, input_sides) where input_sides[location] is the set of
-    direction indices that contributed positive strength when the tile
-    bound there.
+    Returns (cells, input_sides, in_strength) where input_sides[location]
+    is the set of direction indices that contributed positive strength when
+    the tile bound there, and in_strength[location] their total.
     """
     system = seq.system
     tiles = system.tiles
-    dirs = directions(system.k)
     cells = system.seed.cells()
     input_sides: dict[Point, set[int]] = {}
     in_strength: dict[Point, int] = {}
@@ -186,24 +181,17 @@ def _replay(seq: AssemblySequence):
             raise ValueError(f"addition at {a.location} targets an occupied cell")
         if seq.window is not None and not seq.window.contains(a.location):
             raise ValueError(f"addition at {a.location} lies outside the window")
-        sides = set()
-        total = 0
-        for d in dirs:
-            w = add(a.location, d.vector)
-            occ = cells.get(w)
-            if occ is None:
-                continue
-            s = glues_bind(t.glue(d.index), tiles[occ].glue(opposite_index(d.index)))
-            if s > 0:
-                sides.add(d.index)
-                total += s
+        facing = facing_glues(cells, tiles, a.location)
+        total = bond_total(t, facing)
         if total < system.temperature:
             raise ValueError(
                 f"stage {a.stage}: {a.tile!r} at {a.location} binds with strength "
                 f"{total} < temperature {system.temperature}"
             )
         cells[a.location] = a.tile
-        input_sides[a.location] = sides
+        input_sides[a.location] = {
+            i for i, g in enumerate(facing) if g is not None and glues_bind(t.glue(i), g) > 0
+        }
         in_strength[a.location] = total
     return cells, input_sides, in_strength
 
@@ -220,6 +208,7 @@ def check_local_determinism(seq: AssemblySequence) -> DeterminismReport:
     tiles = system.tiles
     dirs = directions(system.k)
     cells, input_sides, in_strength = _replay(seq)
+    attachable = AttachableTypes(tiles, system.temperature)
 
     for a in seq.additions:
         if in_strength[a.location] != system.temperature:
@@ -231,26 +220,17 @@ def check_local_determinism(seq: AssemblySequence) -> DeterminismReport:
 
     for a in seq.additions:
         m = a.location
-        removed = {m}
+        facing = list(facing_glues(cells, tiles, m))
         for d in dirs:
             w = add(m, d.vector)
             if w in input_sides and opposite_index(d.index) in input_sides[w]:
-                removed.add(w)
-        for name, t in tiles.items():
-            if name == a.tile:
-                continue
-            total = 0
-            for d in dirs:
-                w = add(m, d.vector)
-                occ = cells.get(w)
-                if occ is None or w in removed:
-                    continue
-                total += glues_bind(t.glue(d.index), tiles[occ].glue(opposite_index(d.index)))
-            if total >= system.temperature:
-                return DeterminismReport(
-                    False, 2, (m, name),
-                    f"competing type {name!r} can also bind at {m}",
-                )
+                facing[d.index] = None  # w grew off the tile at m: delete it too
+        rival = next((name for name in attachable.names(tuple(facing)) if name != a.tile), None)
+        if rival is not None:
+            return DeterminismReport(
+                False, 2, (m, rival),
+                f"competing type {rival!r} can also bind at {m}",
+            )
 
     result = Configuration(cells, seq.window, system.k)
     leftover = attachments(result, tiles, system.temperature)

@@ -16,8 +16,6 @@ import csv
 import io
 import itertools
 import json
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from math import sqrt
 from typing import Optional
@@ -27,15 +25,6 @@ from .coloring import check_weak_coloring
 from .lattice import Mesh, add, directions, opposite_index
 from .meshnet import MeshNetwork
 from .rng import derive_seed, derived_rng
-
-THREADS_ENV = "NUCLEATE_THREADS"
-
-
-def worker_count() -> int:
-    try:
-        return max(1, int(os.environ.get(THREADS_ENV, "1")))
-    except ValueError:
-        return 1
 
 
 def wilson_interval(successes: int, trials: int, z: float = 1.959963984540054) -> tuple[float, float]:
@@ -110,20 +99,16 @@ def _run_trial(model: AgentModel, size: int, seed: int, rounds: int,
 
 
 def run_experiment(spec: ExperimentSpec, model_hash: str = "") -> ExperimentResult:
-    """Run every (size, trial) campaign; trials are independent and may run
-    on a small thread pool capped by NUCLEATE_THREADS."""
+    """Run every (size, trial) campaign.  Each trial draws from its own
+    stream, derived from (master seed, size, trial index), so its outcome
+    does not depend on the order in which trials are run."""
     outcomes = []
-    workers = worker_count()
     for size in spec.sizes:
-        def one(trial: int):
-            seed = derive_seed(spec.master_seed, size, trial)
-            return _run_trial(spec.model, size, seed, spec.rounds,
-                              spec.track_rounds_to_valid)
-        if workers > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                results = list(pool.map(one, range(spec.trials)))
-        else:
-            results = [one(t) for t in range(spec.trials)]
+        results = [
+            _run_trial(spec.model, size, derive_seed(spec.master_seed, size, trial),
+                       spec.rounds, spec.track_rounds_to_valid)
+            for trial in range(spec.trials)
+        ]
         successes = sum(1 for ok, _ in results if ok)
         rounds_to_valid = [r for _, r in results if r is not None]
         lo, hi = wilson_interval(successes, spec.trials)
@@ -259,7 +244,8 @@ def exact_round_law(model: AgentModel, side: int) -> dict:
                 if p > 0:
                     dist[name] = p
                     attach += p
-            dist[None] = 1.0 - attach
+            if kin.lambda_on < 1:
+                dist[None] = 1.0 - attach
             law[v] = dist
         else:
             t = model.types[current]

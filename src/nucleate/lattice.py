@@ -142,16 +142,3 @@ class Mesh:
             if all(0 <= c < self.side for c in w):
                 out.append(w)
         return out
-
-    def boundary_padding(self, v: Point) -> list[tuple[Direction, bool]]:
-        """Per direction, whether a neighbor exists.
-
-        Absent directions are where a simulation substitutes the empty glue
-        and empty message for the missing neighbor.
-        """
-        self.require(v)
-        out = []
-        for d in directions(self.k):
-            w = add(v, d.vector)
-            out.append((d, all(0 <= c < self.side for c in w)))
-        return out

@@ -10,11 +10,11 @@ snapshot, so no partial-round interleaving is representable.
 Processors that hear nothing do nothing: an EMPTY processor stays EMPTY and
 an occupied one keeps re-posting its pairs.  Everything else samples the
 model's one-round transition law.  Per-processor randomness is derived from
-(master seed, coordinates, round), which makes parallel and sequential
-round evaluation produce identical traces.
+(master seed, coordinates, round), and each update reads only its own
+inputs and state, so a round's outcome does not depend on the order in
+which processors are evaluated.
 """
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
@@ -148,12 +148,9 @@ class MeshNetwork:
                 raise MessageBoundError(
                     f"rule {rule_name!r} emitted {len(msgs_out)} messages, expected {model.d}")
         pairs = []
-        labels = model.glue_labels
         for i in range(model.d):
             glue = t.glues[i]
             msg = msgs_out[i]
-            if glue is not None and glue not in labels:
-                raise MessageBoundError(f"glue {glue!r} escapes the model's glue set")
             if msg is not None and msg not in model.messages:
                 raise MessageBoundError(f"message {msg!r} escapes the declared alphabet")
             pairs.append((glue, msg))
@@ -161,7 +158,7 @@ class MeshNetwork:
 
     # -- rounds >= 1 ---------------------------------------------------
 
-    def run_round(self, parallel: bool = False, probe: Optional[AccessProbe] = None) -> None:
+    def run_round(self, probe: Optional[AccessProbe] = None) -> None:
         """Deliver last round's pairs, then update every processor that
         received at least one."""
         if not self._started:
@@ -189,33 +186,24 @@ class MeshNetwork:
                     probe.log(w, v)
         self.inputs = {v: tuple(slot) for v, slot in delivered.items()}
 
-        targets = sorted(delivered)
         law = self.law
         detach_on = self.model.kinetics.detach
         types = self.model.types
-
-        def compute(v: Point):
+        # Each update reads only v's own state and delivered inputs, so
+        # applying it before visiting the next target changes nothing.
+        for v in sorted(delivered):
             if probe is not None:
                 probe.log(v, v)
-            current = states.get(v)
-            if current is not None and not detach_on and types[current].rule is None:
-                return v, current, None, None  # nothing can change
+            old = states.get(v)
+            if old is not None and not detach_on and types[old].rule is None:
+                continue  # nothing can change
             slot = delivered[v]
             glues = tuple(p[0] if p is not None else None for p in slot)
             msgs = tuple(p[1] if p is not None else None for p in slot)
-            if law.forced(current, glues, msgs):
-                return v, law.sample(current, glues, msgs, None), glues, msgs
-            rng = derived_rng(self.master_seed, v, r)
-            return v, law.sample(current, glues, msgs, rng), glues, msgs
-
-        if parallel:
-            with ThreadPoolExecutor() as pool:
-                results = list(pool.map(compute, targets))
-        else:
-            results = [compute(v) for v in targets]
-
-        for v, new, glues, msgs in results:
-            old = states.get(v)
+            if law.forced(old, glues, msgs):
+                new = law.sample(old, glues, msgs, None)
+            else:
+                new = law.sample(old, glues, msgs, derived_rng(self.master_seed, v, r))
             if new != old:
                 if self.trace is not None:
                     self.trace.append(TraceEvent(r, v, old, new))
@@ -242,11 +230,10 @@ class MeshNetwork:
                 # state kept, but the rule may emit different messages now
                 self.outputs[v] = self._post(v, new, glues, msgs)
 
-    def run(self, rounds: int, parallel: bool = False,
-            probe: Optional[AccessProbe] = None) -> list[TraceEvent]:
+    def run(self, rounds: int, probe: Optional[AccessProbe] = None) -> list[TraceEvent]:
         """Execute `rounds` synchronized rounds; returns the trace so far."""
         for _ in range(rounds):
-            self.run_round(parallel=parallel, probe=probe)
+            self.run_round(probe=probe)
         return list(self.trace) if self.trace is not None else []
 
     # -- observation ---------------------------------------------------

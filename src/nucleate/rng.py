@@ -3,8 +3,8 @@
 Every random decision in this package is driven by a stream derived from a
 64-bit master seed plus a structural path (trial index, coordinates, round
 number, ...).  Derivation goes through a keyed hash so that streams are
-independent of evaluation order: parallel and sequential execution of the
-same run consume identical randomness.
+independent of evaluation order: visiting the same cells or trials in any
+order consumes identical randomness.
 """
 
 import hashlib

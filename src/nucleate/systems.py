@@ -90,7 +90,7 @@ def checkerboard_tileset() -> NamedSystem:
 NUCLEATION_RULE_IDS = ("checkerboard-local",)
 
 
-def nucleation_family(size: int, pi_nu: float, rule_id: str) -> NamedSystem:
+def nucleation_family(pi_nu: float, rule_id: str) -> NamedSystem:
     """A multiply-nucleating agent model with purely local attachment rules.
 
     "checkerboard-local": two colors; an agent attaches where it differs
@@ -117,7 +117,7 @@ def nucleation_family(size: int, pi_nu: float, rule_id: str) -> NamedSystem:
             k=2,
         )
         return NamedSystem(
-            identifier=f"checkerboard-local-n{size}-pi{pi_nu}",
+            identifier=f"checkerboard-local-pi{pi_nu}",
             kind="agent-model",
             system=model,
             provenance="local two-coloring rule family for nucleation experiments",

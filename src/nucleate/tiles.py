@@ -209,17 +209,42 @@ def is_tau_stable(cfg: Configuration, tiles: Mapping[str, TileType], temperature
     return binding_strength(build_binding_graph(cfg, tiles)) >= temperature
 
 
-def attachment_strength(cfg: Configuration, tiles: Mapping[str, TileType],
-                        t: TileType, v: Point) -> int:
-    """Total strength with which tile type t would bind at empty location v."""
-    total = 0
-    for d in directions(cfg.k):
-        w = add(v, d.vector)
-        name = cfg.get(w)
-        if name is None:
-            continue
-        total += glues_bind(t.glue(d.index), tiles[name].glue(opposite_index(d.index)))
-    return total
+def facing_glues(cells, tiles: Mapping[str, TileType], v: Point) -> tuple:
+    """Glue each neighbor of v presents toward v, in canonical direction
+    order; None where the neighbor cell is empty.  `cells` is anything
+    with a mapping's get (a dict of cells or a Configuration)."""
+    out = []
+    for d in directions(len(v)):
+        name = cells.get(add(v, d.vector))
+        out.append(None if name is None else tiles[name].glue(opposite_index(d.index)))
+    return tuple(out)
+
+
+def bond_total(t: TileType, facing: tuple) -> int:
+    """Total strength with which tile type t binds against facing glues."""
+    return sum(glues_bind(own, g) for own, g in zip(t.glues, facing) if g is not None)
+
+
+class AttachableTypes:
+    """Facing-glue tuple -> names of the tile types whose bond total there
+    meets the temperature, in tile order.
+
+    The input domain is finite (one glue or None per side), so answers are
+    memoized; an instance serves one (tiles, temperature) pair.
+    """
+
+    def __init__(self, tiles: Mapping[str, TileType], temperature: int):
+        self.tiles = tiles
+        self.temperature = temperature
+        self._cache: dict = {}
+
+    def names(self, facing: tuple) -> tuple[str, ...]:
+        cached = self._cache.get(facing)
+        if cached is None:
+            cached = tuple(name for name, t in self.tiles.items()
+                           if bond_total(t, facing) >= self.temperature)
+            self._cache[facing] = cached
+        return cached
 
 
 def _candidate_sites(cfg: Configuration) -> set:
@@ -250,7 +275,7 @@ def frontier_for_type(cfg: Configuration, tiles: Mapping[str, TileType],
         return {v for v in cfg.window.vertices() if v not in cfg}
     return {
         v for v in _candidate_sites(cfg)
-        if attachment_strength(cfg, tiles, t, v) >= temperature
+        if bond_total(t, facing_glues(cfg, tiles, v)) >= temperature
     }
 
 
@@ -271,11 +296,9 @@ def attachments(cfg: Configuration, tiles: Mapping[str, TileType],
             raise ValueError("attachments at temperature <= 0 need a window to stay finite")
         names = tuple(tiles)
         return {v: names for v in cfg.window.vertices() if v not in cfg}
+    attachable = AttachableTypes(tiles, temperature)
     for v in _candidate_sites(cfg):
-        names = tuple(
-            name for name, t in tiles.items()
-            if attachment_strength(cfg, tiles, t, v) >= temperature
-        )
+        names = attachable.names(facing_glues(cfg, tiles, v))
         if names:
             out[v] = names
     return out

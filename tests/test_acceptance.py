@@ -144,7 +144,7 @@ def test_criterion_4_simulation_fidelity():
 @criterion(5, 300, "nucleation cannot weakly color within a constant budget; "
                    "the seeded checkerboard always can")
 def test_criterion_5_nucleation_scaling():
-    model = nucleation_family(8, 0.1, "checkerboard-local").system
+    model = nucleation_family(0.1, "checkerboard-local").system
     spec = ExperimentSpec(model, (8, 16, 32, 64), rounds=10, trials=200,
                           master_seed=505, track_rounds_to_valid=False)
     result = run_experiment(spec)
@@ -164,12 +164,12 @@ def test_criterion_5_nucleation_scaling():
 
 @criterion(6, 60, "seeded determinism, locality probe, and message bounds")
 def test_criterion_6_determinism_and_locality():
-    model = nucleation_family(16, 0.1, "checkerboard-local").system
+    model = nucleation_family(0.1, "checkerboard-local").system
     traces = []
-    for parallel in (False, True):
+    for _ in range(2):
         net = MeshNetwork(model, 16, master_seed=606)
         net.init_round0()
-        net.run(10, parallel=parallel)
+        net.run(10)
         traces.append(mesh_trace_text(net.trace, "model", 606).encode())
     assert traces[0] == traces[1]
 

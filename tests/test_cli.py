@@ -63,19 +63,6 @@ def test_meshsim_zero_rounds(tmp_path, capsys):
     assert events and all(e.round == 0 for e in events)
 
 
-def test_meshsim_parallel_matches_serial(tmp_path, capsys):
-    out = []
-    for flag, d in ((None, tmp_path / "s"), ("--parallel", tmp_path / "p")):
-        args = ["meshsim", "--model", FIDELITY, "--size", "3", "--rounds", "5",
-                "--seed", "11", "--out", str(d)]
-        if flag:
-            args.append(flag)
-        assert main(args) == 0
-        out.append((d / "trace.txt").read_bytes())
-    capsys.readouterr()
-    assert out[0] == out[1]
-
-
 def test_check_command_on_meshsim_coloring(tmp_path, capsys):
     main(["meshsim", "--model", LOCAL, "--size", "6", "--rounds", "10",
           "--seed", "2", "--out", str(tmp_path)])
@@ -126,6 +113,19 @@ def test_experiment_cli_csv(tmp_path, capsys):
     assert (tmp_path / "results.csv").read_text() == text
     saved = json.loads((tmp_path / "results.json").read_text())
     assert saved["seed"] == 13
+
+
+def test_experiment_model_hash_ignores_sizes(tmp_path, capsys):
+    hashes = []
+    for sizes in ("8,16", "16,32"):
+        out = tmp_path / sizes.replace(",", "-")
+        code = main(["experiment", "--rule", "checkerboard-local", "--pi-nu", "0.1",
+                     "--sizes", sizes, "--rounds", "1", "--trials", "1",
+                     "--out", str(out), "--format", "json"])
+        assert code == 0
+        hashes.append(json.loads((out / "results.json").read_text())["model"])
+    capsys.readouterr()
+    assert hashes[0] == hashes[1]
 
 
 def test_experiment_cli_model_file(capsys):

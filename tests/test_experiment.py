@@ -12,7 +12,6 @@ from nucleate.experiment import (
     run_fidelity,
     total_variation,
     wilson_interval,
-    worker_count,
 )
 from nucleate.formats import load_agent_model
 from nucleate.systems import fidelity_model, nucleation_family, shipped_model_path
@@ -48,14 +47,14 @@ def test_spec_validation():
 
 
 def test_single_trial_probability_is_zero_or_one():
-    model = nucleation_family(4, 0.2, "checkerboard-local").system
+    model = nucleation_family(0.2, "checkerboard-local").system
     spec = ExperimentSpec(model, (4,), 5, 1, master_seed=3)
     result = run_experiment(spec)
     assert result.outcomes[0].p_hat in (0.0, 1.0)
 
 
 def test_no_nucleation_and_no_seed_never_succeeds():
-    model = nucleation_family(4, 0.0, "checkerboard-local").system
+    model = nucleation_family(0.0, "checkerboard-local").system
     spec = ExperimentSpec(model, (2, 4), 5, 10, master_seed=3)
     result = run_experiment(spec)
     assert all(o.p_hat == 0.0 for o in result.outcomes)
@@ -63,7 +62,7 @@ def test_no_nucleation_and_no_seed_never_succeeds():
 
 
 def test_rounds_to_valid_tracked():
-    model = nucleation_family(1, 1.0, "checkerboard-local").system
+    model = nucleation_family(1.0, "checkerboard-local").system
     spec = ExperimentSpec(model, (1,), 3, 5, master_seed=1)
     result = run_experiment(spec)
     o = result.outcomes[0]
@@ -72,7 +71,7 @@ def test_rounds_to_valid_tracked():
 
 
 def test_results_roundtrip_exactly():
-    model = nucleation_family(4, 0.3, "checkerboard-local").system
+    model = nucleation_family(0.3, "checkerboard-local").system
     spec = ExperimentSpec(model, (2, 4), 4, 20, master_seed=11)
     result = run_experiment(spec, model_hash="sha256:test")
     rows = parse_experiment_csv(experiment_csv(result))
@@ -85,22 +84,6 @@ def test_results_roundtrip_exactly():
     assert load_experiment_json(experiment_json(result)) == result
 
 
-def test_thread_pool_reproduces_serial_results(monkeypatch):
-    model = nucleation_family(4, 0.3, "checkerboard-local").system
-    spec = ExperimentSpec(model, (4,), 4, 16, master_seed=5)
-    monkeypatch.delenv("NUCLEATE_THREADS", raising=False)
-    serial = run_experiment(spec)
-    monkeypatch.setenv("NUCLEATE_THREADS", "4")
-    assert worker_count() == 4
-    threaded = run_experiment(spec)
-    assert serial == threaded
-
-
-def test_worker_count_handles_garbage(monkeypatch):
-    monkeypatch.setenv("NUCLEATE_THREADS", "lots")
-    assert worker_count() == 1
-
-
 # -- fidelity ----------------------------------------------------------
 
 
@@ -111,7 +94,7 @@ def test_fidelity_rejects_large_windows():
 
 
 def test_exact_round_law_requires_deterministic_start():
-    model = nucleation_family(3, 0.5, "checkerboard-local").system
+    model = nucleation_family(0.5, "checkerboard-local").system
     with pytest.raises(ValueError):
         exact_round_law(model, 3)
 
@@ -164,3 +147,25 @@ def test_fidelity_single_cell_window():
     assert report.supports_equal and report.support_exact == 1
     assert report.tv_mesh_vs_model == 0.0
     assert report.tv_mesh_vs_exact == 0.0
+
+
+def test_exact_round_law_has_no_empty_residue_at_full_attachment():
+    # lambda_on = 1: every cell with a legal attachment fills, so the empty
+    # outcome must be absent rather than carry a floating-point remainder
+    # that inflates the exact support
+    from nucleate.agents import AgentModel, AgentType, BindingRules, Kinetics
+
+    types = {name: AgentType(name, (glue,) * 4, color=1)
+             for name, glue in (("x", "a"), ("y", "b"), ("z", "a"))}
+    model = AgentModel(
+        types=types,
+        rules=BindingRules({("a", "a"): 1, ("b", "b"): 1}),
+        temperature=1,
+        seed={(0, 0): "x"},
+        kinetics=Kinetics(lambda_on=1.0, epsilon=0.3),
+    )
+    law = exact_round_law(model, 2)
+    assert None not in law[(1, 0)] and None not in law[(0, 1)]
+    report = run_fidelity(model, 2, 2000, master_seed=1)
+    assert report.support_exact == 9
+    assert report.supports_equal

@@ -70,32 +70,6 @@ def test_vertex_count():
     assert len(list(Mesh(2, 3).vertices())) == 9
 
 
-def test_boundary_padding_corner():
-    mesh = Mesh(2, 3)
-    flags = mesh.boundary_padding((0, 0))
-    present = [d.name for d, ok in flags if ok]
-    assert len(flags) == 4
-    assert sorted(present) == ["east", "north"]
-
-
-def test_boundary_padding_interior():
-    mesh = Mesh(2, 3)
-    assert all(ok for _, ok in mesh.boundary_padding((1, 1)))
-
-
-def test_boundary_padding_edge():
-    mesh = Mesh(2, 3)
-    flags = mesh.boundary_padding((0, 1))
-    assert sum(ok for _, ok in flags) == 3
-
-
-def test_padding_matches_neighbors():
-    mesh = Mesh(2, 4)
-    for v in mesh.vertices():
-        present = [add(v, d.vector) for d, ok in mesh.boundary_padding(v) if ok]
-        assert present == mesh.neighbors(v)
-
-
 def test_box():
     box = Box((2, 1))
     assert box.k == 2 and box.size == 2

@@ -136,15 +136,52 @@ def test_identical_seeds_give_identical_traces():
     assert runs[0] == runs[1]
 
 
-def test_parallel_equals_sequential_execution():
-    model = fidelity_model().system
-    traces = []
-    for parallel in (False, True):
-        net = MeshNetwork(model, 4 // 2 + 1, master_seed=5)
-        net.init_round0()
-        net.run(6, parallel=parallel)
-        traces.append(net.trace)
-    assert traces[0] == traces[1]
+def test_round_is_independent_of_evaluation_order():
+    # Recompute each round from snapshots of the delivered inputs and the
+    # prior states, visiting targets in shuffled order with each target's
+    # own derived stream: the outcome must match run_round's sorted sweep.
+    import random
+
+    from nucleate.agents import law_for
+    from nucleate.rng import derived_rng
+
+    types = {
+        "a": AgentType("a", ("g", "h", "g", "h"), color=1, rule="ping"),
+        "b": AgentType("b", ("h", "g", "h", "g"), color=2, rule="ping"),
+    }
+    model = AgentModel(
+        types=types,
+        rules=BindingRules({("g", "g"): 1, ("h", "h"): 2, ("g", "h"): -1}),
+        temperature=2,
+        pi_nu=0.3,
+        kinetics=Kinetics(lambda_on=0.5, detach=True, p_off=0.3, epsilon=0.2),
+        messages=("p",),
+    )
+    law = law_for(model)
+    shuffler = random.Random(3)
+    seed = 41
+    net = MeshNetwork(model, 6, master_seed=seed)
+    net.init_round0()
+    attached = detached = 0
+    for r in range(1, 9):
+        before = dict(net.states)
+        net.run_round()
+        inputs = dict(net.inputs)
+        targets = list(inputs)
+        shuffler.shuffle(targets)
+        expected = dict(before)
+        for v in targets:
+            glues = tuple(p[0] if p is not None else None for p in inputs[v])
+            msgs = tuple(p[1] if p is not None else None for p in inputs[v])
+            new = law.sample(before.get(v), glues, msgs, derived_rng(seed, v, r))
+            if new is None:
+                expected.pop(v, None)
+            else:
+                expected[v] = new
+        assert net.states == expected, r
+        attached += len(expected.keys() - before.keys())
+        detached += len(before.keys() - expected.keys())
+    assert attached and detached  # both kinds of change were exercised
 
 
 def test_zero_rounds_leaves_only_round0_events():

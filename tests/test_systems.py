@@ -82,11 +82,11 @@ def test_checkerboard_deterministic_on_50_random_sequences():
 
 def test_nucleation_family_rejects_unknown_rule():
     with pytest.raises(ValueError):
-        nucleation_family(8, 0.1, "mystery-rule")
+        nucleation_family(0.1, "mystery-rule")
 
 
 def test_nucleation_family_zero_probability_never_fills():
-    model = nucleation_family(4, 0.0, "checkerboard-local").system
+    model = nucleation_family(0.0, "checkerboard-local").system
     net = MeshNetwork(model, 4, master_seed=3)
     net.init_round0()
     net.run(10)
@@ -94,7 +94,7 @@ def test_nucleation_family_zero_probability_never_fills():
 
 
 def test_nucleation_family_single_vertex_always_valid():
-    model = nucleation_family(1, 1.0, "checkerboard-local").system
+    model = nucleation_family(1.0, "checkerboard-local").system
     for seed in range(20):
         net = MeshNetwork(model, 1, master_seed=seed)
         net.init_round0()
@@ -104,7 +104,7 @@ def test_nucleation_family_single_vertex_always_valid():
 
 
 def test_nucleation_family_sometimes_fails_at_8():
-    model = nucleation_family(8, 0.1, "checkerboard-local").system
+    model = nucleation_family(0.1, "checkerboard-local").system
     successes = 0
     trials = 30
     for t in range(trials):
@@ -118,7 +118,7 @@ def test_nucleation_family_sometimes_fails_at_8():
 
 
 def test_nucleation_family_validates_and_roundtrips():
-    named = nucleation_family(8, 0.1, "checkerboard-local")
+    named = nucleation_family(0.1, "checkerboard-local")
     doc = agent_model_document(named.system, name="checkerboard-local")
     model, _ = load_agent_model(doc)
     assert model.pi_nu == 0.1
@@ -134,7 +134,7 @@ def test_fidelity_model_shipped_and_valid():
 
 
 def test_shipped_checkerboard_local_file_current():
-    named = nucleation_family(8, 0.1, "checkerboard-local")
+    named = nucleation_family(0.1, "checkerboard-local")
     on_disk = json.loads(shipped_model_path("checkerboard_local").read_text())
     assert on_disk == agent_model_document(named.system, name="checkerboard-local")
 
