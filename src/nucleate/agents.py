@@ -30,7 +30,7 @@ from typing import Callable, Mapping, NamedTuple, Optional, Sequence
 from weakref import WeakKeyDictionary
 
 from .lattice import Box, Mesh, Point, add, directions, opposite_index
-from .rng import derive_seed
+from .rng import uniform
 from .tiles import Configuration, TileAssemblySystem
 
 
@@ -361,17 +361,18 @@ class TransitionLaw:
         return dist
 
     def sample(self, occupant: Optional[str], glues, messages,
-               rng: random.Random) -> Optional[str]:
+               u: Optional[float]) -> Optional[str]:
+        """The next occupant for a uniform draw u in [0, 1), found by
+        inverse CDF over the distribution; u may be None when forced."""
         dist = self._distribution(occupant, tuple(glues), tuple(messages))
         if len(dist) == 1:
             return next(iter(dist))
-        r = rng.random()
         acc = 0.0
         last = None
         for key, p in dist.items():
             acc += p
             last = key
-            if r < acc:
+            if u < acc:
                 return key
         return last
 
@@ -520,7 +521,7 @@ def model_step(state: SurfaceState, model: AgentModel, scheduler: str,
     ids = dict(state.ids)
     next_id = state.next_id
 
-    def update_cell(v: Point, make_rng):
+    def update_cell(v: Point, draw):
         nonlocal next_id
         if not has_occupied_neighbor(state, model, v):
             return
@@ -529,7 +530,7 @@ def model_step(state: SurfaceState, model: AgentModel, scheduler: str,
         if law.forced(old, glues, msgs):
             new = law.sample(old, glues, msgs, None)
         else:
-            new = law.sample(old, glues, msgs, make_rng())
+            new = law.sample(old, glues, msgs, draw())
         if new == old:
             return
         if new is None:
@@ -543,7 +544,7 @@ def model_step(state: SurfaceState, model: AgentModel, scheduler: str,
 
     if scheduler == "sequential":
         cells = vertex_list(state.window)
-        update_cell(cells[rng.randrange(len(cells))], lambda: rng)
+        update_cell(cells[rng.randrange(len(cells))], rng.random)
     else:
         step_seed = rng.getrandbits(64)
         table = neighbor_table(state.window)
@@ -552,7 +553,7 @@ def model_step(state: SurfaceState, model: AgentModel, scheduler: str,
             for _, w, _ in table[v]:
                 active.add(w)
         for v in sorted(active):
-            update_cell(v, lambda v=v: random.Random(derive_seed(step_seed, v)))
+            update_cell(v, lambda v=v: uniform(step_seed, v))
 
     post = SurfaceState(occupancy, state.window, {}, ids,
                         stage=state.stage + 1, next_id=next_id)

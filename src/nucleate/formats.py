@@ -51,6 +51,14 @@ def _require_keys(doc: dict, required: set, optional: set, path: str):
         _fail("missing-key", f"missing required key(s) {sorted(missing)} at {path or 'top level'}", path)
 
 
+def _flag(doc: dict, key: str, default: bool, path: str) -> bool:
+    """A boolean field; only JSON true/false is accepted, never a truthy value."""
+    value = doc.get(key, default)
+    if not isinstance(value, bool):
+        _fail("bad-boolean", f"{path} must be true or false, got {value!r}", path)
+    return value
+
+
 def canonical_json(doc: dict) -> str:
     return json.dumps(doc, sort_keys=True, separators=(",", ":"))
 
@@ -227,10 +235,12 @@ def load_agent_model(source: Union[str, Path, dict]) -> tuple[AgentModel, dict]:
     kin_doc = doc.get("kinetics", {})
     _require_keys(kin_doc, set(), {"lambda_on", "p_off", "epsilon", "detach"}, "kinetics")
     p_off = float(kin_doc.get("p_off", 0.0))
+    detach = _flag(kin_doc, "detach", p_off > 0, "kinetics.detach")
+    use_ids = _flag(doc, "use_ids", False, "use_ids")
     try:
         kinetics = Kinetics(
             lambda_on=float(kin_doc.get("lambda_on", 1.0)),
-            detach=bool(kin_doc.get("detach", p_off > 0)),
+            detach=detach,
             p_off=p_off,
             epsilon=float(kin_doc.get("epsilon", 0.0)),
         )
@@ -242,7 +252,7 @@ def load_agent_model(source: Union[str, Path, dict]) -> tuple[AgentModel, dict]:
             pi_nu=float(doc.get("pi_nu", 0.0)),
             kinetics=kinetics,
             messages=tuple(doc.get("messages", [])),
-            use_ids=bool(doc.get("use_ids", False)),
+            use_ids=use_ids,
             k=k,
         )
     except ModelValidationError as e:

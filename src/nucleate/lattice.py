@@ -9,6 +9,7 @@ iff their L1 distance is 1.  Side n makes an "n x n surface" and a mesh of
 n^k processors agree literally.
 """
 
+import operator
 from dataclasses import dataclass
 from itertools import product
 from typing import Iterator
@@ -64,7 +65,7 @@ def opposite_index(i: int) -> int:
 
 
 def add(v: Point, u: Point) -> Point:
-    return tuple(a + b for a, b in zip(v, u))
+    return tuple(map(operator.add, v, u))
 
 
 @dataclass(frozen=True)

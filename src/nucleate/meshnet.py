@@ -21,7 +21,7 @@ from typing import NamedTuple, Optional
 from .agents import AgentModel, law_for, message_rule, neighbor_table
 from .coloring import Coloring
 from .lattice import Mesh, Point
-from .rng import derive_seed, derived_rng
+from .rng import derive_seed, uniform
 from .tiles import Configuration
 
 #: What a processor posts per side: (glue label or None, message or None).
@@ -48,7 +48,6 @@ class ProcessorView:
     color: Optional[int]
     inputs: tuple
     outputs: tuple
-    stream_seed: int
 
 
 class AccessProbe:
@@ -90,10 +89,17 @@ class MeshNetwork:
         # An occupied processor with no detachment and no message rule can
         # never change state nor vary its posts, so rounds only need to feed
         # processors that can react: EMPTY ones next to the occupied
-        # boundary.  _boundary tracks occupied cells with an empty neighbor.
+        # boundary.  _boundary holds every occupied cell that may still have
+        # an empty neighbor; delivery drops those found to have none.
         self._static_occupants = (not model.kinetics.detach) and all(
             t.rule is None for t in model.types.values())
         self._boundary: set = set()
+        # Posts of a type without a rule never vary.  Rules are memoryless,
+        # so without ids a rule type's posts depend only on its inputs.
+        self._silent_posts = {
+            name: tuple((g, None) for g in t.glues)
+            for name, t in model.types.items() if t.rule is None}
+        self._post_memo: Optional[dict] = None if model.use_ids else {}
 
     # -- round 0 -------------------------------------------------------
 
@@ -109,22 +115,23 @@ class MeshNetwork:
                 raise ValueError(f"seed location {v} lies outside the mesh")
             self._enter(v, name)
         names = model.type_names
-        if model.pi_nu > 0:
+        pi_nu = model.pi_nu
+        seed = self.master_seed
+        if pi_nu > 0:
             for v in self.mesh.vertices():
                 if v in self.states:
                     continue
-                rng = derived_rng(self.master_seed, v, 0)
-                if rng.random() < model.pi_nu:
-                    self._enter(v, names[rng.randrange(len(names))])
+                # the type pick hashes its own path: reusing the wake-up
+                # draw, which is below pi_nu, would bias it to names[0]
+                if uniform(seed, v, 0) < pi_nu:
+                    self._enter(v, names[derive_seed(seed, v, 0, 1) % len(names)])
         for v in sorted(self.states):
             self.outputs[v] = self._post(v, self.states[v],
                                          (None,) * model.d, (None,) * model.d)
             if self.trace is not None:
                 self.trace.append(TraceEvent(0, v, None, self.states[v]))
         if self._static_occupants:
-            for v, entries in self._table.items():
-                if v in self.states and any(w not in self.states for _, w, _ in entries):
-                    self._boundary.add(v)
+            self._boundary.update(self.states)
 
     def _enter(self, v: Point, name: str) -> None:
         self.states[v] = name
@@ -133,28 +140,34 @@ class MeshNetwork:
             self.ids[v] = self.next_id
             self.next_id += 1
 
-    def _post(self, v: Point, name: str, glues_in, msgs_in) -> tuple:
+    def _post(self, v: Point, name: str, glues_in: tuple, msgs_in: tuple) -> tuple:
         """Pairs an agent posts on each side: its glue plus its rule's message."""
+        pairs = self._silent_posts.get(name)
+        if pairs is not None:
+            return pairs
+        memo = self._post_memo
+        if memo is None:
+            return self._rule_posts(name, glues_in, msgs_in, self.ids.get(v))
+        key = (name, glues_in, msgs_in)
+        pairs = memo.get(key)
+        if pairs is None:
+            pairs = memo[key] = self._rule_posts(name, glues_in, msgs_in, None)
+        return pairs
+
+    def _rule_posts(self, name: str, glues_in: tuple, msgs_in: tuple,
+                    my_id: Optional[int]) -> tuple:
+        """Run the type's rule and check its messages against the model's bounds."""
         model = self.model
         t = model.types[name]
-        rule_name = t.rule
-        if rule_name is None:
-            msgs_out = (None,) * model.d
-        else:
-            my_id = self.ids.get(v) if model.use_ids else None
-            result = message_rule(rule_name)(name, tuple(glues_in), tuple(msgs_in), my_id)
-            msgs_out = tuple(result.messages)
-            if len(msgs_out) != model.d:
-                raise MessageBoundError(
-                    f"rule {rule_name!r} emitted {len(msgs_out)} messages, expected {model.d}")
-        pairs = []
-        for i in range(model.d):
-            glue = t.glues[i]
-            msg = msgs_out[i]
+        result = message_rule(t.rule)(name, glues_in, msgs_in, my_id)
+        msgs_out = tuple(result.messages)
+        if len(msgs_out) != model.d:
+            raise MessageBoundError(
+                f"rule {t.rule!r} emitted {len(msgs_out)} messages, expected {model.d}")
+        for msg in msgs_out:
             if msg is not None and msg not in model.messages:
                 raise MessageBoundError(f"message {msg!r} escapes the declared alphabet")
-            pairs.append((glue, msg))
-        return tuple(pairs)
+        return tuple(zip(t.glues, msgs_out))
 
     # -- rounds >= 1 ---------------------------------------------------
 
@@ -170,13 +183,17 @@ class MeshNetwork:
         states = self.states
         static = self._static_occupants
 
+        outputs = self.outputs
         delivered: dict[Point, list] = {}
-        senders = self._boundary if static else self.outputs
+        enclosed = []
+        senders = self._boundary if static else outputs
         for v in senders:
-            pairs = self.outputs[v]
+            pairs = outputs[v]
+            heard = False
             for i, w, j in table[v]:
                 if static and w in states:
                     continue  # occupied cells cannot react in this regime
+                heard = True
                 slot = delivered.get(w)
                 if slot is None:
                     slot = [None] * d
@@ -184,11 +201,17 @@ class MeshNetwork:
                 slot[j] = pairs[i]
                 if probe is not None:
                     probe.log(w, v)
+            if static and not heard:
+                enclosed.append(v)  # every neighbor is occupied for good
+        self._boundary.difference_update(enclosed)
         self.inputs = {v: tuple(slot) for v, slot in delivered.items()}
 
         law = self.law
+        seed = self.master_seed
         detach_on = self.model.kinetics.detach
         types = self.model.types
+        # with an empty alphabet every posted message is None
+        silent = None if self.model.messages else (None,) * d
         # Each update reads only v's own state and delivered inputs, so
         # applying it before visiting the next target changes nothing.
         for v in sorted(delivered):
@@ -198,12 +221,13 @@ class MeshNetwork:
             if old is not None and not detach_on and types[old].rule is None:
                 continue  # nothing can change
             slot = delivered[v]
-            glues = tuple(p[0] if p is not None else None for p in slot)
-            msgs = tuple(p[1] if p is not None else None for p in slot)
+            glues = tuple([p[0] if p is not None else None for p in slot])
+            msgs = silent if silent is not None else tuple(
+                [p[1] if p is not None else None for p in slot])
             if law.forced(old, glues, msgs):
                 new = law.sample(old, glues, msgs, None)
             else:
-                new = law.sample(old, glues, msgs, derived_rng(self.master_seed, v, r))
+                new = law.sample(old, glues, msgs, uniform(seed, v, r))
             if new != old:
                 if self.trace is not None:
                     self.trace.append(TraceEvent(r, v, old, new))
@@ -211,24 +235,19 @@ class MeshNetwork:
                     del states[v]
                     del self.colors[v]
                     self.ids.pop(v, None)
-                    self.outputs.pop(v, None)
+                    outputs.pop(v, None)
                     continue
                 if old is None:
                     self._enter(v, new)
                 else:
                     states[v] = new
                     self.colors[v] = types[new].color
-                self.outputs[v] = self._post(v, new, glues, msgs)
+                outputs[v] = self._post(v, new, glues, msgs)
                 if static:
-                    if any(w not in states for _, w, _ in table[v]):
-                        self._boundary.add(v)
-                    for _, w, _ in table[v]:
-                        if w in self._boundary and all(
-                                x in states for _, x, _ in table[w]):
-                            self._boundary.discard(w)
+                    self._boundary.add(v)
             elif new is not None and types[new].rule is not None:
                 # state kept, but the rule may emit different messages now
-                self.outputs[v] = self._post(v, new, glues, msgs)
+                outputs[v] = self._post(v, new, glues, msgs)
 
     def run(self, rounds: int, probe: Optional[AccessProbe] = None) -> list[TraceEvent]:
         """Execute `rounds` synchronized rounds; returns the trace so far."""
@@ -247,7 +266,6 @@ class MeshNetwork:
             color=self.colors.get(v),
             inputs=self.inputs.get(v, (None,) * d),
             outputs=self.outputs.get(v, (None,) * d),
-            stream_seed=derive_seed(self.master_seed, v),
         )
 
     def extract_configuration(self) -> tuple[Configuration, Coloring]:

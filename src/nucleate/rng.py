@@ -5,10 +5,17 @@ Every random decision in this package is driven by a stream derived from a
 number, ...).  Derivation goes through a keyed hash so that streams are
 independent of evaluation order: visiting the same cells or trials in any
 order consumes identical randomness.
+
+Per-cell draws of the mesh simulation are counter-based: `uniform` turns
+the hash of (master seed, coordinates, round) straight into a float, with
+no generator object in between.  `derived_rng` is for callers that need a
+whole stream (a trial's model dynamics, say).
 """
 
 import hashlib
 import random
+
+_UNIT = 2.0 ** -53
 
 
 def derive_seed(master: int, *path) -> int:
@@ -20,6 +27,12 @@ def derive_seed(master: int, *path) -> int:
     h = hashlib.blake2b(digest_size=8)
     h.update(repr((int(master),) + path).encode("utf-8"))
     return int.from_bytes(h.digest(), "big")
+
+
+def uniform(master: int, *path) -> float:
+    """One uniform draw in [0, 1): the top 53 bits of derive_seed(master,
+    *path) over 2^53."""
+    return (derive_seed(master, *path) >> 11) * _UNIT
 
 
 def derived_rng(master: int, *path) -> random.Random:

@@ -66,6 +66,21 @@ def test_unknown_keys_rejected():
         load_agent_model(doc)
 
 
+@pytest.mark.parametrize("field, value", [
+    (("kinetics", "detach"), "false"),
+    (("kinetics", "detach"), 0),
+    ((None, "use_ids"), "no"),
+    ((None, "use_ids"), 1),
+])
+def test_agent_model_flags_must_be_json_booleans(field, value):
+    doc = json.loads(shipped_model_path("fidelity2").read_text())
+    section, key = field
+    (doc[section] if section else doc)[key] = value
+    with pytest.raises(FormatError) as err:
+        load_agent_model(doc)
+    assert [d.code for d in err.value.diagnostics] == ["bad-boolean"]
+
+
 def test_missing_keys_rejected():
     doc = json.loads(shipped_model_path("tstar").read_text())
     del doc["temperature"]

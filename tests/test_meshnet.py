@@ -139,11 +139,11 @@ def test_identical_seeds_give_identical_traces():
 def test_round_is_independent_of_evaluation_order():
     # Recompute each round from snapshots of the delivered inputs and the
     # prior states, visiting targets in shuffled order with each target's
-    # own derived stream: the outcome must match run_round's sorted sweep.
+    # own derived draw: the outcome must match run_round's sorted sweep.
     import random
 
     from nucleate.agents import law_for
-    from nucleate.rng import derived_rng
+    from nucleate.rng import uniform
 
     types = {
         "a": AgentType("a", ("g", "h", "g", "h"), color=1, rule="ping"),
@@ -173,7 +173,7 @@ def test_round_is_independent_of_evaluation_order():
         for v in targets:
             glues = tuple(p[0] if p is not None else None for p in inputs[v])
             msgs = tuple(p[1] if p is not None else None for p in inputs[v])
-            new = law.sample(before.get(v), glues, msgs, derived_rng(seed, v, r))
+            new = law.sample(before.get(v), glues, msgs, uniform(seed, v, r))
             if new is None:
                 expected.pop(v, None)
             else:
@@ -318,29 +318,87 @@ def test_extracted_states_are_model_reachable():
 
 def test_static_fast_path_matches_general_path():
     # same model expressed with and without the static-occupant shortcut:
-    # a do-nothing message rule forces the general path
+    # a do-nothing message rule forces the general path.  The nucleating,
+    # stochastic runs leave occupied cells enclosed, which the fast path
+    # prunes from its boundary.
     from nucleate.agents import RuleOutput, register_rule
 
     @register_rule("silence")
     def silence(agent, glues, messages, my_id=None):
         return RuleOutput((None,) * len(glues))
 
-    seed = {(2, 2): "t"}
-    fast = forced_growth_model(seed=seed)
-    slow_types = {"t": AgentType("t", ("g",) * 4, color=1, rule="silence")}
-    slow = AgentModel(
-        types=slow_types,
+    def variant(rule, seed, **params):
+        types = {
+            "t": AgentType("t", ("g",) * 4, color=1, rule=rule),
+            "u": AgentType("u", ("g", "x", "g", "x"), color=2, rule=rule),
+        }
+        return AgentModel(
+            types=types,
+            rules=BindingRules({("g", "g"): 1, ("x", "x"): 1}),
+            temperature=1,
+            seed=seed,
+            messages=("p",),
+            **params,
+        )
+
+    cases = [({(2, 2): "t"}, {"kinetics": Kinetics(lambda_on=1.0)}, 5, 31, 6)]
+    stochastic = {"pi_nu": 0.2, "kinetics": Kinetics(lambda_on=0.6, epsilon=0.2)}
+    cases += [({}, stochastic, 12, master, 8) for master in (1, 2, 3, 4, 5)]
+    pruned = 0
+    for seed, params, side, master, rounds in cases:
+        nets = []
+        for rule in (None, "silence"):
+            net = MeshNetwork(variant(rule, seed, **params), side, master_seed=master)
+            net.init_round0()
+            net.run(rounds)
+            nets.append(net)
+        fast, slow = nets
+        assert fast._static_occupants and not slow._static_occupants
+        assert fast.trace == slow.trace, master
+        assert fast.states == slow.states, master
+        pruned += len(fast.states) - len(fast._boundary)
+    assert pruned > 0
+
+
+def test_use_ids_rule_posts_per_id_messages():
+    # with ids the rule's posts depend on more than its inputs, so two
+    # agents of one type with equal inputs must still post their own
+    from nucleate.agents import RuleOutput, register_rule
+
+    @register_rule("parity")
+    def parity(agent, glues, messages, my_id=None):
+        return RuleOutput(("eo"[my_id % 2],) * len(glues))
+
+    types = {"t": AgentType("t", ("g",) * 4, color=1, rule="parity")}
+    model = AgentModel(
+        types=types,
         rules=BindingRules({("g", "g"): 1}),
         temperature=1,
-        seed=seed,
+        seed={(0, 0): "t", (2, 2): "t"},
         kinetics=Kinetics(lambda_on=1.0),
-        messages=("p",),
+        messages=("e", "o"),
+        use_ids=True,
     )
-    nets = []
-    for model in (fast, slow):
-        net = MeshNetwork(model, 5, master_seed=31)
-        net.init_round0()
-        net.run(6)
-        nets.append(net)
-    assert nets[0].trace == nets[1].trace
-    assert nets[0].states == nets[1].states
+    net = MeshNetwork(model, 3, master_seed=0)
+    net.init_round0()
+    assert net.processor((0, 0)).outputs == (("g", "e"),) * 4
+    assert net.processor((2, 2)).outputs == (("g", "o"),) * 4
+    net.run_round()
+    for v, my_id in net.ids.items():
+        assert net.processor(v).outputs == (("g", "eo"[my_id % 2]),) * 4
+
+
+def test_nucleation_is_local_to_each_cell():
+    # a cell's wake-up and type depend on (seed, coordinates) alone, so a
+    # smaller mesh sees exactly the restriction of a larger one
+    types = {name: AgentType(name, ("g",) * 4, color=c)
+             for name, c in (("a", 1), ("b", 2), ("c", 3))}
+    model = AgentModel(types=types, rules=BindingRules({("g", "g"): 1}),
+                       temperature=1, pi_nu=0.4)
+    small = MeshNetwork(model, 6, master_seed=13)
+    small.init_round0()
+    large = MeshNetwork(model, 9, master_seed=13)
+    large.init_round0()
+    assert small.states
+    assert len(set(small.states.values())) == 3
+    assert small.states == {v: s for v, s in large.states.items() if max(v) < 6}
