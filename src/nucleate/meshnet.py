@@ -22,6 +22,9 @@ from .agents import AgentModel, law_for, message_rule, neighbor_table
 from .coloring import Coloring
 from .lattice import Mesh, Point
 from .rng import derive_seed, uniform
+# perfbench/tracer.py wraps this module's derived_rng binding by name; no
+# draw here builds a generator.
+from .rng import derived_rng  # noqa: F401
 from .tiles import Configuration
 
 #: What a processor posts per side: (glue label or None, message or None).

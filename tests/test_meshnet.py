@@ -1,6 +1,7 @@
 import pytest
 
-from nucleate.agents import AgentModel, AgentType, BindingRules, Kinetics
+from nucleate.agents import (AgentModel, AgentType, BindingRules, Kinetics,
+                             RuleOutput, register_rule)
 from nucleate.coloring import check_weak_coloring
 from nucleate.meshnet import AccessProbe, MeshNetwork, MessageBoundError
 from nucleate.rng import derive_seed
@@ -19,6 +20,16 @@ def forced_growth_model(seed=None, side_glue="g"):
         seed=seed or {},
         kinetics=Kinetics(lambda_on=1.0),
     )
+
+
+@register_rule("silence")
+def silence(agent, glues, messages, my_id=None):
+    return RuleOutput((None,) * len(glues))
+
+
+@register_rule("parity")
+def parity(agent, glues, messages, my_id=None):
+    return RuleOutput(("eo"[my_id % 2],) * len(glues))
 
 
 def detachable_pair_model(p_off):
@@ -318,15 +329,10 @@ def test_extracted_states_are_model_reachable():
 
 def test_static_fast_path_matches_general_path():
     # same model expressed with and without the static-occupant shortcut:
-    # a do-nothing message rule forces the general path.  The nucleating,
+    # the fast side has no rule and an empty message alphabet, and a
+    # do-nothing message rule forces the general path.  The nucleating,
     # stochastic runs leave occupied cells enclosed, which the fast path
     # prunes from its boundary.
-    from nucleate.agents import RuleOutput, register_rule
-
-    @register_rule("silence")
-    def silence(agent, glues, messages, my_id=None):
-        return RuleOutput((None,) * len(glues))
-
     def variant(rule, seed, **params):
         types = {
             "t": AgentType("t", ("g",) * 4, color=1, rule=rule),
@@ -337,18 +343,33 @@ def test_static_fast_path_matches_general_path():
             rules=BindingRules({("g", "g"): 1, ("x", "x"): 1}),
             temperature=1,
             seed=seed,
-            messages=("p",),
+            messages=() if rule is None else ("p",),
             **params,
         )
 
-    cases = [({(2, 2): "t"}, {"kinetics": Kinetics(lambda_on=1.0)}, 5, 31, 6)]
+    seed = {(2, 2): "t"}
+    silent_growth = AgentModel(
+        types={"t": AgentType("t", ("g",) * 4, color=1, rule="silence")},
+        rules=BindingRules({("g", "g"): 1}),
+        temperature=1,
+        seed=seed,
+        kinetics=Kinetics(lambda_on=1.0),
+        messages=("p",),
+    )
+    pairs = [(forced_growth_model(seed=seed), silent_growth, 5, 31, 6)]
+    forced = {"kinetics": Kinetics(lambda_on=1.0)}
+    pairs.append((variant(None, seed, **forced), variant("silence", seed, **forced),
+                  5, 31, 6))
     stochastic = {"pi_nu": 0.2, "kinetics": Kinetics(lambda_on=0.6, epsilon=0.2)}
-    cases += [({}, stochastic, 12, master, 8) for master in (1, 2, 3, 4, 5)]
+    for master in (1, 2, 3, 4, 5):
+        pairs.append((variant(None, {}, **stochastic),
+                      variant("silence", {}, **stochastic), 12, master, 8))
     pruned = 0
-    for seed, params, side, master, rounds in cases:
+    for fast_model, slow_model, side, master, rounds in pairs:
+        assert fast_model.messages == ()
         nets = []
-        for rule in (None, "silence"):
-            net = MeshNetwork(variant(rule, seed, **params), side, master_seed=master)
+        for model in (fast_model, slow_model):
+            net = MeshNetwork(model, side, master_seed=master)
             net.init_round0()
             net.run(rounds)
             nets.append(net)
@@ -363,12 +384,6 @@ def test_static_fast_path_matches_general_path():
 def test_use_ids_rule_posts_per_id_messages():
     # with ids the rule's posts depend on more than its inputs, so two
     # agents of one type with equal inputs must still post their own
-    from nucleate.agents import RuleOutput, register_rule
-
-    @register_rule("parity")
-    def parity(agent, glues, messages, my_id=None):
-        return RuleOutput(("eo"[my_id % 2],) * len(glues))
-
     types = {"t": AgentType("t", ("g",) * 4, color=1, rule="parity")}
     model = AgentModel(
         types=types,
