@@ -10,7 +10,7 @@ violation at a fully-surrounded vertex.
 from dataclasses import dataclass
 from typing import Mapping
 
-from .lattice import Mesh, Point
+from .lattice import Mesh, Point, around
 
 #: Check every mesh vertex; uncolored vertices break coverage.
 FULL = "full"
@@ -84,12 +84,13 @@ def find_monochromatic_plus(col: Coloring) -> list[Point]:
         raise ValueError("monochromatic-plus search is defined for 2-dimensional meshes")
     centers = []
     n = col.mesh.side
-    for v in sorted(col.assignment):
-        if not all(1 <= c <= n - 2 for c in v):
+    colors = col.assignment
+    for v in sorted(colors):
+        if min(v) < 1 or max(v) > n - 2:
             continue
-        color = col.assignment[v]
-        nbrs = col.mesh.neighbors(v)
-        if all(col.assignment.get(w) == color for w in nbrs):
+        color = colors[v]
+        # an interior vertex has all four neighbors inside the mesh
+        if all(colors.get(w) == color for w in around(v)):
             centers.append(v)
     return centers
 

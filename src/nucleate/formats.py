@@ -59,6 +59,14 @@ def _flag(doc: dict, key: str, default: bool, path: str) -> bool:
     return value
 
 
+def _integer(value, path: str) -> int:
+    """An integer field; only a JSON integer is accepted -- never a bool,
+    a float such as 1.9, or a numeric string."""
+    if type(value) is not int:
+        _fail("bad-integer", f"{path} must be an integer, got {value!r}", path)
+    return value
+
+
 def canonical_json(doc: dict) -> str:
     return json.dumps(doc, sort_keys=True, separators=(",", ":"))
 
@@ -92,11 +100,23 @@ def detect_kind(doc: dict) -> str:
 def _seed_entry(entry: dict, key: str, k: int, path: str) -> tuple[Point, str]:
     axes = set(_AXES[:k])
     _require_keys(entry, axes | {key}, set(), path)
-    try:
-        point = tuple(int(entry[a]) for a in _AXES[:k])
-    except (TypeError, ValueError):
-        _fail("bad-seed-entry", f"{path}: coordinates must be integers", path)
+    point = tuple(_integer(entry[a], f"{path}.{a}") for a in _AXES[:k])
     return point, entry[key]
+
+
+def _seed_cells(entries, key: str, k: int, known=None) -> dict:
+    """Seed entries as a location -> name map; a location may appear once,
+    and names must be in `known` unless it is None."""
+    cells = {}
+    for i, entry in enumerate(entries):
+        path = f"seed[{i}]"
+        v, name = _seed_entry(entry, key, k, path)
+        if known is not None and name not in known:
+            _fail("bad-seed-type", f"seed names unknown {key} {name!r}", path)
+        if v in cells:
+            _fail("duplicate-seed", f"seed location {v} appears twice", path)
+        cells[v] = name
+    return cells
 
 
 def load_tile_system(source: Union[str, Path, dict]) -> tuple[TileAssemblySystem, dict]:
@@ -124,31 +144,29 @@ def load_tile_system(source: Union[str, Path, dict]) -> tuple[TileAssemblySystem
         glues = []
         for d in dirs:
             gd = glues_doc[d.name]
-            _require_keys(gd, {"label", "strength"}, set(), f"{path}.glues.{d.name}")
+            gpath = f"{path}.glues.{d.name}"
+            _require_keys(gd, {"label", "strength"}, set(), gpath)
+            strength = _integer(gd["strength"], f"{gpath}.strength")
             try:
-                glues.append(Glue(str(gd["label"]), int(gd["strength"])))
+                glues.append(Glue(str(gd["label"]), strength))
             except ValueError as e:
-                _fail("bad-glue", f"{path}.glues.{d.name}: {e}", f"{path}.glues.{d.name}")
+                _fail("bad-glue", f"{gpath}: {e}", gpath)
         name = td["name"]
         if name in tiles:
             _fail("duplicate-tile", f"tile name {name!r} appears twice", path)
-        tiles[name] = TileType(name, tuple(glues), int(td.get("color", 1)))
+        tiles[name] = TileType(name, tuple(glues), _integer(td.get("color", 1), f"{path}.color"))
 
     seed_doc = doc["seed"]
     if not isinstance(seed_doc, list):
         _fail("bad-seed", "'seed' must be a list", "seed")
-    seed_cells = {}
-    for i, entry in enumerate(seed_doc):
-        v, name = _seed_entry(entry, "tile", k, f"seed[{i}]")
-        if name not in tiles:
-            _fail("bad-seed-type", f"seed names unknown tile {name!r}", f"seed[{i}]")
-        seed_cells[v] = name
+    seed_cells = _seed_cells(seed_doc, "tile", k, tiles)
+    temperature = _integer(doc["temperature"], "temperature")
 
     try:
         system = TileAssemblySystem(
             tiles=tiles,
             seed=Configuration(seed_cells, k=k),
-            temperature=int(doc["temperature"]),
+            temperature=temperature,
         )
     except ValueError as e:
         _fail("invalid-system", str(e))
@@ -215,7 +233,7 @@ def load_agent_model(source: Union[str, Path, dict]) -> tuple[AgentModel, dict]:
         types[name] = AgentType(
             name,
             tuple(None if g is None else str(g) for g in glues),
-            int(ad.get("color", 1)),
+            _integer(ad.get("color", 1), f"{path}.color"),
             ad.get("rule"),
         )
 
@@ -225,18 +243,16 @@ def load_agent_model(source: Union[str, Path, dict]) -> tuple[AgentModel, dict]:
     rules = {}
     for i, rd in enumerate(rules_doc):
         _require_keys(rd, {"a", "b", "strength"}, set(), f"rules[{i}]")
-        rules[(str(rd["a"]), str(rd["b"]))] = int(rd["strength"])
+        rules[(str(rd["a"]), str(rd["b"]))] = _integer(rd["strength"], f"rules[{i}].strength")
 
-    seed_cells = {}
-    for i, entry in enumerate(doc.get("seed", [])):
-        v, name = _seed_entry(entry, "agent", k, f"seed[{i}]")
-        seed_cells[v] = name
+    seed_cells = _seed_cells(doc.get("seed", []), "agent", k)
 
     kin_doc = doc.get("kinetics", {})
     _require_keys(kin_doc, set(), {"lambda_on", "p_off", "epsilon", "detach"}, "kinetics")
     p_off = float(kin_doc.get("p_off", 0.0))
     detach = _flag(kin_doc, "detach", p_off > 0, "kinetics.detach")
     use_ids = _flag(doc, "use_ids", False, "use_ids")
+    temperature = _integer(doc["temperature"], "temperature")
     try:
         kinetics = Kinetics(
             lambda_on=float(kin_doc.get("lambda_on", 1.0)),
@@ -247,7 +263,7 @@ def load_agent_model(source: Union[str, Path, dict]) -> tuple[AgentModel, dict]:
         model = AgentModel(
             types=types,
             rules=BindingRules(rules),
-            temperature=int(doc["temperature"]),
+            temperature=temperature,
             seed=seed_cells,
             pi_nu=float(doc.get("pi_nu", 0.0)),
             kinetics=kinetics,

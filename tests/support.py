@@ -58,12 +58,13 @@ def brute_frontier(cfg: Configuration, tiles, temperature: int, t: TileType, win
     return out
 
 
-def random_tile_set(rng: random.Random, n_types: int = 5, labels=("a", "b", "c", "g")) -> dict:
+def random_tile_set(rng: random.Random, n_types: int = 5, labels=("a", "b", "c", "g"),
+                    k: int = 2) -> dict:
     tiles = {}
     for i in range(n_types):
         glues = tuple(
             Glue(rng.choice(labels), rng.randint(0, 3)) if rng.random() < 0.8 else Glue("", 0)
-            for _ in range(4)
+            for _ in range(2 * k)
         )
         name = f"t{i}"
         tiles[name] = TileType(name, glues, color=rng.randint(1, 3))

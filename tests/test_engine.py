@@ -1,9 +1,12 @@
+import dataclasses
+import pickle
 import random
 
 import pytest
 from scipy import stats
 
 from nucleate.engine import (
+    Addition,
     AssemblySequence,
     check_local_determinism,
     run,
@@ -12,7 +15,9 @@ from nucleate.engine import (
 )
 from nucleate.lattice import Mesh
 from nucleate.systems import checkerboard_tileset
-from nucleate.tiles import Configuration, TileAssemblySystem, is_tau_stable, tile
+from nucleate.tiles import Configuration, TileAssemblySystem, attachments, is_tau_stable, tile
+
+from support import random_tile_set
 
 E = ("", 0)
 
@@ -209,3 +214,61 @@ def test_unique_terminal_assembly_across_seeds():
     results = [run(system, Mesh(2, 4), master_seed=s) for s in range(10)]
     for r in results[1:]:
         assert terminal_assemblies_equal(results[0], r)
+
+
+def _stepped(system, window, seed, budget):
+    """Reference run: repeated `step` calls from the seed, each recomputing
+    the full attachment map, until terminal or until the budget is spent.
+    Also reports whether some stage offered several names at one cell."""
+    cfg = Configuration(system.seed.cells(), window, system.k)
+    rng = random.Random(seed)
+    picks, several = [], False
+    while len(picks) < budget:
+        options = attachments(cfg, system.tiles, system.temperature)
+        several = several or any(len(names) > 1 for names in options.values())
+        nxt = step(cfg, system, rng)
+        if nxt is None:
+            return picks, True, several
+        cfg, pick = nxt
+        picks.append(pick)
+    return picks, not attachments(cfg, system.tiles, system.temperature), several
+
+
+@pytest.mark.filterwarnings("ignore:temperature 0")
+@pytest.mark.parametrize("k, temperature, side, max_stages", [
+    (2, 0, 4, None),
+    (2, 1, 6, None),
+    (2, 2, 6, None),
+    (3, 0, 2, None),
+    (3, 1, 3, None),
+    (3, 2, 3, None),
+    (2, 1, None, 40),
+])
+def test_run_draws_what_repeated_step_draws(k, temperature, side, max_stages):
+    # one glue label makes bonds depend on strength alone: random tile sets
+    # then grow far and often offer several names per cell, names that a
+    # neighbor's placement changes, so the pair list sees every kind of update
+    window = Mesh(k, side) if side is not None else None
+    budget = max_stages if max_stages is not None else window.size + 1
+    several = 0
+    for s in range(20):
+        rng = random.Random(100 * k + 10 * temperature + s)
+        tiles = random_tile_set(rng, n_types=8, labels=("g",), k=k)
+        system = TileAssemblySystem(tiles, Configuration({(1,) * k: "t0"}), temperature)
+        result = run(system, window, max_stages=max_stages, rng=random.Random(s))
+        picks, terminal, offered = _stepped(system, window, s, budget)
+        assert [(a.location, a.tile) for a in result.sequence.additions] == picks
+        assert result.terminal == terminal
+        several += offered
+    assert several > 0
+
+
+def test_addition_is_a_slotted_value():
+    a = Addition(3, (1, 2), "t")
+    assert not hasattr(a, "__dict__")
+    assert a == Addition(3, (1, 2), "t") and hash(a) == hash(Addition(3, (1, 2), "t"))
+    assert pickle.loads(pickle.dumps(a)) == a
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        a.stage = 4
+    seq = run(checkerboard_tileset().system, Mesh(2, 4), master_seed=3).sequence
+    assert pickle.loads(pickle.dumps(seq)).additions == seq.additions

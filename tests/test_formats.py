@@ -81,6 +81,55 @@ def test_agent_model_flags_must_be_json_booleans(field, value):
     assert [d.code for d in err.value.diagnostics] == ["bad-boolean"]
 
 
+def _set(doc, path, value):
+    *head, last = path
+    for key in head:
+        doc = doc[key]
+    doc[last] = value
+
+
+@pytest.mark.parametrize("model, path", [
+    ("tstar", ("temperature",)),
+    ("tstar", ("tiles", 0, "glues", "east", "strength")),
+    ("tstar", ("tiles", 0, "color")),
+    ("tstar", ("seed", 0, "x")),
+    ("fidelity2", ("temperature",)),
+    ("fidelity2", ("rules", 0, "strength")),
+    ("fidelity2", ("agents", 0, "color")),
+    ("fidelity2", ("seed", 0, "y")),
+])
+@pytest.mark.parametrize("value", [1.9, 1.0, True, "1"])
+def test_integer_fields_must_be_json_integers(model, path, value):
+    doc = json.loads(shipped_model_path(model).read_text())
+    _set(doc, path, value)
+    load = load_tile_system if model == "tstar" else load_agent_model
+    with pytest.raises(FormatError) as err:
+        load(doc)
+    assert [d.code for d in err.value.diagnostics] == ["bad-integer"]
+
+
+@pytest.mark.parametrize("model, key", [("tstar", "tile"), ("fidelity2", "agent")])
+def test_repeated_seed_location_is_rejected(model, key):
+    doc = json.loads(shipped_model_path(model).read_text())
+    doc["seed"].append(dict(doc["seed"][0]))
+    load = load_tile_system if model == "tstar" else load_agent_model
+    with pytest.raises(FormatError) as err:
+        load(doc)
+    assert [d.code for d in err.value.diagnostics] == ["duplicate-seed"]
+
+
+@pytest.mark.parametrize("model, digest", [
+    ("tstar", "sha256:86b8d79da3bea8fedf1645228b2a8dad8ef442880e8cab9bda1bdaa83befcb2d"),
+    ("checkerboard_local", "sha256:ed8624820a7611996db3f98e4af015033e46a23904edce6da424c2396154030d"),
+    ("fidelity2", "sha256:5321f4b46fee3ed4a797271da53dec68b5d139fd313ba2213aba7920d6acd44c"),
+])
+def test_shipped_models_load_with_frozen_hashes(model, digest):
+    path = shipped_model_path(model)
+    load = load_tile_system if model == "tstar" else load_agent_model
+    _, doc = load(path)
+    assert content_hash(doc) == digest
+
+
 def test_missing_keys_rejected():
     doc = json.loads(shipped_model_path("tstar").read_text())
     del doc["temperature"]
