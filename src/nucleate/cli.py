@@ -167,7 +167,6 @@ def cmd_experiment(args) -> int:
         rounds=args.rounds,
         trials=args.trials,
         master_seed=args.seed,
-        track_rounds_to_valid=not args.no_first_valid,
     )
     result = run_experiment(spec, model_hash)
     csv_text = experiment_csv(result)
@@ -259,8 +258,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sizes", type=_sizes, default=(8, 16, 32, 64))
     p.add_argument("--rounds", type=int, default=10)
     p.add_argument("--trials", type=_positive("trials"), default=200)
-    p.add_argument("--no-first-valid", action="store_true",
-                   help="skip per-round validity tracking (faster)")
     p.set_defaults(func=cmd_experiment)
 
     p = sub.add_parser("fidelity", help="mesh-vs-model one-round distribution check")

@@ -67,7 +67,7 @@ class AssemblyResult:
     terminal: bool
     stages: int
     master_seed: int
-    sequence: Optional[AssemblySequence] = None
+    sequence: AssemblySequence
 
 
 def step(cfg: Configuration, system: TileAssemblySystem, rng: random.Random):
@@ -83,7 +83,7 @@ def step(cfg: Configuration, system: TileAssemblySystem, rng: random.Random):
 
 def run(system: TileAssemblySystem, window: Optional[Mesh] = None,
         master_seed: int = 0, max_stages: Optional[int] = None,
-        record: bool = True, rng: Optional[random.Random] = None) -> AssemblyResult:
+        rng: Optional[random.Random] = None) -> AssemblyResult:
     """Assemble until terminal or until the stage budget runs out.
 
     max_stages caps the number of tile additions past the seed; it defaults
@@ -153,14 +153,12 @@ def run(system: TileAssemblySystem, window: Optional[Mesh] = None,
             else:
                 del candidates[w]
 
-    final = Configuration(cells, window, system.k)
-    sequence = AssemblySequence(system, window, tuple(additions)) if record else None
     return AssemblyResult(
-        configuration=final,
+        configuration=Configuration(cells, window, system.k),
         terminal=not pairs,
         stages=stage + 1,
         master_seed=master_seed,
-        sequence=sequence,
+        sequence=AssemblySequence(system, window, tuple(additions)),
     )
 
 

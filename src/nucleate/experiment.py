@@ -47,7 +47,6 @@ class ExperimentSpec:
     rounds: int
     trials: int
     master_seed: int = 0
-    track_rounds_to_valid: bool = True
 
     def __post_init__(self):
         if self.trials < 1:
@@ -86,14 +85,14 @@ def surface_success(net: MeshNetwork) -> bool:
     return check_weak_coloring(col).valid
 
 
-def _run_trial(model: AgentModel, size: int, seed: int, rounds: int,
-               track: bool) -> tuple[bool, Optional[int]]:
+def _run_trial(model: AgentModel, size: int, seed: int,
+               rounds: int) -> tuple[bool, Optional[int]]:
     net = MeshNetwork(model, size, master_seed=seed, record_trace=False)
     net.init_round0()
-    first_valid = 0 if (track and surface_success(net)) else None
+    first_valid = 0 if surface_success(net) else None
     for r in range(1, rounds + 1):
         net.run_round()
-        if track and first_valid is None and surface_success(net):
+        if first_valid is None and surface_success(net):
             first_valid = r
     return surface_success(net), first_valid
 
@@ -106,7 +105,7 @@ def run_experiment(spec: ExperimentSpec, model_hash: str = "") -> ExperimentResu
     for size in spec.sizes:
         results = [
             _run_trial(spec.model, size, derive_seed(spec.master_seed, size, trial),
-                       spec.rounds, spec.track_rounds_to_valid)
+                       spec.rounds)
             for trial in range(spec.trials)
         ]
         successes = sum(1 for ok, _ in results if ok)

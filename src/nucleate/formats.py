@@ -67,6 +67,22 @@ def _integer(value, path: str) -> int:
     return value
 
 
+def _number(value, path: str) -> float:
+    """A real field; only a JSON number is accepted -- never a bool or a
+    numeric string."""
+    if type(value) not in (int, float):
+        _fail("bad-number", f"{path} must be a number, got {value!r}", path)
+    return float(value)
+
+
+def _string(value, path: str) -> str:
+    """A name or label; only a JSON string is accepted, so null or 1 never
+    becomes the label "None" or "1"."""
+    if not isinstance(value, str):
+        _fail("bad-string", f"{path} must be a string, got {value!r}", path)
+    return value
+
+
 def canonical_json(doc: dict) -> str:
     return json.dumps(doc, sort_keys=True, separators=(",", ":"))
 
@@ -81,9 +97,12 @@ def _read_document(source: Union[str, Path, dict]) -> dict:
         return source
     text = Path(source).read_text(encoding="utf-8")
     try:
-        return json.loads(text)
+        doc = json.loads(text)
     except json.JSONDecodeError as e:
         _fail("bad-json", f"{source}: {e}")
+    if not isinstance(doc, dict):
+        _fail("not-an-object", f"{source}: expected a JSON object at top level")
+    return doc
 
 
 def detect_kind(doc: dict) -> str:
@@ -101,12 +120,14 @@ def _seed_entry(entry: dict, key: str, k: int, path: str) -> tuple[Point, str]:
     axes = set(_AXES[:k])
     _require_keys(entry, axes | {key}, set(), path)
     point = tuple(_integer(entry[a], f"{path}.{a}") for a in _AXES[:k])
-    return point, entry[key]
+    return point, _string(entry[key], f"{path}.{key}")
 
 
 def _seed_cells(entries, key: str, k: int, known=None) -> dict:
     """Seed entries as a location -> name map; a location may appear once,
     and names must be in `known` unless it is None."""
+    if not isinstance(entries, list):
+        _fail("bad-seed", "'seed' must be a list", "seed")
     cells = {}
     for i, entry in enumerate(entries):
         path = f"seed[{i}]"
@@ -146,20 +167,22 @@ def load_tile_system(source: Union[str, Path, dict]) -> tuple[TileAssemblySystem
             gd = glues_doc[d.name]
             gpath = f"{path}.glues.{d.name}"
             _require_keys(gd, {"label", "strength"}, set(), gpath)
+            label = _string(gd["label"], f"{gpath}.label")
             strength = _integer(gd["strength"], f"{gpath}.strength")
             try:
-                glues.append(Glue(str(gd["label"]), strength))
+                glues.append(Glue(label, strength))
             except ValueError as e:
                 _fail("bad-glue", f"{gpath}: {e}", gpath)
-        name = td["name"]
+        name = _string(td["name"], f"{path}.name")
         if name in tiles:
             _fail("duplicate-tile", f"tile name {name!r} appears twice", path)
-        tiles[name] = TileType(name, tuple(glues), _integer(td.get("color", 1), f"{path}.color"))
+        color = _integer(td.get("color", 1), f"{path}.color")
+        try:
+            tiles[name] = TileType(name, tuple(glues), color)
+        except ValueError as e:
+            _fail("bad-tile", f"{path}: {e}", path)
 
-    seed_doc = doc["seed"]
-    if not isinstance(seed_doc, list):
-        _fail("bad-seed", "'seed' must be a list", "seed")
-    seed_cells = _seed_cells(seed_doc, "tile", k, tiles)
+    seed_cells = _seed_cells(doc["seed"], "tile", k, tiles)
     temperature = _integer(doc["temperature"], "temperature")
 
     try:
@@ -227,47 +250,55 @@ def load_agent_model(source: Union[str, Path, dict]) -> tuple[AgentModel, dict]:
             k = this_k
         elif k != this_k:
             _fail("mixed-dimensions", "agents mix 2- and 3-dimensional glue sets", path)
-        name = ad["name"]
+        name = _string(ad["name"], f"{path}.name")
         if name in types:
             _fail("duplicate-agent", f"agent name {name!r} appears twice", path)
-        types[name] = AgentType(
-            name,
-            tuple(None if g is None else str(g) for g in glues),
-            _integer(ad.get("color", 1), f"{path}.color"),
-            ad.get("rule"),
-        )
+        glues = tuple(None if g is None else _string(g, f"{path}.glues[{j}]")
+                      for j, g in enumerate(glues))
+        color = _integer(ad.get("color", 1), f"{path}.color")
+        rule = ad.get("rule")
+        if rule is not None:
+            _string(rule, f"{path}.rule")
+        try:
+            types[name] = AgentType(name, glues, color, rule)
+        except ValueError as e:
+            _fail("bad-agent", f"{path}: {e}", path)
 
     rules_doc = doc["rules"]
     if not isinstance(rules_doc, list):
         _fail("bad-rules", "'rules' must be a list", "rules")
     rules = {}
     for i, rd in enumerate(rules_doc):
-        _require_keys(rd, {"a", "b", "strength"}, set(), f"rules[{i}]")
-        rules[(str(rd["a"]), str(rd["b"]))] = _integer(rd["strength"], f"rules[{i}].strength")
+        path = f"rules[{i}]"
+        _require_keys(rd, {"a", "b", "strength"}, set(), path)
+        pair = (_string(rd["a"], f"{path}.a"), _string(rd["b"], f"{path}.b"))
+        rules[pair] = _integer(rd["strength"], f"{path}.strength")
 
     seed_cells = _seed_cells(doc.get("seed", []), "agent", k)
 
     kin_doc = doc.get("kinetics", {})
     _require_keys(kin_doc, set(), {"lambda_on", "p_off", "epsilon", "detach"}, "kinetics")
-    p_off = float(kin_doc.get("p_off", 0.0))
+    lambda_on = _number(kin_doc.get("lambda_on", 1.0), "kinetics.lambda_on")
+    p_off = _number(kin_doc.get("p_off", 0.0), "kinetics.p_off")
+    epsilon = _number(kin_doc.get("epsilon", 0.0), "kinetics.epsilon")
     detach = _flag(kin_doc, "detach", p_off > 0, "kinetics.detach")
     use_ids = _flag(doc, "use_ids", False, "use_ids")
     temperature = _integer(doc["temperature"], "temperature")
+    pi_nu = _number(doc.get("pi_nu", 0.0), "pi_nu")
+    messages = doc.get("messages", [])
+    if not isinstance(messages, list):
+        _fail("bad-messages", "'messages' must be a list of strings", "messages")
+    messages = tuple(_string(m, f"messages[{i}]") for i, m in enumerate(messages))
     try:
-        kinetics = Kinetics(
-            lambda_on=float(kin_doc.get("lambda_on", 1.0)),
-            detach=detach,
-            p_off=p_off,
-            epsilon=float(kin_doc.get("epsilon", 0.0)),
-        )
+        kinetics = Kinetics(lambda_on=lambda_on, detach=detach, p_off=p_off, epsilon=epsilon)
         model = AgentModel(
             types=types,
             rules=BindingRules(rules),
             temperature=temperature,
             seed=seed_cells,
-            pi_nu=float(doc.get("pi_nu", 0.0)),
+            pi_nu=pi_nu,
             kinetics=kinetics,
-            messages=tuple(doc.get("messages", [])),
+            messages=messages,
             use_ids=use_ids,
             k=k,
         )
@@ -474,6 +505,9 @@ def load_coloring(source: Union[str, Path, dict]):
 
     doc = _read_document(source)
     _require_keys(doc, {"k", "side", "c", "colors"}, set(), "")
-    mesh = Mesh(int(doc["k"]), int(doc["side"]))
-    assignment = {_parse_point(tok): int(c) for tok, c in doc["colors"].items()}
-    return Coloring(assignment, mesh, int(doc["c"]))
+    if not isinstance(doc["colors"], dict):
+        _fail("not-an-object", "'colors' must map vertices to colors", "colors")
+    mesh = Mesh(_integer(doc["k"], "k"), _integer(doc["side"], "side"))
+    assignment = {_parse_point(tok): _integer(c, f"colors.{tok}")
+                  for tok, c in doc["colors"].items()}
+    return Coloring(assignment, mesh, _integer(doc["c"], "c"))

@@ -146,7 +146,7 @@ def test_criterion_4_simulation_fidelity():
 def test_criterion_5_nucleation_scaling():
     model = nucleation_family(0.1, "checkerboard-local").system
     spec = ExperimentSpec(model, (8, 16, 32, 64), rounds=10, trials=200,
-                          master_seed=505, track_rounds_to_valid=False)
+                          master_seed=505)
     result = run_experiment(spec)
     p_hats = [o.p_hat for o in result.outcomes]
     assert all(a >= b for a, b in zip(p_hats, p_hats[1:])), p_hats

@@ -143,9 +143,15 @@ def test_experiment_cli_csv(tmp_path, capsys):
     assert saved["seed"] == 13
 
 
+#: Content hash of the shipped checkerboard-local model at pi_nu 0.1, as
+#: campaigns have recorded it in results.json since the model's hash stopped
+#: depending on --sizes.
+CAMPAIGN_MODEL_HASH = "sha256:fef308c64bd2f0e8fc8b80d090e7a41004bff234f58d8278cb14d4d53dae66cc"
+
+
 def test_experiment_model_hash_ignores_sizes(tmp_path, capsys):
     hashes = []
-    for sizes in ("8,16", "16,32"):
+    for sizes in ("8", "8,16", "16,32"):
         out = tmp_path / sizes.replace(",", "-")
         code = main(["experiment", "--rule", "checkerboard-local", "--pi-nu", "0.1",
                      "--sizes", sizes, "--rounds", "1", "--trials", "1",
@@ -153,7 +159,7 @@ def test_experiment_model_hash_ignores_sizes(tmp_path, capsys):
         assert code == 0
         hashes.append(json.loads((out / "results.json").read_text())["model"])
     capsys.readouterr()
-    assert hashes[0] == hashes[1]
+    assert hashes == [CAMPAIGN_MODEL_HASH] * 3
 
 
 def test_experiment_cli_model_file(capsys):
@@ -184,6 +190,42 @@ def test_lint_model_broken_file(tmp_path, capsys):
     capsys.readouterr()
     path.write_text("{")
     assert main(["lint-model", "--model", str(path)]) == 1
+    capsys.readouterr()
+    for text in ("5", '"tiles"'):
+        path.write_text(text)
+        assert main(["lint-model", "--model", str(path)]) == 1
+        report = json.loads(capsys.readouterr().out)
+        assert [d["code"] for d in report["diagnostics"]] == ["not-an-object"]
+
+
+def test_lint_model_prints_constructor_errors_as_codes(tmp_path, capsys):
+    doc = json.loads(shipped_model_path("tstar").read_text())
+    doc["tiles"][0]["color"] = 0
+    path = tmp_path / "color0.json"
+    path.write_text(json.dumps(doc))
+    assert main(["lint-model", "--model", str(path)]) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert [d["code"] for d in report["diagnostics"]] == ["bad-tile"]
+
+
+@pytest.mark.parametrize("key, value, code", [
+    ("c", 2.7, "bad-integer"),
+    ("c", "2", "bad-integer"),
+    ("k", 2.0, "bad-integer"),
+    ("side", True, "bad-integer"),
+    ("0,0", 2.9, "bad-integer"),
+    ("0,0", "2", "bad-integer"),
+    ("0,0", True, "bad-integer"),
+    ("colors", [], "not-an-object"),
+])
+def test_check_rejects_coloring_files_that_are_not_integers(tmp_path, capsys, key, value, code):
+    doc = {"k": 2, "side": 2, "c": 2,
+           "colors": {"0,0": 1, "1,0": 2, "0,1": 2, "1,1": 1}}
+    (doc["colors"] if key == "0,0" else doc)[key] = value
+    path = tmp_path / "coloring.json"
+    path.write_text(json.dumps(doc))
+    assert main(["check", "--coloring", str(path)]) == 2
+    assert f"[{code}]" in capsys.readouterr().err
 
 
 def test_forced_growth_snapshot_matches_wavefront(tmp_path, capsys):

@@ -108,6 +108,75 @@ def test_integer_fields_must_be_json_integers(model, path, value):
     assert [d.code for d in err.value.diagnostics] == ["bad-integer"]
 
 
+@pytest.mark.parametrize("path", [
+    ("pi_nu",),
+    ("kinetics", "lambda_on"),
+    ("kinetics", "p_off"),
+    ("kinetics", "epsilon"),
+])
+@pytest.mark.parametrize("value", ["0.1", True, None])
+def test_real_fields_must_be_json_numbers(path, value):
+    doc = json.loads(shipped_model_path("fidelity2").read_text())
+    _set(doc, path, value)
+    with pytest.raises(FormatError) as err:
+        load_agent_model(doc)
+    assert [d.code for d in err.value.diagnostics] == ["bad-number"]
+
+
+@pytest.mark.parametrize("messages, code", [
+    ("pq", "bad-messages"),
+    (["p", 1], "bad-string"),
+    ([None], "bad-string"),
+])
+def test_messages_must_be_a_list_of_strings(messages, code):
+    doc = json.loads(shipped_model_path("fidelity2").read_text())
+    doc["messages"] = messages
+    with pytest.raises(FormatError) as err:
+        load_agent_model(doc)
+    assert [d.code for d in err.value.diagnostics] == [code]
+
+
+@pytest.mark.parametrize("model, path, value", [
+    ("tstar", ("tiles", 0, "name"), 5),
+    ("tstar", ("tiles", 0, "name"), ["x"]),
+    ("tstar", ("tiles", 0, "glues", "east", "label"), None),
+    ("tstar", ("tiles", 0, "glues", "east", "label"), 1),
+    ("tstar", ("seed", 0, "tile"), ["seed"]),
+    ("fidelity2", ("agents", 0, "name"), {"x": 1}),
+    ("fidelity2", ("agents", 0, "glues", 0), 1),
+    ("fidelity2", ("agents", 0, "rule"), 1),
+    ("fidelity2", ("rules", 0, "a"), 1),
+    ("fidelity2", ("rules", 0, "b"), None),
+    ("fidelity2", ("seed", 0, "agent"), ["amber"]),
+])
+def test_names_and_labels_must_be_json_strings(model, path, value):
+    doc = json.loads(shipped_model_path(model).read_text())
+    _set(doc, path, value)
+    assert [d.code for d in lint_document(doc)] == ["bad-string"]
+
+
+def test_strict_agent_fields_keep_accepting_ints_and_null_glues():
+    doc = json.loads(shipped_model_path("fidelity2").read_text())
+    doc["pi_nu"] = 1
+    doc["kinetics"] |= {"lambda_on": 1, "p_off": 0, "epsilon": 0}
+    doc["agents"][0]["glues"][0] = None
+    model, _ = load_agent_model(doc)
+    assert (model.pi_nu, model.kinetics.lambda_on, model.kinetics.p_off,
+            model.kinetics.epsilon) == (1.0, 1.0, 0.0, 0.0)
+    assert type(model.pi_nu) is float
+    assert model.types["amber"].glues == (None, "g", "g", "g")
+
+
+@pytest.mark.parametrize("model, path, code", [
+    ("tstar", ("tiles", 0, "color"), "bad-tile"),
+    ("fidelity2", ("agents", 0, "color"), "bad-agent"),
+])
+def test_constructor_errors_become_diagnostics(model, path, code):
+    doc = json.loads(shipped_model_path(model).read_text())
+    _set(doc, path, 0)
+    assert [d.code for d in lint_document(doc)] == [code]
+
+
 @pytest.mark.parametrize("model, key", [("tstar", "tile"), ("fidelity2", "agent")])
 def test_repeated_seed_location_is_rejected(model, key):
     doc = json.loads(shipped_model_path(model).read_text())
