@@ -23,17 +23,13 @@ p_off = epsilon = 0.  Multiple nucleation places agents uniformly at random
 with probability pi_nu per location, at stage 0 only.
 """
 
-import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable, Mapping, NamedTuple, Optional, Sequence
 from weakref import WeakKeyDictionary
 
 from .lattice import Box, Mesh, Point, add, directions, opposite_index
-from .rng import uniform
-# perfbench/tracer.py wraps this module's derive_seed binding by name; the
-# draws here go through uniform.
-from .rng import derive_seed  # noqa: F401
+from .rng import derive_seed, uniform
 from .tiles import Configuration, TileAssemblySystem
 
 
@@ -52,10 +48,6 @@ def neighbor_table(window) -> dict:
         table[v] = tuple(entries)
     return table
 
-
-@lru_cache(maxsize=32)
-def vertex_list(window) -> tuple:
-    return tuple(window.vertices())
 
 MAX_SYMBOL_LENGTH = 8
 
@@ -419,19 +411,15 @@ class SurfaceState:
 
 
 def initial_state(model: AgentModel, window: Mesh | Box) -> SurfaceState:
-    """Stage-0 state holding just the seed assembly (before any nucleation)."""
+    """Stage-0 state holding just the seed assembly (before any nucleation),
+    with ids in sorted location order and the seed's round-0 posts."""
     for v in model.seed:
         if not window.contains(v):
             raise ValueError(f"seed location {v} lies outside the window")
     occupancy = dict(model.seed)
-    next_id = 0
-    ids = {}
-    if model.use_ids:
-        for v in sorted(occupancy):
-            ids[v] = next_id
-            next_id += 1
-    state = SurfaceState(occupancy, window, {}, ids, stage=0, next_id=next_id)
-    return replace(state, out_messages=_recompute_messages(state, model, state))
+    ids = {v: i for i, v in enumerate(sorted(occupancy))} if model.use_ids else {}
+    return SurfaceState(occupancy, window, _round0_posts(model, occupancy, ids), ids,
+                        stage=0, next_id=len(ids))
 
 
 def surface_inputs(state: SurfaceState, model: AgentModel, v: Point):
@@ -451,41 +439,40 @@ def surface_inputs(state: SurfaceState, model: AgentModel, v: Point):
     return tuple(glues), tuple(msgs)
 
 
-def has_occupied_neighbor(state: SurfaceState, model: AgentModel, v: Point) -> bool:
-    occupancy = state.occupancy
-    return any(w in occupancy for _, w, _ in neighbor_table(state.window)[v])
+def _posts(model: AgentModel, name: str, glues: tuple, msgs: tuple,
+           my_id: Optional[int]) -> Optional[tuple]:
+    """The messages an agent of type `name` posts per side after hearing
+    (glues, msgs); None for a type without a rule, which posts none."""
+    rule_name = model.types[name].rule
+    if rule_name is None:
+        return None
+    result = message_rule(rule_name)(name, glues, msgs, my_id)
+    if len(result.messages) != model.d:
+        raise ValueError(f"rule {rule_name!r} emitted {len(result.messages)} messages; "
+                         f"expected {model.d}")
+    for sym in result.messages:
+        if sym is not None and sym not in model.messages:
+            raise ValueError(f"rule {rule_name!r} emitted {sym!r}, "
+                             "not in the declared message alphabet")
+    return tuple(result.messages)
 
 
-def _recompute_messages(pre: SurfaceState, model: AgentModel,
-                        post: SurfaceState) -> dict:
-    """Outgoing messages for every occupied cell of `post`, with rules fed
-    the inputs that were visible during the step (from `pre`)."""
-    if all(t.rule is None for t in model.types.values()):
-        return {}  # silent agents: absent entries read as no message
-    out: dict[Point, tuple] = {}
-    no_msgs = (None,) * model.d
-    for v, name in post.occupancy.items():
-        rule_name = model.types[name].rule
-        if rule_name is None:
-            out[v] = no_msgs
-            continue
-        glues, msgs = surface_inputs(pre, model, v)
-        my_id = post.ids.get(v) if model.use_ids else None
-        result = message_rule(rule_name)(name, glues, msgs, my_id)
-        if len(result.messages) != model.d:
-            raise ValueError(f"rule {rule_name!r} emitted {len(result.messages)} messages; "
-                             f"expected {model.d}")
-        for sym in result.messages:
-            if sym is not None and sym not in model.messages:
-                raise ValueError(f"rule {rule_name!r} emitted {sym!r}, "
-                                 "not in the declared message alphabet")
-        out[v] = tuple(result.messages)
+def _round0_posts(model: AgentModel, occupancy: Mapping[Point, str],
+                  ids: Mapping[Point, int]) -> dict:
+    """Round-0 posts: every occupant's rule hears empty inputs."""
+    silent = (None,) * model.d
+    out = {}
+    for v, name in occupancy.items():
+        posts = _posts(model, name, silent, silent, ids.get(v))
+        if posts is not None:
+            out[v] = posts
     return out
 
 
-def nucleate(state: SurfaceState, model: AgentModel, rng: random.Random) -> SurfaceState:
-    """Round-0 multiple nucleation: each empty location independently
-    receives a uniformly random agent type with probability pi_nu."""
+def nucleate(state: SurfaceState, model: AgentModel, seed: int) -> SurfaceState:
+    """Round-0 multiple nucleation: each empty location v wakes iff
+    uniform(seed, v, 0) < pi_nu, as the type its own hash path
+    (seed, v, 0, 1) picks uniformly; then every occupant posts."""
     if state.stage != 0:
         raise ValueError("nucleation happens at stage 0 only")
     names = model.type_names
@@ -493,74 +480,53 @@ def nucleate(state: SurfaceState, model: AgentModel, rng: random.Random) -> Surf
     ids = dict(state.ids)
     next_id = state.next_id
     for v in state.window.vertices():
-        if v in occupancy:
-            continue
-        if rng.random() < model.pi_nu:
-            occupancy[v] = names[rng.randrange(len(names))]
+        if v not in occupancy and uniform(seed, v, 0) < model.pi_nu:
+            occupancy[v] = names[derive_seed(seed, v, 0, 1) % len(names)]
             if model.use_ids:
                 ids[v] = next_id
                 next_id += 1
-    nucleated = SurfaceState(occupancy, state.window, {}, ids, stage=0, next_id=next_id)
-    return replace(nucleated, out_messages=_recompute_messages(nucleated, model, nucleated))
+    return SurfaceState(occupancy, state.window, _round0_posts(model, occupancy, ids), ids,
+                        stage=0, next_id=next_id)
 
 
-SCHEDULERS = ("sequential", "synchronous")
+def model_step(state: SurfaceState, model: AgentModel, seed: int) -> SurfaceState:
+    """One synchronous round r = state.stage + 1 of the model dynamics.
 
-
-def model_step(state: SurfaceState, model: AgentModel, scheduler: str,
-               rng: random.Random) -> SurfaceState:
-    """One stage of model dynamics.
-
-    "sequential" updates a single uniformly chosen location; "synchronous"
-    samples every location's transition law simultaneously from the
-    pre-round state, exactly as one round of the processor-mesh simulation.
-    Locations with no occupied neighbor idle: an attachment needs a bond
-    partner, and an isolated occupant hears no messages to react to.
+    Every location with an occupied neighbor samples its transition law
+    from the pre-round state, drawing uniform(seed, v, r) when the law is
+    not forced; the others idle, since an attachment needs a bond partner
+    and an isolated occupant hears no messages.  An evaluated occupant
+    re-posts for this round's inputs, the others keep their posts, and a
+    detached cell's posts are dropped.
     """
-    if scheduler not in SCHEDULERS:
-        raise ValueError(f"unknown scheduler {scheduler!r}; choose from {SCHEDULERS}")
     law = law_for(model)
+    r = state.stage + 1
+    table = neighbor_table(state.window)
     occupancy = dict(state.occupancy)
+    posts = dict(state.out_messages)
     ids = dict(state.ids)
     next_id = state.next_id
-
-    def update_cell(v: Point, draw):
-        nonlocal next_id
-        if not has_occupied_neighbor(state, model, v):
-            return
+    active = {w for v in state.occupancy for _, w, _ in table[v]}
+    for v in sorted(active):
         glues, msgs = surface_inputs(state, model, v)
         old = state.occupancy.get(v)
-        if law.forced(old, glues, msgs):
-            new = law.sample(old, glues, msgs, None)
-        else:
-            new = law.sample(old, glues, msgs, draw())
-        if new == old:
-            return
+        u = None if law.forced(old, glues, msgs) else uniform(seed, v, r)
+        new = law.sample(old, glues, msgs, u)
         if new is None:
-            occupancy.pop(v, None)
-            ids.pop(v, None)
-        else:
+            if old is not None:
+                del occupancy[v]
+                ids.pop(v, None)
+                posts.pop(v, None)
+            continue
+        if old is None:
             occupancy[v] = new
             if model.use_ids:
                 ids[v] = next_id
                 next_id += 1
-
-    if scheduler == "sequential":
-        cells = vertex_list(state.window)
-        update_cell(cells[rng.randrange(len(cells))], rng.random)
-    else:
-        step_seed = rng.getrandbits(64)
-        table = neighbor_table(state.window)
-        active = set()
-        for v in state.occupancy:
-            for _, w, _ in table[v]:
-                active.add(w)
-        for v in sorted(active):
-            update_cell(v, lambda v=v: uniform(step_seed, v))
-
-    post = SurfaceState(occupancy, state.window, {}, ids,
-                        stage=state.stage + 1, next_id=next_id)
-    return replace(post, out_messages=_recompute_messages(state, model, post))
+        out = _posts(model, new, glues, msgs, ids.get(v))
+        if out is not None:
+            posts[v] = out
+    return SurfaceState(occupancy, state.window, posts, ids, stage=r, next_id=next_id)
 
 
 def embed_tile_system(system: TileAssemblySystem) -> AgentModel:

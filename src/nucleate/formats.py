@@ -500,6 +500,17 @@ def coloring_document(colors: Mapping[Point, int], window: Union[Mesh, Box], c: 
     }
 
 
+def _vertex(token: str, mesh: Mesh, path: str) -> Point:
+    """A coloring key: k comma-separated decimal integers naming a mesh vertex."""
+    parts = token.split(",")
+    if len(parts) == mesh.k and all(p.isascii() and p.isdigit() for p in parts):
+        v = tuple(map(int, parts))
+        if mesh.contains(v):
+            return v
+    _fail("bad-point", f"{token!r} is not a vertex of the {mesh.k}-dimensional mesh "
+          f"of side {mesh.side}", path)
+
+
 def load_coloring(source: Union[str, Path, dict]):
     from .coloring import Coloring
 
@@ -507,7 +518,21 @@ def load_coloring(source: Union[str, Path, dict]):
     _require_keys(doc, {"k", "side", "c", "colors"}, set(), "")
     if not isinstance(doc["colors"], dict):
         _fail("not-an-object", "'colors' must map vertices to colors", "colors")
-    mesh = Mesh(_integer(doc["k"], "k"), _integer(doc["side"], "side"))
-    assignment = {_parse_point(tok): _integer(c, f"colors.{tok}")
-                  for tok, c in doc["colors"].items()}
-    return Coloring(assignment, mesh, _integer(doc["c"], "c"))
+    k, side, c = (_integer(doc[key], key) for key in ("k", "side", "c"))
+    try:
+        mesh = Mesh(k, side)
+    except ValueError as exc:
+        _fail("bad-mesh", str(exc))
+    if c < 1:
+        _fail("bad-color", f"c must be at least 1, got {c}", "c")
+    assignment = {}
+    for token, color in doc["colors"].items():
+        path = f"colors.{token}"
+        v = _vertex(token, mesh, path)
+        if v in assignment:
+            _fail("bad-point", f"{token!r} names vertex {v} a second time", path)
+        color = _integer(color, path)
+        if not 1 <= color <= c:
+            _fail("bad-color", f"{path} must lie in 1..{c}, got {color}", path)
+        assignment[v] = color
+    return Coloring(assignment, mesh, c)

@@ -107,16 +107,17 @@ class MeshNetwork:
     # -- round 0 -------------------------------------------------------
 
     def init_round0(self) -> None:
-        """Place the seed assembly, then wake every other processor with
-        probability pi_nu into a uniformly random non-EMPTY state."""
+        """Place the seed assembly (ids in sorted location order), then wake
+        every other processor with probability pi_nu into a uniformly
+        random non-EMPTY state."""
         if self._started:
             raise ValueError("network already initialized")
         self._started = True
         model = self.model
-        for v, name in model.seed.items():
+        for v in sorted(model.seed):
             if not self.mesh.contains(v):
                 raise ValueError(f"seed location {v} lies outside the mesh")
-            self._enter(v, name)
+            self._enter(v, model.seed[v])
         names = model.type_names
         pi_nu = model.pi_nu
         seed = self.master_seed

@@ -6,10 +6,11 @@ number, ...).  Derivation goes through a keyed hash so that streams are
 independent of evaluation order: visiting the same cells or trials in any
 order consumes identical randomness.
 
-Per-cell draws of the mesh simulation are counter-based: `uniform` turns
-the hash of (master seed, coordinates, round) straight into a float, with
-no generator object in between.  `derived_rng` is for callers that need a
-whole stream (a trial's model dynamics, say).
+Per-cell draws are counter-based: `uniform` turns the hash of (master
+seed, coordinates, round) straight into a float, with no generator object
+in between.  The mesh simulation and the model dynamics both draw this
+way, so one seed drives them to the same outcome.  No draw uses
+`derived_rng`; it stays only because perfbench/tracer.py wraps it by name.
 """
 
 import hashlib

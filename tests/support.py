@@ -8,8 +8,9 @@ independent path.
 import math
 import random
 
-from nucleate.agents import AgentModel, AgentType, BindingRules, Kinetics
-from nucleate.lattice import add, directions, opposite_index
+from nucleate.agents import (AgentModel, AgentType, BindingRules, Kinetics, RuleOutput,
+                             register_rule)
+from nucleate.lattice import OPPOSITE, add, directions, opposite_index
 from nucleate.tiles import BindingGraph, Configuration, Glue, TileType, cut_strength
 
 
@@ -80,17 +81,41 @@ def random_configuration(rng: random.Random, tiles, window, fill: float = 0.4) -
     return Configuration(cells, window)
 
 
-def random_agent_model(rng: random.Random, allow_negative: bool = True) -> AgentModel:
-    """A random but valid model, for normalization and probing tests."""
+@register_rule("relay")
+def relay_rule(agent, glues, messages, my_id=None) -> RuleOutput:
+    """Pass each heard message on through the opposite side, answer a
+    neighbour glue that came without a message with "q", and ask to detach
+    on hearing "q" from two sides."""
+    out = []
+    for j in OPPOSITE[:len(glues)]:
+        heard = messages[j]
+        out.append(heard if heard is not None else ("q" if glues[j] is not None else None))
+    return RuleOutput(tuple(out), detach=messages.count("q") >= 2)
+
+
+@register_rule("tally")
+def tally_rule(agent, glues, messages, my_id=None) -> RuleOutput:
+    """Post the parity of (neighbour glues + id) on every side, "p" for
+    even; ask to detach when that count reaches 3 and a "p" was heard."""
+    n = sum(g is not None for g in glues) + (my_id or 0)
+    return RuleOutput(("pq"[n % 2],) * len(glues), detach=n >= 3 and "p" in messages)
+
+
+def random_agent_model(rng: random.Random, allow_negative: bool = True, k: int = 2,
+                       message_rules: tuple = ()) -> AgentModel:
+    """A random but valid k-dimensional model, for normalization, probing
+    and differential tests.  With `message_rules`, each type draws its rule
+    from None plus those names; without, no extra draw is made."""
     n_types = rng.randint(1, 4)
     labels = [f"g{i}" for i in range(rng.randint(1, 4))]
     types = {}
     for i in range(n_types):
-        glues = [rng.choice(labels) if rng.random() < 0.8 else None for _ in range(4)]
+        glues = [rng.choice(labels) if rng.random() < 0.8 else None for _ in range(2 * k)]
         if all(g is None for g in glues):
             glues[0] = rng.choice(labels)
         name = f"a{i}"
-        types[name] = AgentType(name, tuple(glues), color=rng.randint(1, 3))
+        rule = rng.choice((None,) + message_rules) if message_rules else None
+        types[name] = AgentType(name, tuple(glues), color=rng.randint(1, 3), rule=rule)
     carried = sorted({g for t in types.values() for g in t.glues if g is not None})
     rules = {}
     for i, x in enumerate(carried):
@@ -113,7 +138,7 @@ def random_agent_model(rng: random.Random, allow_negative: bool = True) -> Agent
             epsilon=rng.choice([0.0, 0.05, 0.3]),
         ),
         messages=("p", "q"),
-        k=2,
+        k=k,
     )
 
 
@@ -190,14 +215,13 @@ def synchronous_reachable(model, window, max_states: int = 100_000) -> set:
 
 
 def reachable_by_sequential_model(model, window) -> set:
-    """Every occupancy reachable with positive probability under the
-    sequential scheduler of an irreversible, error-free model (BFS over
-    single-cell attachments)."""
-    from nucleate.agents import (
-        SurfaceState, TransitionLaw, has_occupied_neighbor, surface_inputs,
-    )
+    """Every occupancy reachable with positive probability by single-cell
+    attachments of an irreversible, error-free model, one at a time as the
+    tile engine grows (BFS)."""
+    from nucleate.agents import SurfaceState, TransitionLaw, neighbor_table, surface_inputs
 
     law = TransitionLaw(model)
+    table = neighbor_table(window)
     start = tuple(sorted(model.seed.items()))
     seen = {start}
     stack = [dict(start)]
@@ -205,7 +229,7 @@ def reachable_by_sequential_model(model, window) -> set:
         occupancy = stack.pop()
         state = SurfaceState(occupancy, window)
         for v in window.vertices():
-            if v in occupancy or not has_occupied_neighbor(state, model, v):
+            if v in occupancy or not any(w in occupancy for _, w, _ in table[v]):
                 continue
             glues, _ = surface_inputs(state, model, v)
             for name in law.candidates(glues):

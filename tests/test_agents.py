@@ -23,7 +23,7 @@ from nucleate.agents import (
 )
 from nucleate.engine import run
 from nucleate.lattice import Box, Mesh
-from nucleate.rng import derived_rng
+from nucleate.rng import derive_seed
 from nucleate.systems import checkerboard_tileset
 from nucleate.tiles import attachments
 from support import (
@@ -184,7 +184,7 @@ def test_rule_detach_intent_feeds_detachment():
 def test_nucleate_zero_probability_changes_nothing():
     model = two_type_model()
     state = initial_state(model, Mesh(2, 5))
-    after = nucleate(state, model, random.Random(1))
+    after = nucleate(state, model, 1)
     assert after.occupancy == state.occupancy == {}
 
 
@@ -197,7 +197,7 @@ def test_nucleate_full_probability_uniform_types():
                        temperature=1, pi_nu=1.0)
     side = 317  # 317^2 = 100489 cells
     state = initial_state(model, Mesh(2, side))
-    after = nucleate(state, model, random.Random(3))
+    after = nucleate(state, model, 3)
     assert len(after.occupancy) == side * side
     freq_a = sum(1 for n in after.occupancy.values() if n == "a") / (side * side)
     assert abs(freq_a - 0.5) <= 0.01
@@ -209,9 +209,9 @@ def test_nucleate_binomial_counts():
                        temperature=1, pi_nu=0.1)
     window = Box((10, 10))
     state = initial_state(model, window)
-    rng = random.Random(11)
     trials = 1000
-    counts = [len(nucleate(state, model, rng).occupancy) for _ in range(trials)]
+    counts = [len(nucleate(state, model, derive_seed(11, i)).occupancy)
+              for i in range(trials)]
     mean = sum(counts) / trials
     sigma = math.sqrt(100 * 0.1 * 0.9)
     assert abs(mean - 10.0) <= 3 * sigma / math.sqrt(trials)
@@ -220,37 +220,28 @@ def test_nucleate_binomial_counts():
 def test_nucleate_only_at_stage_zero():
     model = two_type_model(seed={(0, 0): "a"})
     state = initial_state(model, Mesh(2, 3))
-    stepped = model_step(state, model, "synchronous", random.Random(0))
+    stepped = model_step(state, model, 0)
     with pytest.raises(ValueError):
-        nucleate(stepped, model, random.Random(1))
+        nucleate(stepped, model, 1)
 
 
 def test_nucleate_spares_seed_locations():
     model = two_type_model(seed={(1, 1): "a"}, pi_nu=1.0)
     state = initial_state(model, Mesh(2, 3))
-    after = nucleate(state, model, random.Random(5))
+    after = nucleate(state, model, 5)
     assert after.occupancy[(1, 1)] == "a"
     assert len(after.occupancy) == 9
 
 
-# -- schedulers --------------------------------------------------------
-
-
-def test_unknown_scheduler():
-    model = two_type_model()
-    state = initial_state(model, Mesh(2, 2))
-    with pytest.raises(ValueError):
-        model_step(state, model, "chaotic", random.Random(0))
+# -- model dynamics ----------------------------------------------------
 
 
 def test_empty_surface_is_a_fixed_point():
     model = two_type_model()
     state = initial_state(model, Mesh(2, 3))
-    for scheduler in ("sequential", "synchronous"):
-        s = state
-        for i in range(5):
-            s = model_step(s, model, scheduler, random.Random(i))
-        assert s.occupancy == {}
+    for _ in range(5):
+        state = model_step(state, model, 0)
+    assert state.occupancy == {} and state.stage == 5
 
 
 def test_synchronous_step_on_single_cell_matches_law():
@@ -259,16 +250,16 @@ def test_synchronous_step_on_single_cell_matches_law():
     model = two_type_model(p_off=0.0, seed={(0, 0): "a"})
     state = initial_state(model, Mesh(2, 1))
     for i in range(5):
-        after = model_step(state, model, "synchronous", random.Random(i))
+        after = model_step(state, model, i)
         assert after.occupancy == {(0, 0): "a"}
 
 
-def sample_distribution(model, scheduler, samples, master_seed=0):
+def sample_distribution(model, samples, master_seed=0):
     window = Box((2, 1))
     state = initial_state(model, window)
     counts = {}
     for i in range(samples):
-        after = model_step(state, model, scheduler, derived_rng(master_seed, i))
+        after = model_step(state, model, derive_seed(master_seed, i))
         key = tuple(sorted(after.occupancy.items()))
         counts[key] = counts.get(key, 0) + 1
     return {k: c / samples for k, c in counts.items()}
@@ -278,33 +269,26 @@ def tv(p, q):
     return 0.5 * sum(abs(p.get(k, 0.0) - q.get(k, 0.0)) for k in set(p) | set(q))
 
 
-def test_schedulers_match_hand_enumerated_oracles():
+def test_model_step_matches_hand_enumerated_oracle():
     # 2x1 window, seed "a" at (0,0), lambda 0.5: cell (1,0) accepts both
-    # types at 1/4 each.  Sequential picks one of the two cells uniformly;
-    # the occupied cell has no occupied neighbor and idles.
+    # types at 1/4 each; the occupied cell has no occupied neighbor and idles.
     model = two_type_model(lambda_on=0.5, seed={(0, 0): "a"})
     a0 = ((0, 0), "a")
-    sequential_oracle = {
-        (a0,): 0.5 + 0.5 * 0.5,
-        (a0, ((1, 0), "a")): 0.5 * 0.25,
-        (a0, ((1, 0), "b")): 0.5 * 0.25,
-    }
     synchronous_oracle = {
         (a0,): 0.5,
         (a0, ((1, 0), "a")): 0.25,
         (a0, ((1, 0), "b")): 0.25,
     }
     samples = 100_000
-    assert tv(sample_distribution(model, "sequential", samples), sequential_oracle) <= 0.02
-    assert tv(sample_distribution(model, "synchronous", samples, 1), synchronous_oracle) <= 0.02
+    assert tv(sample_distribution(model, samples, 1), synchronous_oracle) <= 0.02
 
 
 def test_irreversible_occupants_persist():
     model = two_type_model(lambda_on=1.0, epsilon=0.0, p_off=0.0, seed={(1, 1): "a"})
     state = initial_state(model, Mesh(2, 4))
-    for i in range(6):
+    for _ in range(6):
         before = set(state.occupancy)
-        state = model_step(state, model, "synchronous", random.Random(i))
+        state = model_step(state, model, 6)
         assert before <= set(state.occupancy)
     assert len(state.occupancy) == 16
 
@@ -326,8 +310,8 @@ def test_embedded_agents_emit_no_messages():
     system = checkerboard_tileset().system
     model = embed_tile_system(system)
     state = initial_state(model, Mesh(2, 4))
-    for i in range(8):
-        state = model_step(state, model, "synchronous", random.Random(i))
+    for _ in range(8):
+        state = model_step(state, model, 8)
     assert all(m is None for msgs in state.out_messages.values() for m in msgs)
 
 

@@ -228,6 +228,13 @@ def test_check_rejects_coloring_files_that_are_not_integers(tmp_path, capsys, ke
     assert f"[{code}]" in capsys.readouterr().err
 
 
+def test_check_rejects_coloring_keys_that_are_not_vertices(tmp_path, capsys):
+    path = tmp_path / "coloring.json"
+    path.write_text(json.dumps({"k": 2, "side": 2, "c": 2, "colors": {"a,b": 1}}))
+    assert main(["check", "--coloring", str(path)]) == 2
+    assert "[bad-point]" in capsys.readouterr().err
+
+
 def test_forced_growth_snapshot_matches_wavefront(tmp_path, capsys):
     doc = {
         "agents": [{"name": "t", "color": 1, "glues": ["g", "g", "g", "g"]}],

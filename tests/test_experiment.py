@@ -169,3 +169,29 @@ def test_exact_round_law_has_no_empty_residue_at_full_attachment():
     report = run_fidelity(model, 2, 2000, master_seed=1)
     assert report.support_exact == 9
     assert report.supports_equal
+
+
+def test_mesh_and_model_agree_on_one_seed():
+    # the two simulators share their keyed draws: fed one seed, their
+    # one-round outcomes coincide, so only disjoint seeds make criterion 4
+    # compare independent samples
+    from nucleate.agents import initial_state, model_step
+    from nucleate.lattice import Mesh
+    from nucleate.meshnet import MeshNetwork
+
+    model = fidelity_model().system
+    start = initial_state(model, Mesh(2, 3))
+    outcomes = set()
+    for seed in range(200):
+        net = MeshNetwork(model, 3, master_seed=seed, record_trace=False)
+        net.init_round0()
+        net.run_round()
+        assert model_step(start, model, seed).occupancy == net.states, seed
+        outcomes.add(frozenset(net.states.items()))
+    assert len(outcomes) == 9  # every outcome of the exact law was met
+
+
+def test_fidelity_sides_draw_from_disjoint_seeds():
+    report = run_fidelity(fidelity_model().system, 3, 2000, master_seed=44)
+    assert report.supports_equal
+    assert report.tv_mesh_vs_model > 0

@@ -299,6 +299,36 @@ def test_coloring_document_roundtrip():
     assert col.mesh == mesh and col.c == 2
 
 
+@pytest.mark.parametrize("colors, code", [
+    ({"a,b": 1}, "bad-point"),
+    ({"1": 1}, "bad-point"),
+    ({"0,0,0": 1}, "bad-point"),
+    ({"2,0": 1}, "bad-point"),
+    ({"-1,0": 1}, "bad-point"),
+    ({" 1,0": 1}, "bad-point"),
+    ({"1,1": 1, "01,1": 2}, "bad-point"),
+    ({"0,0": 3}, "bad-color"),
+    ({"0,0": 0}, "bad-color"),
+])
+def test_coloring_vertices_and_colors_are_coded(colors, code):
+    with pytest.raises(FormatError) as err:
+        load_coloring({"k": 2, "side": 2, "c": 2, "colors": colors})
+    assert [d.code for d in err.value.diagnostics] == [code]
+
+
+@pytest.mark.parametrize("key, value, code", [
+    ("k", 4, "bad-mesh"),
+    ("side", 0, "bad-mesh"),
+    ("c", 0, "bad-color"),
+])
+def test_coloring_header_values_are_coded(key, value, code):
+    doc = {"k": 2, "side": 2, "c": 2, "colors": {}}
+    doc[key] = value
+    with pytest.raises(FormatError) as err:
+        load_coloring(doc)
+    assert [d.code for d in err.value.diagnostics] == [code]
+
+
 def test_load_from_missing_file(tmp_path):
     with pytest.raises(FileNotFoundError):
         load_tile_system(tmp_path / "nope.json")

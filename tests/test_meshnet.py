@@ -417,3 +417,57 @@ def test_nucleation_is_local_to_each_cell():
     assert small.states
     assert len(set(small.states.values())) == 3
     assert small.states == {v: s for v, s in large.states.items() if max(v) < 6}
+
+
+# -- the model dynamics, step for step ----------------------------------
+
+
+def test_model_dynamics_match_the_mesh_round_for_round():
+    # nucleate + model_step and MeshNetwork are separate codings of one
+    # process that share only their keyed draws, so with one seed they
+    # must agree exactly: occupancy, ids and posted messages, from round 0
+    # on.  Seed cells are listed in reverse order, so ids must follow sorted
+    # locations rather than the listing.
+    import random
+    from dataclasses import replace
+
+    from nucleate.agents import initial_state, model_step, nucleate
+    from nucleate.lattice import Mesh
+    from support import random_agent_model
+
+    rng = random.Random(6006)
+    seen = {"k3": 0, "ids": 0, "detached": 0, "messages": 0}
+    for trial in range(300):
+        k = 2 + trial % 2
+        side = 4 if k == 2 else 3
+        model = random_agent_model(rng, k=k, message_rules=("ping", "relay", "tally"))
+        window = Mesh(k, side)
+        cells = rng.sample(list(window.vertices()), rng.randint(0, 3))
+        model = replace(
+            model,
+            seed={v: rng.choice(model.type_names) for v in sorted(cells, reverse=True)},
+            pi_nu=rng.choice((0.05, 0.15, 0.3)),
+            use_ids=rng.random() < 0.5,
+        )
+        master = rng.getrandbits(64)
+        net = MeshNetwork(model, side, master_seed=master)
+        net.init_round0()
+        state = nucleate(initial_state(model, window), model, master)
+        silent = (None,) * model.d
+        for r in range(11):
+            if r:
+                before = set(net.states)
+                net.run_round()
+                state = model_step(state, model, master)
+                seen["detached"] += len(before - set(net.states))
+            mesh_side = (net.states, net.ids,
+                         {v: tuple(m for _, m in net.outputs[v]) for v in net.states})
+            model_side = (state.occupancy, state.ids,
+                          {v: state.out_messages.get(v, silent) for v in state.occupancy})
+            assert mesh_side == model_side, (trial, r)
+            assert set(state.out_messages) <= set(state.occupancy), (trial, r)
+            assert state.next_id == net.next_id and state.stage == r
+            seen["messages"] += sum(m is not None for ms in mesh_side[2].values() for m in ms)
+        seen["k3"] += k == 3
+        seen["ids"] += model.use_ids and len(net.ids) > 1
+    assert all(seen.values()), seen
