@@ -15,7 +15,6 @@ from .agents import (
     Kinetics,
     TransitionLaw,
     embed_tile_system,
-    induce_transition_law,
     model_step,
     nucleate,
 )
@@ -54,7 +53,7 @@ __all__ = [
     "binding_strength", "build_binding_graph", "check_local_determinism",
     "check_weak_coloring", "checkerboard_tileset", "cut_strength",
     "directions", "embed_tile_system", "fidelity_model",
-    "find_monochromatic_plus", "frontier", "induce_transition_law",
-    "is_tau_stable", "model_step", "nucleate", "nucleation_family",
-    "opposite", "run", "step", "terminal_assemblies_equal",
+    "find_monochromatic_plus", "frontier", "is_tau_stable", "model_step",
+    "nucleate", "nucleation_family", "opposite", "run", "step",
+    "terminal_assemblies_equal",
 ]

@@ -376,10 +376,6 @@ class TransitionLaw:
         return len(self._distribution(occupant, tuple(glues), tuple(messages))) == 1
 
 
-def induce_transition_law(model: AgentModel) -> TransitionLaw:
-    return TransitionLaw(model)
-
-
 _LAWS = WeakKeyDictionary()
 
 

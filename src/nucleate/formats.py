@@ -68,11 +68,14 @@ def _integer(value, path: str) -> int:
 
 
 def _number(value, path: str) -> float:
-    """A real field; only a JSON number is accepted -- never a bool or a
-    numeric string."""
+    """A real field; only a JSON number is accepted -- never a bool, a
+    numeric string, or an integer beyond the range of a float."""
     if type(value) not in (int, float):
         _fail("bad-number", f"{path} must be a number, got {value!r}", path)
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:
+        _fail("bad-number", f"{path} must be a number within floating-point range", path)
 
 
 def _string(value, path: str) -> str:
@@ -271,7 +274,10 @@ def load_agent_model(source: Union[str, Path, dict]) -> tuple[AgentModel, dict]:
     for i, rd in enumerate(rules_doc):
         path = f"rules[{i}]"
         _require_keys(rd, {"a", "b", "strength"}, set(), path)
-        pair = (_string(rd["a"], f"{path}.a"), _string(rd["b"], f"{path}.b"))
+        a, b = _string(rd["a"], f"{path}.a"), _string(rd["b"], f"{path}.b")
+        pair = (a, b) if a <= b else (b, a)  # rules are symmetric
+        if pair in rules:
+            _fail("duplicate-rule", f"rule ({a!r}, {b!r}) appears twice", path)
         rules[pair] = _integer(rd["strength"], f"{path}.strength")
 
     seed_cells = _seed_cells(doc.get("seed", []), "agent", k)
@@ -424,8 +430,32 @@ def _point_token(v: Point) -> str:
     return ",".join(str(c) for c in v)
 
 
-def _parse_point(token: str) -> Point:
-    return tuple(int(c) for c in token.split(","))
+def _trace_records(text: str, header: dict, counts: tuple[int, ...], form: str):
+    """(path, fields) of each record line of a trace, split on whitespace;
+    a record with a field count not in `counts` fails as `bad-trace`.
+    Comment lines `# key value` fill `header` instead."""
+    for number, line in enumerate(text.splitlines(), 1):
+        line = line.strip()
+        if not line:
+            continue
+        if line.startswith("#"):
+            key, _, value = line[1:].strip().partition(" ")
+            header[key] = value
+            continue
+        fields = line.split()
+        path = f"line {number}"
+        if len(fields) not in counts:
+            _fail("bad-trace", f"{path}: expected `{form}`, got {line!r}", path)
+        yield path, fields
+
+
+def _trace_int(token: str, path: str) -> int:
+    """A decimal integer of a trace record; negative coordinates are legal
+    (windowless assemblies grow anywhere)."""
+    digits = token[1:] if token.startswith("-") else token
+    if not (digits.isascii() and digits.isdigit()):
+        _fail("bad-trace", f"{path}: {token!r} is not an integer", path)
+    return int(token)
 
 
 def assembly_trace_text(seq: AssemblySequence, system_hash: str, master_seed: int) -> str:
@@ -443,16 +473,13 @@ def assembly_trace_text(seq: AssemblySequence, system_hash: str, master_seed: in
 def parse_assembly_trace(text: str) -> tuple[dict, list[Addition]]:
     header: dict[str, str] = {}
     additions = []
-    for line in text.splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        if line.startswith("#"):
-            key, _, value = line[1:].strip().partition(" ")
-            header[key] = value
-            continue
-        stage, location, name = line.split(" ", 2)
-        additions.append(Addition(int(stage), _parse_point(location), name))
+    for path, (stage, location, name) in _trace_records(
+            text, header, (3,), "stage x,y[,z] tile"):
+        coords = location.split(",")
+        if len(coords) not in (2, 3):
+            _fail("bad-trace", f"{path}: location {location!r} needs 2 or 3 coordinates", path)
+        point = tuple(_trace_int(c, path) for c in coords)
+        additions.append(Addition(_trace_int(stage, path), point, name))
     return header, additions
 
 
@@ -468,19 +495,11 @@ def mesh_trace_text(events: list[TraceEvent], model_hash: str, master_seed: int)
 def parse_mesh_trace(text: str) -> tuple[dict, list[TraceEvent]]:
     header: dict[str, str] = {}
     events = []
-    for line in text.splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        if line.startswith("#"):
-            key, _, value = line[1:].strip().partition(" ")
-            header[key] = value
-            continue
-        parts = line.split(" ")
-        rnd, coords, old, new = parts[0], parts[1:-2], parts[-2], parts[-1]
+    for path, fields in _trace_records(text, header, (5, 6), "round x y [z] old new"):
+        rnd, *coords, old, new = fields
         events.append(TraceEvent(
-            int(rnd),
-            tuple(int(c) for c in coords),
+            _trace_int(rnd, path),
+            tuple(_trace_int(c, path) for c in coords),
             None if old == "EMPTY" else old,
             None if new == "EMPTY" else new,
         ))

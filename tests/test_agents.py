@@ -13,7 +13,6 @@ from nucleate.agents import (
     SurfaceState,
     TransitionLaw,
     embed_tile_system,
-    induce_transition_law,
     initial_state,
     model_step,
     nucleate,
@@ -57,7 +56,7 @@ def two_type_model(lambda_on=1.0, epsilon=0.0, p_off=0.0, temperature=1,
 
 
 def test_empty_cell_with_no_neighbors_stays_empty():
-    law = induce_transition_law(two_type_model())
+    law = TransitionLaw(two_type_model())
     assert law.distribution(None, (None,) * 4, (None,) * 4) == {None: 1.0}
 
 
@@ -73,12 +72,12 @@ def test_forced_attachment():
         temperature=1,
         kinetics=Kinetics(lambda_on=1.0),
     )
-    law = induce_transition_law(model)
+    law = TransitionLaw(model)
     assert law.distribution(None, ("ga", None, None, None), (None,) * 4) == {"a": 1.0}
 
 
 def test_two_candidate_split():
-    law = induce_transition_law(two_type_model(lambda_on=0.5))
+    law = TransitionLaw(two_type_model(lambda_on=0.5))
     dist = law.distribution(None, ("ga", None, None, None), (None,) * 4)
     assert dist == {"a": 0.25, "b": 0.25, None: 0.5}
 
@@ -94,7 +93,7 @@ def test_error_widening_strikes_only_attachable_cells():
         temperature=1,
         kinetics=Kinetics(lambda_on=0.5, epsilon=0.2),
     )
-    law = induce_transition_law(model)
+    law = TransitionLaw(model)
     # next to a "ga" glue: S = {a}; the error branch lets "b" slip in
     dist = law.distribution(None, ("ga", None, None, None), (None,) * 4)
     assert dist["a"] == pytest.approx(0.8 * 0.5 + 0.2 * 0.25)
@@ -107,7 +106,7 @@ def test_error_widening_strikes_only_attachable_cells():
 
 def test_detachment_below_temperature():
     model = two_type_model(p_off=0.3, temperature=2)
-    law = induce_transition_law(model)
+    law = TransitionLaw(model)
     dist = law.distribution("a", ("ga", None, None, None), (None,) * 4)  # bonds 1 < 2
     assert dist == {"a": 0.7, None: 0.3}
     dist = law.distribution("a", ("ga", "ga", None, None), (None,) * 4)  # bonds 2
@@ -125,7 +124,7 @@ def test_negative_strengths_reduce_totals_not_probabilities():
         temperature=2,
         kinetics=Kinetics(lambda_on=1.0),
     )
-    law = induce_transition_law(model)
+    law = TransitionLaw(model)
     assert law.bond_total("a", ("ga", "gb", None, None)) == 1
     dist = law.distribution(None, ("ga", "gb", None, None), (None,) * 4)
     assert dist == {None: 1.0}  # 2 - 1 < temperature
@@ -157,11 +156,12 @@ def test_law_depends_only_on_local_tuple():
             law_b.distribution(occupant, glues, messages)
 
 
-def test_rule_detach_intent_feeds_detachment():
-    @register_rule("flee-on-p")
-    def flee(agent, glues, messages, my_id=None):
-        return RuleOutput((None,) * len(glues), detach=("p" in messages))
+@register_rule("flee-on-p")
+def flee(agent, glues, messages, my_id=None):
+    return RuleOutput((None,) * len(glues), detach=("p" in messages))
 
+
+def test_rule_detach_intent_feeds_detachment():
     types = {"a": AgentType("a", ("ga",) * 4, color=1, rule="flee-on-p")}
     model = AgentModel(
         types=types,
@@ -170,7 +170,7 @@ def test_rule_detach_intent_feeds_detachment():
         kinetics=Kinetics(lambda_on=1.0, detach=True, p_off=0.4),
         messages=("p",),
     )
-    law = induce_transition_law(model)
+    law = TransitionLaw(model)
     # stable bond but the rule demands detach on hearing "p"
     dist = law.distribution("a", ("ga", None, None, None), ("p", None, None, None))
     assert dist == {"a": 0.6, None: 0.4}
@@ -349,14 +349,18 @@ def test_embedded_reachable_sets_match_exhaustively():
 # -- ids and validation -------------------------------------------------
 
 
+#: Identifiers the `record-id` rule has been called with.
+seen_ids = []
+
+
+@register_rule("record-id")
+def record(agent, glues, messages, my_id=None):
+    seen_ids.append(my_id)
+    return RuleOutput((None,) * len(glues))
+
+
 def test_my_id_reaches_message_rules_only():
-    seen_ids = []
-
-    @register_rule("record-id")
-    def record(agent, glues, messages, my_id=None):
-        seen_ids.append(my_id)
-        return RuleOutput((None,) * len(glues))
-
+    seen_ids.clear()
     types = {"a": AgentType("a", ("ga",) * 4, color=1, rule="record-id")}
     model = AgentModel(
         types=types,

@@ -1,8 +1,13 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import nucleate
 from nucleate.cli import main
 from nucleate.formats import parse_mesh_trace
 from nucleate.experiment import parse_experiment_csv
@@ -11,6 +16,19 @@ from nucleate.systems import shipped_model_path
 TSTAR = str(shipped_model_path("tstar"))
 FIDELITY = str(shipped_model_path("fidelity2"))
 LOCAL = str(shipped_model_path("checkerboard_local"))
+
+
+def test_cli_loads_only_the_standard_library():
+    # modules the interpreter's own start-up (site, .pth hooks) loaded are
+    # not the package's doing, so only those the import adds are checked
+    probe = ("import sys; before = set(sys.modules); import nucleate.cli; "
+             "print(*sorted(set(sys.modules) - before))")
+    env = dict(os.environ, PYTHONPATH=str(Path(nucleate.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    tops = {name.partition(".")[0] for name in out.split()}
+    assert "nucleate" in tops
+    assert sorted(tops - {"nucleate"} - sys.stdlib_module_names) == []
 
 
 def test_assemble_end_to_end(tmp_path, capsys):

@@ -114,7 +114,8 @@ def test_integer_fields_must_be_json_integers(model, path, value):
     ("kinetics", "p_off"),
     ("kinetics", "epsilon"),
 ])
-@pytest.mark.parametrize("value", ["0.1", True, None])
+@pytest.mark.parametrize("value", ["0.1", True, None,
+                                   pytest.param(10 ** 400, id="beyond-float")])
 def test_real_fields_must_be_json_numbers(path, value):
     doc = json.loads(shipped_model_path("fidelity2").read_text())
     _set(doc, path, value)
@@ -215,6 +216,17 @@ def test_duplicate_tile_rejected():
     assert any(d.code == "duplicate-tile" for d in err.value.diagnostics)
 
 
+@pytest.mark.parametrize("a, b, strength", [("g", "g", 1), ("g", "g", 6), ("h", "g", 1)])
+def test_repeated_rule_is_rejected(a, b, strength):
+    doc = json.loads(shipped_model_path("fidelity2").read_text())
+    doc["agents"][0]["glues"][0] = "h"
+    doc["rules"] = [{"a": "g", "b": "h", "strength": 1}, {"a": "g", "b": "g", "strength": 1},
+                    {"a": a, "b": b, "strength": strength}]
+    with pytest.raises(FormatError) as err:
+        load_agent_model(doc)
+    assert [(d.code, d.path) for d in err.value.diagnostics] == [("duplicate-rule", "rules[2]")]
+
+
 def test_bad_seed_reference_rejected():
     doc = json.loads(shipped_model_path("tstar").read_text())
     doc["seed"][0]["tile"] = "phantom"
@@ -288,6 +300,33 @@ def test_mesh_trace_3d_coordinates():
     events = [TraceEvent(1, (0, 1, 2), None, "t"), TraceEvent(2, (0, 1, 2), "t", None)]
     _, parsed = parse_mesh_trace(mesh_trace_text(events, "h", 0))
     assert parsed == events
+
+
+def test_assembly_trace_keeps_negative_coordinates():
+    _, additions = parse_assembly_trace("# seed 0\n0 -1,2 t\n1 0,-3,4 u\n")
+    assert [(a.stage, a.location, a.tile) for a in additions] == \
+        [(0, (-1, 2), "t"), (1, (0, -3, 4), "u")]
+
+
+@pytest.mark.parametrize("parse, record", [
+    (parse_assembly_trace, "1 a,b t"),
+    (parse_assembly_trace, "1 0,0"),
+    (parse_assembly_trace, "x 0,0 t"),
+    (parse_assembly_trace, "1 0 t"),
+    (parse_assembly_trace, "1 0,0,0,0 t"),
+    (parse_assembly_trace, "1 0,,0 t"),
+    (parse_assembly_trace, "1 0,0 t u"),
+    (parse_mesh_trace, "1 0 0 EMPTY"),
+    (parse_mesh_trace, "x 0 0 EMPTY t"),
+    (parse_mesh_trace, "1 a 0 EMPTY t"),
+    (parse_mesh_trace, "1 0 0 0 0 EMPTY t"),
+    (parse_mesh_trace, "1 0 EMPTY t"),
+    (parse_mesh_trace, "1 0.5 0 EMPTY t"),
+])
+def test_malformed_trace_records_are_coded(parse, record):
+    with pytest.raises(FormatError) as err:
+        parse(f"# seed 0\n\n{record}\n")
+    assert [(d.code, d.path) for d in err.value.diagnostics] == [("bad-trace", "line 3")]
 
 
 def test_coloring_document_roundtrip():

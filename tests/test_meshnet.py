@@ -253,13 +253,12 @@ def test_ping_messages_are_relayed():
     assert view.state == "t" and view.color == 1
 
 
+@register_rule("loud")
+def loud(agent, glues, messages, my_id=None):
+    return RuleOutput(("offalphabet",) * len(glues))
+
+
 def test_message_bound_is_enforced():
-    from nucleate.agents import RuleOutput, register_rule
-
-    @register_rule("loud")
-    def loud(agent, glues, messages, my_id=None):
-        return RuleOutput(("offalphabet",) * len(glues))
-
     types = {"t": AgentType("t", ("g",) * 4, color=1, rule="loud")}
     model = AgentModel(
         types=types,
