@@ -27,7 +27,7 @@ from .engine import (
     step,
     terminal_assemblies_equal,
 )
-from .lattice import Box, Direction, Mesh, directions, opposite
+from .lattice import Direction, Mesh, directions
 from .meshnet import MeshNetwork
 from .systems import checkerboard_tileset, fidelity_model, nucleation_family
 from .tiles import (
@@ -39,7 +39,6 @@ from .tiles import (
     binding_strength,
     build_binding_graph,
     cut_strength,
-    frontier,
     is_tau_stable,
 )
 
@@ -47,13 +46,13 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AgentModel", "AgentType", "AssemblyResult", "AssemblySequence",
-    "BindingGraph", "BindingRules", "Box", "Coloring", "Configuration",
+    "BindingGraph", "BindingRules", "Coloring", "Configuration",
     "Direction", "Glue", "Kinetics", "Mesh", "MeshNetwork",
     "TileAssemblySystem", "TileType", "TransitionLaw",
     "binding_strength", "build_binding_graph", "check_local_determinism",
     "check_weak_coloring", "checkerboard_tileset", "cut_strength",
     "directions", "embed_tile_system", "fidelity_model",
-    "find_monochromatic_plus", "frontier", "is_tau_stable", "model_step",
-    "nucleate", "nucleation_family", "opposite", "run", "step",
+    "find_monochromatic_plus", "is_tau_stable", "model_step",
+    "nucleate", "nucleation_family", "run", "step",
     "terminal_assemblies_equal",
 ]

@@ -28,9 +28,9 @@ from functools import lru_cache
 from typing import Callable, Mapping, NamedTuple, Optional, Sequence
 from weakref import WeakKeyDictionary
 
-from .lattice import Box, Mesh, Point, add, directions, opposite_index
+from .lattice import OPPOSITE, Mesh, Point, add, directions
 from .rng import derive_seed, uniform
-from .tiles import Configuration, TileAssemblySystem
+from .tiles import TileAssemblySystem
 
 
 @lru_cache(maxsize=32)
@@ -44,7 +44,7 @@ def neighbor_table(window) -> dict:
         for d in dirs:
             w = add(v, d.vector)
             if window.contains(w):
-                entries.append((d.index, w, opposite_index(d.index)))
+                entries.append((d.index, w, OPPOSITE[d.index]))
         table[v] = tuple(entries)
     return table
 
@@ -134,13 +134,6 @@ class BindingRules:
 
     def pairs(self) -> dict[tuple[str, str], int]:
         return dict(self._strengths)
-
-    def labels(self) -> set:
-        out = set()
-        for a, b in self._strengths:
-            out.add(a)
-            out.add(b)
-        return out
 
     def __eq__(self, other) -> bool:
         return isinstance(other, BindingRules) and self._strengths == other._strengths
@@ -393,7 +386,7 @@ class SurfaceState:
     """Occupancy, per-side outgoing messages, and ids of agents on a window."""
 
     occupancy: Mapping[Point, str]
-    window: Mesh | Box
+    window: Mesh
     out_messages: Mapping[Point, tuple] = field(default_factory=dict)
     ids: Mapping[Point, int] = field(default_factory=dict)
     stage: int = 0
@@ -402,11 +395,8 @@ class SurfaceState:
     def occupant(self, v: Point) -> Optional[str]:
         return self.occupancy.get(v)
 
-    def as_configuration(self) -> Configuration:
-        return Configuration(dict(self.occupancy), self.window, self.window.k)
 
-
-def initial_state(model: AgentModel, window: Mesh | Box) -> SurfaceState:
+def initial_state(model: AgentModel, window: Mesh) -> SurfaceState:
     """Stage-0 state holding just the seed assembly (before any nucleation),
     with ids in sorted location order and the seed's round-0 posts."""
     for v in model.seed:

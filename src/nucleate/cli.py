@@ -19,7 +19,6 @@ from . import coloring as col
 from . import engine, formats
 from .experiment import (
     ExperimentSpec,
-    MAX_FIDELITY_SIDE,
     experiment_csv,
     experiment_json,
     fidelity_document,
@@ -128,7 +127,8 @@ def cmd_meshsim(args) -> int:
     check = col.check_weak_coloring(coloring)
     plus = col.find_monochromatic_plus(coloring) if model.k == 2 else None
 
-    snapshot = formats.ascii_snapshot(net.colors, net.mesh)
+    colors = coloring.assignment
+    snapshot = formats.ascii_snapshot(colors, net.mesh)
     trace = formats.mesh_trace_text(events, model_hash, args.seed)
     report = {
         "command": "meshsim",
@@ -142,10 +142,10 @@ def cmd_meshsim(args) -> int:
     _write(args.out, "trace.txt", trace)
     _write(args.out, "snapshot.txt", snapshot)
     _write(args.out, "coloring.json", json.dumps(
-        formats.coloring_document(net.colors, net.mesh, model.colors), indent=2))
+        formats.coloring_document(colors, net.mesh, model.colors), indent=2))
     _write(args.out, "result.json", json.dumps(report, indent=2))
     if args.ppm and args.out is not None:
-        formats.write_ppm(Path(args.out) / "snapshot.ppm", net.colors, net.mesh)
+        formats.write_ppm(Path(args.out) / "snapshot.ppm", colors, net.mesh)
     _emit(report, args, snapshot)
     if args.expect_valid and not check.valid:
         return CHECK_FAILED
@@ -182,10 +182,6 @@ def cmd_experiment(args) -> int:
 
 def cmd_fidelity(args) -> int:
     model, doc = formats.load_agent_model(args.model)
-    if args.size > MAX_FIDELITY_SIDE:
-        print(f"fidelity windows are capped at {MAX_FIDELITY_SIDE}x{MAX_FIDELITY_SIDE}",
-              file=sys.stderr)
-        return USAGE
     report = run_fidelity(model, args.size, args.samples, master_seed=args.seed)
     doc_out = {
         "command": "fidelity",

@@ -82,8 +82,7 @@ def step(cfg: Configuration, system: TileAssemblySystem, rng: random.Random):
 
 
 def run(system: TileAssemblySystem, window: Optional[Mesh] = None,
-        master_seed: int = 0, max_stages: Optional[int] = None,
-        rng: Optional[random.Random] = None) -> AssemblyResult:
+        master_seed: int = 0, max_stages: Optional[int] = None) -> AssemblyResult:
     """Assemble until terminal or until the stage budget runs out.
 
     max_stages caps the number of tile additions past the seed; it defaults
@@ -99,8 +98,7 @@ def run(system: TileAssemblySystem, window: Optional[Mesh] = None,
     so only their slices of the list are replaced, each found with bisect.
     Windowless and temperature-0 runs take the same loop.
     """
-    if rng is None:
-        rng = random.Random(master_seed)
+    rng = random.Random(master_seed)
     for v, _ in system.seed.items():
         if window is not None and not window.contains(v):
             raise ValueError(f"seed location {v} lies outside the window")
@@ -118,18 +116,7 @@ def run(system: TileAssemblySystem, window: Optional[Mesh] = None,
         return [w for w in around(v)
                 if w not in cells and (inside is None or inside(w))]
 
-    if temperature <= 0:
-        # degenerate regime: every empty window cell is attachable
-        base = Configuration(cells, window, system.k)
-        candidates = dict(attachments(base, tiles, temperature))
-    else:
-        candidates = {}
-        for v in cells:
-            for w in empty_neighbors(v):
-                if w not in candidates:
-                    names = attachable.names(facing_glues(cells, tiles, w))
-                    if names:
-                        candidates[w] = names
+    candidates = attachments(Configuration(cells, window, system.k), tiles, temperature)
     pairs = sorted((v, order[name], name) for v, names in candidates.items() for name in names)
 
     additions: list[Addition] = []

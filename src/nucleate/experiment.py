@@ -22,7 +22,7 @@ from typing import Optional
 
 from .agents import AgentModel, initial_state, message_rule, model_step
 from .coloring import check_weak_coloring
-from .lattice import Mesh, add, directions, opposite_index
+from .lattice import OPPOSITE, Mesh, add, directions
 from .meshnet import MeshNetwork
 from .rng import derive_seed
 # perfbench/tracer.py wraps this module's derived_rng binding by name; no
@@ -223,7 +223,7 @@ def exact_round_law(model: AgentModel, side: int) -> dict:
                 facing.append(None)
             else:
                 has_neighbor = True
-                facing.append(model.types[occ].glues[opposite_index(d.index)])
+                facing.append(model.types[occ].glues[OPPOSITE[d.index]])
         current = occupied.get(v)
         if not has_neighbor:
             law[v] = {current: 1.0}

@@ -21,7 +21,7 @@ from .agents import (
     validate_model,
 )
 from .engine import Addition, AssemblySequence
-from .lattice import Box, Mesh, Point, directions
+from .lattice import Mesh, Point, directions
 from .meshnet import TraceEvent
 from .tiles import Configuration, Glue, TileAssemblySystem, TileType
 
@@ -371,20 +371,19 @@ def color_char(color: Optional[int]) -> str:
     return chr(ord("a") + (color - 10) % 26)
 
 
-def ascii_snapshot(colors: Mapping[Point, int], window: Union[Mesh, Box]) -> str:
+def ascii_snapshot(colors: Mapping[Point, int], window: Mesh) -> str:
     """Character grid of a colored surface; for k=3, one z-layer per block."""
+    n = window.side
     if window.k == 2:
-        sx, sy = (window.side, window.side) if isinstance(window, Mesh) else window.sides
         rows = []
-        for y in reversed(range(sy)):
-            rows.append("".join(color_char(colors.get((x, y))) for x in range(sx)))
+        for y in reversed(range(n)):
+            rows.append("".join(color_char(colors.get((x, y))) for x in range(n)))
         return "\n".join(rows) + "\n"
-    sx, sy, sz = (window.side,) * 3 if isinstance(window, Mesh) else window.sides
     blocks = []
-    for z in range(sz):
+    for z in range(n):
         rows = [f"z={z}"]
-        for y in reversed(range(sy)):
-            rows.append("".join(color_char(colors.get((x, y, z))) for x in range(sx)))
+        for y in reversed(range(n)):
+            rows.append("".join(color_char(colors.get((x, y, z))) for x in range(n)))
         blocks.append("\n".join(rows))
     return "\n\n".join(blocks) + "\n"
 
@@ -404,17 +403,17 @@ _PALETTE = [
 
 
 def write_ppm(path: Union[str, Path], colors: Mapping[Point, int],
-              window: Union[Mesh, Box], scale: int = 8) -> None:
+              window: Mesh, scale: int = 8) -> None:
     """Plain-text portable pixmap (P3) of a 2-dimensional surface."""
     if window.k != 2:
         raise ValueError("pixmap snapshots are 2-dimensional only")
-    sx, sy = (window.side, window.side) if isinstance(window, Mesh) else window.sides
-    width, height = sx * scale, sy * scale
-    lines = [f"P3 {width} {height} 255"]
-    for py in range(height):
-        y = sy - 1 - py // scale
+    n = window.side
+    size = n * scale
+    lines = [f"P3 {size} {size} 255"]
+    for py in range(size):
+        y = n - 1 - py // scale
         row = []
-        for px in range(width):
+        for px in range(size):
             x = px // scale
             c = colors.get((x, y))
             rgb = _PALETTE[0] if c is None else _PALETTE[1 + (c - 1) % (len(_PALETTE) - 1)]
@@ -509,11 +508,10 @@ def parse_mesh_trace(text: str) -> tuple[dict, list[TraceEvent]]:
 # -- colorings ---------------------------------------------------------
 
 
-def coloring_document(colors: Mapping[Point, int], window: Union[Mesh, Box], c: int) -> dict:
-    side = window.side if isinstance(window, Mesh) else max(window.sides)
+def coloring_document(colors: Mapping[Point, int], window: Mesh, c: int) -> dict:
     return {
         "k": window.k,
-        "side": side,
+        "side": window.side,
         "c": c,
         "colors": {_point_token(v): color for v, color in sorted(colors.items())},
     }

@@ -57,15 +57,6 @@ def directions(k: int) -> tuple[Direction, ...]:
     raise ValueError(f"unsupported dimension {k}; only 2 and 3")
 
 
-def opposite(d: Direction) -> Direction:
-    k = len(d.vector)
-    return directions(k)[OPPOSITE[d.index]]
-
-
-def opposite_index(i: int) -> int:
-    return OPPOSITE[i]
-
-
 def add(v: Point, u: Point) -> Point:
     return tuple(map(operator.add, v, u))
 
@@ -85,46 +76,6 @@ def around(v: Point) -> tuple[Point, ...]:
         return ((x - 1, y, z), (x, y + 1, z), (x + 1, y, z), (x, y - 1, z),
                 (x, y, z - 1), (x, y, z + 1))
     raise ValueError(f"unsupported dimension {len(v)}; only 2 and 3")
-
-
-@dataclass(frozen=True)
-class Box:
-    """Rectangular window {0..sides[0]-1} x ... x {0..sides[k-1]-1}.
-
-    Duck-compatible with Mesh where only containment and enumeration are
-    needed (configuration windows); meshes themselves are always square.
-    """
-
-    sides: tuple[int, ...]
-
-    def __post_init__(self):
-        if len(self.sides) not in (2, 3):
-            raise ValueError(f"unsupported dimension {len(self.sides)}; only 2 and 3")
-        if any(s < 1 for s in self.sides):
-            raise ValueError(f"box sides must be positive, got {self.sides}")
-
-    @property
-    def k(self) -> int:
-        return len(self.sides)
-
-    @property
-    def size(self) -> int:
-        n = 1
-        for s in self.sides:
-            n *= s
-        return n
-
-    def contains(self, v: Point) -> bool:
-        # c - s < 0 on every axis is c < s
-        return (len(v) == self.k and min(v) >= 0
-                and max(map(operator.sub, v, self.sides)) < 0)
-
-    def vertices(self) -> Iterator[Point]:
-        return product(*(range(s) for s in self.sides))
-
-    def require(self, v: Point) -> None:
-        if not self.contains(v):
-            raise ValueError(f"{v} lies outside the box {self.sides}")
 
 
 @dataclass(frozen=True)

@@ -81,7 +81,6 @@ class MeshNetwork:
         self.law = law_for(model)
         self.round = 0
         self.states: dict[Point, str] = {}
-        self.colors: dict[Point, int] = {}
         self.outputs: dict[Point, tuple] = {}
         self.inputs: dict[Point, tuple] = {}
         self.ids: dict[Point, int] = {}
@@ -139,7 +138,6 @@ class MeshNetwork:
 
     def _enter(self, v: Point, name: str) -> None:
         self.states[v] = name
-        self.colors[v] = self.model.types[name].color
         if self.model.use_ids:
             self.ids[v] = self.next_id
             self.next_id += 1
@@ -237,7 +235,6 @@ class MeshNetwork:
                     self.trace.append(TraceEvent(r, v, old, new))
                 if new is None:
                     del states[v]
-                    del self.colors[v]
                     self.ids.pop(v, None)
                     outputs.pop(v, None)
                     continue
@@ -245,7 +242,6 @@ class MeshNetwork:
                     self._enter(v, new)
                 else:
                     states[v] = new
-                    self.colors[v] = types[new].color
                 outputs[v] = self._post(v, new, glues, msgs)
                 if static:
                     self._boundary.add(v)
@@ -264,10 +260,11 @@ class MeshNetwork:
     def processor(self, v: Point) -> ProcessorView:
         self.mesh.require(v)
         d = self.model.d
+        state = self.states.get(v)
         return ProcessorView(
             coordinates=v,
-            state=self.states.get(v),
-            color=self.colors.get(v),
+            state=state,
+            color=None if state is None else self.model.types[state].color,
             inputs=self.inputs.get(v, (None,) * d),
             outputs=self.outputs.get(v, (None,) * d),
         )
@@ -275,5 +272,7 @@ class MeshNetwork:
     def extract_configuration(self) -> tuple[Configuration, Coloring]:
         """Read the simulated surface back out of the processor states."""
         cfg = Configuration(dict(self.states), self.mesh, self.model.k)
-        col = Coloring(dict(self.colors), self.mesh, self.model.colors)
+        types = self.model.types
+        col = Coloring({v: types[name].color for v, name in self.states.items()},
+                       self.mesh, self.model.colors)
         return cfg, col

@@ -15,7 +15,7 @@ import warnings
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Mapping, Optional
 
-from .lattice import OPPOSITE, Mesh, Point, around, directions, opposite_index
+from .lattice import OPPOSITE, Mesh, Point, around, directions
 # not called here any more; the benchmark's tracer counts calls through this binding
 from .lattice import add  # noqa: F401
 
@@ -171,7 +171,7 @@ def build_binding_graph(cfg: Configuration, tiles: Mapping[str, TileType]) -> Bi
             if w not in cfg:
                 continue
             other = resolve(cfg, tiles, w)
-            s = glues_bind(t.glue(i), other.glue(opposite_index(i)))
+            s = glues_bind(t.glue(i), other.glue(OPPOSITE[i]))
             if s > 0:
                 edges[_edge(v, w)] = s
     return BindingGraph(cfg.domain, edges)
@@ -273,59 +273,31 @@ class AttachableTypes:
         return cached
 
 
-def _candidate_sites(cfg: Configuration) -> set:
-    """Empty cells adjacent to the occupied domain (window-clipped)."""
-    window = cfg.window
-    out = set()
-    for v, _ in cfg.items():
-        for w in around(v):
-            if w in cfg:
-                continue
-            if window is not None and not window.contains(w):
-                continue
-            out.add(w)
-    return out
-
-
-def frontier_for_type(cfg: Configuration, tiles: Mapping[str, TileType],
-                      temperature: int, t: TileType) -> set:
-    """Empty locations where t binds with total strength >= temperature.
-
-    For temperature <= 0 every empty cell qualifies, so a window is required
-    to keep the answer finite.
-    """
-    if temperature <= 0:
-        if cfg.window is None:
-            raise ValueError("frontier at temperature <= 0 needs a window to stay finite")
-        return {v for v in cfg.window.vertices() if v not in cfg}
-    return {
-        v for v in _candidate_sites(cfg)
-        if bond_total(t, facing_glues(cfg, tiles, v)) >= temperature
-    }
-
-
-def frontier(cfg: Configuration, tiles: Mapping[str, TileType], temperature: int) -> set:
-    """Union of the per-type frontiers: every legally attachable location."""
-    out = set()
-    for t in tiles.values():
-        out |= frontier_for_type(cfg, tiles, temperature, t)
-    return out
-
-
 def attachments(cfg: Configuration, tiles: Mapping[str, TileType],
                 temperature: int) -> dict:
-    """Map of frontier location -> tuple of attachable tile names."""
-    out: dict[Point, tuple[str, ...]] = {}
+    """Map of frontier location -> tuple of attachable tile names.
+
+    Frontier locations are empty (window-clipped) neighbors of occupied
+    cells; for temperature <= 0 every empty cell qualifies, so a window is
+    required to keep the answer finite.
+    """
     if temperature <= 0:
         if cfg.window is None:
             raise ValueError("attachments at temperature <= 0 need a window to stay finite")
         names = tuple(tiles)
         return {v: names for v in cfg.window.vertices() if v not in cfg}
     attachable = AttachableTypes(tiles, temperature)
-    for v in _candidate_sites(cfg):
-        names = attachable.names(facing_glues(cfg, tiles, v))
-        if names:
-            out[v] = names
+    window = cfg.window
+    seen = set()
+    out: dict[Point, tuple[str, ...]] = {}
+    for v, _ in cfg.items():
+        for w in around(v):
+            if w in seen or w in cfg or (window is not None and not window.contains(w)):
+                continue
+            seen.add(w)
+            names = attachable.names(facing_glues(cfg, tiles, w))
+            if names:
+                out[w] = names
     return out
 
 
@@ -341,7 +313,7 @@ class TileAssemblySystem:
         if self.temperature < 0:
             raise ValueError("temperature must be a nonnegative integer")
         if self.temperature == 0:
-            warnings.warn("temperature 0: every empty location is a frontier", stacklevel=2)
+            warnings.warn("temperature 0: every empty location is a frontier", stacklevel=3)
         ks = {t.k for t in self.tiles.values()}
         if len(ks) > 1:
             raise ValueError("tile set mixes dimensions")

@@ -10,8 +10,8 @@ import random
 
 from nucleate.agents import (AgentModel, AgentType, BindingRules, Kinetics, RuleOutput,
                              register_rule)
-from nucleate.lattice import OPPOSITE, add, directions, opposite_index
-from nucleate.tiles import BindingGraph, Configuration, Glue, TileType, cut_strength
+from nucleate.lattice import OPPOSITE, add, directions
+from nucleate.tiles import BindingGraph, Configuration, Glue, TileType, attachments, cut_strength
 
 
 def exhaustive_binding_strength(g: BindingGraph) -> float:
@@ -41,11 +41,16 @@ def literal_attachment_sum(cfg: Configuration, tiles, t: TileType, v) -> int:
         name = cfg.get(w)
         if name is None:
             continue
-        facing = tiles[name].glue(opposite_index(d.index))
+        facing = tiles[name].glue(OPPOSITE[d.index])
         own = t.glue(d.index)
         if facing == own:
             total += own.strength
     return total
+
+
+def attachable_at(cfg: Configuration, tiles, temperature: int, t: TileType) -> set:
+    """Locations where `attachments` offers tile type t: its per-type view."""
+    return {v for v, names in attachments(cfg, tiles, temperature).items() if t.name in names}
 
 
 def brute_frontier(cfg: Configuration, tiles, temperature: int, t: TileType, window) -> set:
@@ -185,9 +190,9 @@ def synchronous_reachable(model, window, max_states: int = 100_000) -> set:
     table = neighbor_table(window)
     start = tuple(sorted(model.seed.items()))
     seen = {start}
-    frontier = [start]
-    while frontier:
-        key = frontier.pop()
+    pending = [start]
+    while pending:
+        key = pending.pop()
         occupancy = dict(key)
         state = SurfaceState(occupancy, window)
         active = []
@@ -210,7 +215,7 @@ def synchronous_reachable(model, window, max_states: int = 100_000) -> set:
                 if len(seen) >= max_states:
                     raise RuntimeError("state space too large to enumerate")
                 seen.add(nkey)
-                frontier.append(nkey)
+                pending.append(nkey)
     return seen
 
 

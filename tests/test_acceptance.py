@@ -17,8 +17,9 @@ from nucleate.formats import mesh_trace_text
 from nucleate.lattice import Mesh
 from nucleate.meshnet import AccessProbe, MeshNetwork
 from nucleate.systems import checkerboard_tileset, fidelity_model, nucleation_family
-from nucleate.tiles import BindingGraph, binding_strength, frontier_for_type
+from nucleate.tiles import BindingGraph, binding_strength
 from support import (
+    attachable_at,
     brute_frontier,
     exhaustive_binding_strength,
     random_agent_model,
@@ -93,7 +94,7 @@ def test_criterion_2_definitional_oracles():
         cfg = random_configuration(rng, tiles, window, fill=rng.uniform(0.1, 0.7))
         temperature = rng.randint(1, 3)
         for t in tiles.values():
-            assert frontier_for_type(cfg, tiles, temperature, t) == \
+            assert attachable_at(cfg, tiles, temperature, t) == \
                 brute_frontier(cfg, tiles, temperature, t, window)
 
     for i in range(500):

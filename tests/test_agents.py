@@ -21,7 +21,7 @@ from nucleate.agents import (
     validate_model,
 )
 from nucleate.engine import run
-from nucleate.lattice import Box, Mesh
+from nucleate.lattice import Mesh
 from nucleate.rng import derive_seed
 from nucleate.systems import checkerboard_tileset
 from nucleate.tiles import attachments
@@ -207,7 +207,7 @@ def test_nucleate_binomial_counts():
     types = {"a": AgentType("a", ("ga",) * 4, color=1)}
     model = AgentModel(types=types, rules=BindingRules({("ga", "ga"): 1}),
                        temperature=1, pi_nu=0.1)
-    window = Box((10, 10))
+    window = Mesh(2, 10)
     state = initial_state(model, window)
     trials = 1000
     counts = [len(nucleate(state, model, derive_seed(11, i)).occupancy)
@@ -255,7 +255,7 @@ def test_synchronous_step_on_single_cell_matches_law():
 
 
 def sample_distribution(model, samples, master_seed=0):
-    window = Box((2, 1))
+    window = Mesh(2, 2)
     state = initial_state(model, window)
     counts = {}
     for i in range(samples):
@@ -270,15 +270,18 @@ def tv(p, q):
 
 
 def test_model_step_matches_hand_enumerated_oracle():
-    # 2x1 window, seed "a" at (0,0), lambda 0.5: cell (1,0) accepts both
-    # types at 1/4 each; the occupied cell has no occupied neighbor and idles.
+    # 2x2 window, seed "a" at (0,0), lambda 0.5: cells (0,1) and (1,0) each
+    # stay empty at 1/2 and accept either type at 1/4, independently; the
+    # occupied cell and (1,1) have no occupied neighbor and idle.
     model = two_type_model(lambda_on=0.5, seed={(0, 0): "a"})
-    a0 = ((0, 0), "a")
-    synchronous_oracle = {
-        (a0,): 0.5,
-        (a0, ((1, 0), "a")): 0.25,
-        (a0, ((1, 0), "b")): 0.25,
-    }
+    cell = {None: 0.5, "a": 0.25, "b": 0.25}
+    synchronous_oracle = {}
+    for north, p_north in cell.items():
+        for east, p_east in cell.items():
+            occupied = {(0, 0): "a", (0, 1): north, (1, 0): east}
+            key = tuple(sorted((v, n) for v, n in occupied.items() if n is not None))
+            synchronous_oracle[key] = p_north * p_east
+    assert len(synchronous_oracle) == 9
     samples = 100_000
     assert tv(sample_distribution(model, samples, 1), synchronous_oracle) <= 0.02
 

@@ -31,6 +31,10 @@ def test_cli_loads_only_the_standard_library():
     assert sorted(tops - {"nucleate"} - sys.stdlib_module_names) == []
 
 
+def test_public_names_resolve():
+    assert [name for name in nucleate.__all__ if not hasattr(nucleate, name)] == []
+
+
 def test_assemble_end_to_end(tmp_path, capsys):
     code = main(["assemble", "--model", TSTAR, "--size", "8", "--seed", "1",
                  "--check-coloring", "--check-determinism", "--expect-valid",
@@ -133,8 +137,10 @@ def test_check_expect_valid_fails_on_bad_coloring(tmp_path, capsys):
 
 def test_fidelity_guard_rejects_big_windows(capsys):
     code = main(["fidelity", "--model", FIDELITY, "--size", "4", "--samples", "10"])
-    capsys.readouterr()
+    captured = capsys.readouterr()
     assert code == 2
+    assert captured.out == ""
+    assert captured.err == "error: fidelity windows are capped at 3x3; got 4\n"
 
 
 def test_fidelity_small_sample_run(capsys):

@@ -255,7 +255,7 @@ def test_run_draws_what_repeated_step_draws(k, temperature, side, max_stages):
         rng = random.Random(100 * k + 10 * temperature + s)
         tiles = random_tile_set(rng, n_types=8, labels=("g",), k=k)
         system = TileAssemblySystem(tiles, Configuration({(1,) * k: "t0"}), temperature)
-        result = run(system, window, max_stages=max_stages, rng=random.Random(s))
+        result = run(system, window, master_seed=s, max_stages=max_stages)
         picks, terminal, offered = _stepped(system, window, s, budget)
         assert [(a.location, a.tile) for a in result.sequence.additions] == picks
         assert result.terminal == terminal

@@ -22,7 +22,7 @@ from nucleate.formats import (
     tile_system_document,
     write_ppm,
 )
-from nucleate.lattice import Box, Mesh
+from nucleate.lattice import Mesh
 from nucleate.meshnet import MeshNetwork, TraceEvent
 from nucleate.systems import checkerboard_tileset, fidelity_model, shipped_model_path
 
@@ -254,7 +254,7 @@ def test_lint_document_collects_diagnostics():
 
 def test_ascii_snapshot_layout():
     colors = {(0, 0): 1, (1, 0): 2, (1, 1): 1}
-    text = ascii_snapshot(colors, Box((2, 2)))
+    text = ascii_snapshot(colors, Mesh(2, 2))
     assert text == ".1\n12\n"  # north row first, '.' for empty
 
 
@@ -267,7 +267,7 @@ def test_ascii_snapshot_3d_layers():
 def test_ppm_snapshot(tmp_path):
     colors = {(0, 0): 1, (1, 1): 2}
     path = tmp_path / "snap.ppm"
-    write_ppm(path, colors, Box((2, 2)), scale=2)
+    write_ppm(path, colors, Mesh(2, 2), scale=2)
     lines = path.read_text().splitlines()
     assert lines[0] == "P3 4 4 255"
     assert len(lines) == 5  # header + 4 pixel rows

@@ -5,7 +5,7 @@ import warnings
 import pytest
 from hypothesis import given, strategies as st
 
-from nucleate.lattice import Box, Mesh
+from nucleate.lattice import Mesh
 from nucleate.tiles import (
     BindingGraph,
     Configuration,
@@ -15,13 +15,11 @@ from nucleate.tiles import (
     binding_strength,
     build_binding_graph,
     cut_strength,
-    frontier,
-    frontier_for_type,
     is_tau_stable,
     tile,
 )
-from support import brute_frontier, exhaustive_binding_strength, literal_attachment_sum, \
-    random_configuration, random_tile_set
+from support import attachable_at, brute_frontier, exhaustive_binding_strength, \
+    literal_attachment_sum, random_configuration, random_tile_set
 
 E = ("", 0)
 
@@ -61,7 +59,7 @@ def test_edge_symmetry_is_orientation_free():
     rng = random.Random(5)
     for _ in range(50):
         tiles = random_tile_set(rng)
-        cfg = random_configuration(rng, tiles, Box((3, 3)))
+        cfg = random_configuration(rng, tiles, Mesh(2, 3))
         g = build_binding_graph(cfg, tiles)
         for (u, v), s in g.edges.items():
             assert g.strength(v, u) == s
@@ -157,8 +155,8 @@ def test_frontier_single_glue():
     t = tile("t", 1, ("g", 1), E, E, E)
     tiles = {"seed": seed, "t": t}
     cfg = Configuration({(0, 0): "seed"})
-    assert frontier_for_type(cfg, tiles, 1, t) == {(1, 0)}
-    assert frontier_for_type(cfg, tiles, 2, t) == set()
+    assert attachable_at(cfg, tiles, 1, t) == {(1, 0)}
+    assert attachable_at(cfg, tiles, 2, t) == set()
 
 
 def test_frontier_cooperative_corner():
@@ -170,8 +168,8 @@ def test_frontier_cooperative_corner():
     tiles = {"west": west, "south": south, "t": t}
     cfg = Configuration({(0, 1): "west", (1, 0): "south"})
     assert literal_attachment_sum(cfg, tiles, t, (1, 1)) == 2
-    assert frontier_for_type(cfg, tiles, 2, t) == {(1, 1)}
-    assert frontier_for_type(cfg, tiles, 3, t) == set()
+    assert attachable_at(cfg, tiles, 2, t) == {(1, 1)}
+    assert attachable_at(cfg, tiles, 3, t) == set()
 
 
 def test_frontier_matches_brute_force():
@@ -182,7 +180,7 @@ def test_frontier_matches_brute_force():
         cfg = random_configuration(rng, tiles, window)
         temperature = rng.randint(1, 3)
         for t in tiles.values():
-            assert frontier_for_type(cfg, tiles, temperature, t) == \
+            assert attachable_at(cfg, tiles, temperature, t) == \
                 brute_frontier(cfg, tiles, temperature, t, window)
 
 
@@ -191,7 +189,7 @@ def test_frontier_never_overlaps_domain():
     for _ in range(40):
         tiles = random_tile_set(rng)
         cfg = random_configuration(rng, tiles, Mesh(2, 4))
-        assert frontier(cfg, tiles, 1).isdisjoint(cfg.domain)
+        assert set(attachments(cfg, tiles, 1)).isdisjoint(cfg.domain)
 
 
 def test_frontier_monotone_in_temperature():
@@ -199,9 +197,9 @@ def test_frontier_monotone_in_temperature():
     for _ in range(40):
         tiles = random_tile_set(rng)
         cfg = random_configuration(rng, tiles, Mesh(2, 4))
-        f1 = frontier(cfg, tiles, 1)
-        f2 = frontier(cfg, tiles, 2)
-        f3 = frontier(cfg, tiles, 3)
+        f1 = set(attachments(cfg, tiles, 1))
+        f2 = set(attachments(cfg, tiles, 2))
+        f3 = set(attachments(cfg, tiles, 3))
         assert f3 <= f2 <= f1
 
 
@@ -224,9 +222,9 @@ def test_frontier_at_temperature_zero_needs_window():
     t = tile("t", 1, E, E, E, E)
     cfg = Configuration({(0, 0): "t"})
     with pytest.raises(ValueError):
-        frontier_for_type(cfg, {"t": t}, 0, t)
+        attachable_at(cfg, {"t": t}, 0, t)
     windowed = Configuration({(0, 0): "t"}, Mesh(2, 2))
-    assert frontier_for_type(windowed, {"t": t}, 0, t) == {(0, 1), (1, 0), (1, 1)}
+    assert attachable_at(windowed, {"t": t}, 0, t) == {(0, 1), (1, 0), (1, 1)}
 
 
 def test_system_validation():
@@ -240,6 +238,14 @@ def test_system_validation():
         warnings.simplefilter("always")
         TileAssemblySystem({"t": t}, Configuration({(0, 0): "t"}), 0)
     assert any("temperature 0" in str(w.message) for w in caught)
+
+
+def test_temperature_zero_warning_blames_the_caller():
+    t = tile("t", 1, E, E, E, E)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        TileAssemblySystem({"t": t}, Configuration({(0, 0): "t"}), 0)
+    assert [w.filename for w in caught] == [__file__]
 
 
 def test_configuration_window_enforced():
@@ -263,5 +269,5 @@ def test_three_dimensional_tiles():
     g = build_binding_graph(cfg, tiles)
     assert g.strength((0, 0, 0), (0, 0, 1)) == 2
     seed_only = Configuration({(0, 0, 0): "up"})
-    assert frontier_for_type(seed_only, tiles, 2, down) == {(0, 0, 1)}
+    assert attachable_at(seed_only, tiles, 2, down) == {(0, 0, 1)}
     assert is_tau_stable(cfg, tiles, 2)
