@@ -13,9 +13,18 @@ model's one-round transition law.  Per-processor randomness is derived from
 (master seed, coordinates, round), and each update reads only its own
 inputs and state, so a round's outcome does not depend on the order in
 which processors are evaluated.
+
+With no detachment and no message rules, occupants never change and post
+fixed pairs, so a round is event-driven: it evaluates only the EMPTY
+processors whose inputs changed (a neighbor entered) or whose last law was
+unforced (the next round's draw may attach them).  A processor skipped this
+way last saw a forced EMPTY outcome on the inputs it still holds, so it
+would stay EMPTY and draw nothing; the skip changes no state, trace, id or
+buffer.
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import NamedTuple, Optional
 
 from .agents import AgentModel, law_for, message_rule, neighbor_table
@@ -70,6 +79,20 @@ class AccessProbe:
         return out
 
 
+@lru_cache(maxsize=32)
+def _model_constants(model: AgentModel) -> tuple[bool, dict]:
+    """(static, silent posts) for a model, shared by all its networks.
+
+    Static: no detachment and no message rule, so an occupied processor can
+    never change state nor vary its posts.  Silent posts: the fixed pairs
+    of each type without a rule."""
+    static = (not model.kinetics.detach) and all(
+        t.rule is None for t in model.types.values())
+    silent_posts = {name: tuple((g, None) for g in t.glues)
+                    for name, t in model.types.items() if t.rule is None}
+    return static, silent_posts
+
+
 class MeshNetwork:
     """n^k processors wired as a k-dimensional mesh, simulating a model."""
 
@@ -88,19 +111,13 @@ class MeshNetwork:
         self.trace: list[TraceEvent] = [] if record_trace else None
         self._table = neighbor_table(self.mesh)
         self._started = False
-        # An occupied processor with no detachment and no message rule can
-        # never change state nor vary its posts, so rounds only need to feed
-        # processors that can react: EMPTY ones next to the occupied
-        # boundary.  _boundary holds every occupied cell that may still have
-        # an empty neighbor; delivery drops those found to have none.
-        self._static_occupants = (not model.kinetics.detach) and all(
-            t.rule is None for t in model.types.values())
-        self._boundary: set = set()
-        # Posts of a type without a rule never vary.  Rules are memoryless,
-        # so without ids a rule type's posts depend only on its inputs.
-        self._silent_posts = {
-            name: tuple((g, None) for g in t.glues)
-            for name, t in model.types.items() if t.rule is None}
+        self._static_occupants, self._silent_posts = _model_constants(model)
+        # Static regime only: the EMPTY processors the next round evaluates,
+        # and the ones that entered last round, whose inputs it drops.
+        self._pending: set = set()
+        self._entered: list = []
+        # Rules are memoryless, so without ids a rule type's posts depend
+        # only on its inputs.
         self._post_memo: Optional[dict] = None if model.use_ids else {}
 
     # -- round 0 -------------------------------------------------------
@@ -134,7 +151,11 @@ class MeshNetwork:
             if self.trace is not None:
                 self.trace.append(TraceEvent(0, v, None, self.states[v]))
         if self._static_occupants:
-            self._boundary.update(self.states)
+            self._pending = self._empty_neighbors(self.states)
+
+    def _empty_neighbors(self, cells) -> set:
+        table, states = self._table, self.states
+        return {w for v in cells for _, w, _ in table[v] if w not in states}
 
     def _enter(self, v: Point, name: str) -> None:
         self.states[v] = name
@@ -175,27 +196,78 @@ class MeshNetwork:
 
     def run_round(self, probe: Optional[AccessProbe] = None) -> None:
         """Deliver last round's pairs, then update every processor that
-        received at least one."""
+        received at least one.  With static occupants (see the module
+        docstring) only EMPTY processors whose inputs changed or whose last
+        law was unforced are re-evaluated; the others would keep their
+        state and draw nothing."""
         if not self._started:
             raise ValueError("call init_round0 first")
         self.round += 1
+        if self._static_occupants:
+            self._static_round(probe)
+        else:
+            self._general_round(probe)
+
+    def _static_round(self, probe: Optional[AccessProbe]) -> None:
+        """A round with no detachment and no rules: occupants never change,
+        so only the pending EMPTY processors are evaluated.  Each pulls its
+        inputs from its occupied neighbors before any of them is updated."""
+        r = self.round
+        d = self.model.d
+        table = self._table
+        outputs = self.outputs
+        inputs = self.inputs
+        for v in self._entered:
+            del inputs[v]  # occupied now, so it hears nothing
+        targets = sorted(self._pending)
+        for v in targets:
+            slot = [None] * d
+            for i, w, j in table[v]:
+                pairs = outputs.get(w)
+                if pairs is not None:
+                    slot[i] = pairs[j]
+                    if probe is not None:
+                        probe.log(v, w)
+            inputs[v] = tuple(slot)
+
+        law = self.law
+        seed = self.master_seed
+        # every posted message is None: no type has a rule
+        msgs = (None,) * d
+        pending = set()
+        entered = []
+        for v in targets:
+            if probe is not None:
+                probe.log(v, v)
+            glues = tuple([p[0] if p is not None else None for p in inputs[v]])
+            if law.forced(None, glues, msgs):
+                new = law.sample(None, glues, msgs, None)
+            else:
+                new = law.sample(None, glues, msgs, uniform(seed, v, r))
+                if new is None:
+                    pending.add(v)  # the next round's draw may attach it
+            if new is not None:
+                if self.trace is not None:
+                    self.trace.append(TraceEvent(r, v, None, new))
+                self._enter(v, new)
+                outputs[v] = self._silent_posts[new]
+                entered.append(v)
+        pending |= self._empty_neighbors(entered)
+        self._pending = pending
+        self._entered = entered
+
+    def _general_round(self, probe: Optional[AccessProbe]) -> None:
+        """Every occupant posts; every processor that hears a pair is updated."""
         r = self.round
         d = self.model.d
         table = self._table
         states = self.states
-        static = self._static_occupants
 
         outputs = self.outputs
         delivered: dict[Point, list] = {}
-        enclosed = []
-        senders = self._boundary if static else outputs
-        for v in senders:
+        for v in outputs:
             pairs = outputs[v]
-            heard = False
             for i, w, j in table[v]:
-                if static and w in states:
-                    continue  # occupied cells cannot react in this regime
-                heard = True
                 slot = delivered.get(w)
                 if slot is None:
                     slot = [None] * d
@@ -203,9 +275,6 @@ class MeshNetwork:
                 slot[j] = pairs[i]
                 if probe is not None:
                     probe.log(w, v)
-            if static and not heard:
-                enclosed.append(v)  # every neighbor is occupied for good
-        self._boundary.difference_update(enclosed)
         self.inputs = {v: tuple(slot) for v, slot in delivered.items()}
 
         law = self.law
@@ -243,8 +312,6 @@ class MeshNetwork:
                 else:
                     states[v] = new
                 outputs[v] = self._post(v, new, glues, msgs)
-                if static:
-                    self._boundary.add(v)
             elif new is not None and types[new].rule is not None:
                 # state kept, but the rule may emit different messages now
                 outputs[v] = self._post(v, new, glues, msgs)

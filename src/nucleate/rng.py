@@ -25,9 +25,8 @@ def derive_seed(master: int, *path) -> int:
     Path elements may be ints, strings, or (nested) tuples of those; the
     encoding keys on both value and position, so (1, 2) and (12,) differ.
     """
-    h = hashlib.blake2b(digest_size=8)
-    h.update(repr((int(master),) + path).encode("utf-8"))
-    return int.from_bytes(h.digest(), "big")
+    return int.from_bytes(hashlib.blake2b(
+        repr((int(master),) + path).encode("utf-8"), digest_size=8).digest(), "big")
 
 
 def uniform(master: int, *path) -> float:

@@ -93,6 +93,53 @@ def test_assemble_wrong_model_kind():
     assert main(["assemble", "--model", FIDELITY, "--size", "4"]) == 2
 
 
+#: sha256 of (trace.txt, result.json) from `meshsim` on checkerboard_local
+#: 32x32 for 15 rounds (the static, message-free path), per seed, as the
+#: mesh wrote them before its static rounds became event-driven.
+MESHSIM_LOCAL_32 = {
+    0: ("8a5683f6e8630563bdf0671174ba5138cb4a5150e2ae220f1491c06cd7719fc8",
+        "83785fe5a29d5a70ec428aec6b9e0f4e2905e529328887a9cd8fa90713e74dc5"),
+    1: ("3738d449c6cee0248d5a9c0200af07c8e70bc829a1013348b33648abf7018e7c",
+        "a4cce38db6683a64e0e9af4bcbff2629ff3bb05224762a78b1281f340d125fa8"),
+    2: ("fddaa3f93a0c704b78fe16e0e72d6c0fc09088480e38bdf81fdd888e985a31c4",
+        "3f01ba67cdf46996ce990fd0a447e05233b40f283137c5084ed10db3e44ba95c"),
+}
+#: The same for fidelity2 16x16, 20 rounds, seed 0: detachment forces the
+#: general path.
+MESHSIM_FIDELITY_16 = (
+    "e08c8836488027dcb719935c3eb6208cffcec34fe7b9a199e005fc779ec869e2",
+    "44dea4e92d2549ab8dbc7da5edb0a879d20756dce058815748dcdcb02c376f28",
+)
+#: sha256 of results.json from a checkerboard-local campaign at pi_nu 0.1,
+#: sizes 8,16,32, 10 rounds, 12 trials, seed 0.
+CAMPAIGN_RESULTS = "9878b2bf43456446da858ae9cc9d8e5748f4cd937f0b267e648ae830115b4ac4"
+
+
+def _sha256(path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize("model, size, rounds, seed, pins", [
+    *((LOCAL, 32, 15, seed, pins) for seed, pins in sorted(MESHSIM_LOCAL_32.items())),
+    (FIDELITY, 16, 20, 0, MESHSIM_FIDELITY_16),
+])
+def test_meshsim_bytes_are_pinned(tmp_path, capsys, model, size, rounds, seed, pins):
+    code = main(["meshsim", "--model", model, "--size", str(size), "--rounds", str(rounds),
+                 "--seed", str(seed), "--out", str(tmp_path)])
+    capsys.readouterr()
+    assert code == 0
+    assert (_sha256(tmp_path / "trace.txt"), _sha256(tmp_path / "result.json")) == pins
+
+
+def test_campaign_bytes_are_pinned(tmp_path, capsys):
+    code = main(["experiment", "--rule", "checkerboard-local", "--pi-nu", "0.1",
+                 "--sizes", "8,16,32", "--rounds", "10", "--trials", "12",
+                 "--seed", "0", "--out", str(tmp_path)])
+    capsys.readouterr()
+    assert code == 0
+    assert _sha256(tmp_path / "results.json") == CAMPAIGN_RESULTS
+
+
 def test_meshsim_outputs_are_reproducible(tmp_path, capsys):
     dirs = [tmp_path / "a", tmp_path / "b"]
     for d in dirs:

@@ -330,8 +330,8 @@ def test_static_fast_path_matches_general_path():
     # same model expressed with and without the static-occupant shortcut:
     # the fast side has no rule and an empty message alphabet, and a
     # do-nothing message rule forces the general path.  The nucleating,
-    # stochastic runs leave occupied cells enclosed, which the fast path
-    # prunes from its boundary.
+    # stochastic runs leave empty cells whose law is forced EMPTY, which
+    # the fast path stops re-evaluating until a neighbor enters.
     def variant(rule, seed, **params):
         types = {
             "t": AgentType("t", ("g",) * 4, color=1, rule=rule),
@@ -370,14 +370,84 @@ def test_static_fast_path_matches_general_path():
         for model in (fast_model, slow_model):
             net = MeshNetwork(model, side, master_seed=master)
             net.init_round0()
-            net.run(rounds)
             nets.append(net)
         fast, slow = nets
         assert fast._static_occupants and not slow._static_occupants
+        for _ in range(rounds):
+            evaluated = len(fast._pending)
+            fast.run_round()
+            slow.run_round()
+            # the general path evaluates every processor that hears a pair
+            pruned += evaluated < len(slow.inputs)
         assert fast.trace == slow.trace, master
         assert fast.states == slow.states, master
-        pruned += len(fast.states) - len(fast._boundary)
     assert pruned > 0
+
+
+def test_static_rounds_match_silent_twins_on_random_models():
+    # random static models (no detachment, no rules) against twins whose
+    # every type runs the do-nothing `silence` rule, which sends them down
+    # the general path.  Round by round the two must agree on states, trace,
+    # ids and posts, and the static side must hold the inputs the general
+    # path delivers to every EMPTY processor with an occupied neighbor (the
+    # cells that just entered included), though it re-evaluates fewer.
+    import random
+    from dataclasses import replace
+
+    from nucleate.lattice import Mesh
+    from support import random_agent_model
+
+    rng = random.Random(9009)
+    seen = {"k3": 0, "ids": 0, "alphabet": 0, "forced": 0, "stochastic": 0,
+            "skipped": 0}
+    for trial in range(60):
+        k = 2 + trial % 2
+        side = 6 if k == 2 else 4
+        base = random_agent_model(rng, k=k)
+        cells = rng.sample(list(Mesh(k, side).vertices()), rng.randint(0, 3))
+        lambda_on = rng.choice((0.5, 1.0))
+        epsilon = rng.choice((0.0, 0.2))
+        static_model = replace(
+            base,
+            seed={v: rng.choice(base.type_names) for v in cells},
+            pi_nu=rng.choice((0.05, 0.2)),
+            kinetics=Kinetics(lambda_on=lambda_on, epsilon=epsilon),
+            messages=rng.choice(((), ("p",))),
+            use_ids=rng.random() < 0.5,
+        )
+        twin = replace(
+            static_model,
+            types={name: replace(t, rule="silence") for name, t in base.types.items()},
+            messages=("p",),
+        )
+        master = rng.getrandbits(64)
+        fast = MeshNetwork(static_model, side, master_seed=master)
+        slow = MeshNetwork(twin, side, master_seed=master)
+        fast.init_round0()
+        slow.init_round0()
+        assert fast._static_occupants and not slow._static_occupants
+        table = fast._table
+        probe = AccessProbe()
+        for r in range(1, 9):
+            before = set(fast.states)
+            evaluated = len(fast._pending)
+            fast.run_round(probe=probe)
+            slow.run_round()
+            assert fast.states == slow.states, (trial, r)
+            assert fast.trace == slow.trace, (trial, r)
+            assert fast.ids == slow.ids, (trial, r)
+            assert fast.outputs == slow.outputs, (trial, r)
+            heard = {v for v in table if v not in before
+                     and any(w in before for _, w, _ in table[v])}
+            assert fast.inputs == {v: slow.inputs[v] for v in heard}, (trial, r)
+            seen["skipped"] += evaluated < len(heard)
+        assert probe.violations(fast.mesh) == []
+        seen["k3"] += k == 3
+        seen["ids"] += static_model.use_ids and len(fast.ids) > 1
+        seen["alphabet"] += bool(static_model.messages)
+        seen["forced"] += lambda_on == 1.0 and epsilon == 0.0
+        seen["stochastic"] += lambda_on < 1.0 and epsilon > 0.0
+    assert all(seen.values()), seen
 
 
 def test_use_ids_rule_posts_per_id_messages():
