@@ -28,25 +28,21 @@ from functools import lru_cache
 from typing import Callable, Mapping, NamedTuple, Optional, Sequence
 from weakref import WeakKeyDictionary
 
-from .lattice import OPPOSITE, Mesh, Point, add, directions
+from .lattice import OPPOSITE, Mesh, Point, around
+# perfbench/tracer.py counts calls through this module's add binding by name.
+from .lattice import add  # noqa: F401
 from .rng import derive_seed, uniform
 from .tiles import TileAssemblySystem
 
 
 @lru_cache(maxsize=32)
-def neighbor_table(window) -> dict:
+def neighbor_table(window: Mesh) -> dict:
     """window vertex -> tuple of (direction index, neighbor, opposite index)
     for the in-window neighbors, in canonical direction order."""
-    dirs = directions(window.k)
-    table = {}
-    for v in window.vertices():
-        entries = []
-        for d in dirs:
-            w = add(v, d.vector)
-            if window.contains(w):
-                entries.append((d.index, w, OPPOSITE[d.index]))
-        table[v] = tuple(entries)
-    return table
+    side = window.side
+    return {v: tuple((i, w, OPPOSITE[i]) for i, w in enumerate(around(v))
+                     if min(w) >= 0 and max(w) < side)
+            for v in window.vertices()}
 
 
 MAX_SYMBOL_LENGTH = 8
@@ -287,6 +283,7 @@ class TransitionLaw:
     def __init__(self, model: AgentModel):
         self.model = model
         self._cache: dict = {}
+        self._lookups: dict = {}
 
     def bond_total(self, type_name: str, glues: Sequence[Optional[str]]) -> int:
         t = self.model.types[type_name]
@@ -348,25 +345,46 @@ class TransitionLaw:
             dist[None] = 1.0 - attach_mass
         return dist
 
+    def lookup(self, occupant: Optional[str], glues: tuple, messages: tuple) -> tuple:
+        """(outcome, None) when the law at this input is forced (a single
+        outcome), else (None, cdf) for `pick` to draw from: the running
+        sums of the distribution in its order, as (sum, outcome) pairs.
+        Memoized per input; glues and messages must be tuples."""
+        key = (occupant, glues, messages)
+        entry = self._lookups.get(key)
+        if entry is None:
+            dist = self._distribution(occupant, glues, messages)
+            if len(dist) == 1:
+                entry = (next(iter(dist)), None)
+            else:
+                acc = 0.0
+                cdf = []
+                for outcome, p in dist.items():
+                    acc += p
+                    cdf.append((acc, outcome))
+                entry = (None, tuple(cdf))
+            self._lookups[key] = entry
+        return entry
+
     def sample(self, occupant: Optional[str], glues, messages,
                u: Optional[float]) -> Optional[str]:
         """The next occupant for a uniform draw u in [0, 1), found by
         inverse CDF over the distribution; u may be None when forced."""
-        dist = self._distribution(occupant, tuple(glues), tuple(messages))
-        if len(dist) == 1:
-            return next(iter(dist))
-        acc = 0.0
-        last = None
-        for key, p in dist.items():
-            acc += p
-            last = key
-            if u < acc:
-                return key
-        return last
+        outcome, cdf = self.lookup(occupant, tuple(glues), tuple(messages))
+        return outcome if cdf is None else pick(cdf, u)
 
     def forced(self, occupant: Optional[str], glues, messages) -> bool:
         """True when the next state is deterministic (a single-outcome law)."""
-        return len(self._distribution(occupant, tuple(glues), tuple(messages))) == 1
+        return self.lookup(occupant, tuple(glues), tuple(messages))[1] is None
+
+
+def pick(cdf: tuple, u: float) -> Optional[str]:
+    """Inverse CDF: the first outcome whose running sum exceeds u, or the
+    last outcome when rounding leaves u at or above the final sum."""
+    for acc, outcome in cdf:
+        if u < acc:
+            return outcome
+    return cdf[-1][1]
 
 
 _LAWS = WeakKeyDictionary()
@@ -496,8 +514,9 @@ def model_step(state: SurfaceState, model: AgentModel, seed: int) -> SurfaceStat
     for v in sorted(active):
         glues, msgs = surface_inputs(state, model, v)
         old = state.occupancy.get(v)
-        u = None if law.forced(old, glues, msgs) else uniform(seed, v, r)
-        new = law.sample(old, glues, msgs, u)
+        new, cdf = law.lookup(old, glues, msgs)
+        if cdf is not None:
+            new = pick(cdf, uniform(seed, v, r))
         if new is None:
             if old is not None:
                 del occupancy[v]

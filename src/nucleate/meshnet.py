@@ -14,20 +14,22 @@ model's one-round transition law.  Per-processor randomness is derived from
 inputs and state, so a round's outcome does not depend on the order in
 which processors are evaluated.
 
-With no detachment and no message rules, occupants never change and post
-fixed pairs, so a round is event-driven: it evaluates only the EMPTY
-processors whose inputs changed (a neighbor entered) or whose last law was
-unforced (the next round's draw may attach them).  A processor skipped this
-way last saw a forced EMPTY outcome on the inputs it still holds, so it
-would stay EMPTY and draw nothing; the skip changes no state, trace, id or
-buffer.
+Rounds are event-driven: a processor is re-evaluated only when a neighbor's
+posts changed last round (it entered, detached, or its rule posted different
+pairs), when its own state changed, or when its last law was unforced.  Any
+other processor hears the pairs it heard at its last evaluation, holds the
+same state, and last saw a forced law, so it would draw nothing, keep its
+state and, since rules are memoryless and an occupant keeps its id, post the
+same pairs; the skip changes no state, trace, id or buffer.  With no
+detachment and no message rules, occupants never change and post fixed
+pairs, so only EMPTY processors are ever re-evaluated (the static regime).
 """
 
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple, Optional
 
-from .agents import AgentModel, law_for, message_rule, neighbor_table
+from .agents import AgentModel, law_for, message_rule, neighbor_table, pick
 from .coloring import Coloring
 from .lattice import Mesh, Point
 from .rng import derive_seed, uniform
@@ -112,10 +114,13 @@ class MeshNetwork:
         self._table = neighbor_table(self.mesh)
         self._started = False
         self._static_occupants, self._silent_posts = _model_constants(model)
-        # Static regime only: the EMPTY processors the next round evaluates,
-        # and the ones that entered last round, whose inputs it drops.
+        # The processors the next round evaluates.  Static regime: EMPTY
+        # ones only, plus the cells that entered last round, whose inputs
+        # it drops.  General regime: the next round first adds the
+        # neighbors of the cells whose posts changed last round.
         self._pending: set = set()
         self._entered: list = []
+        self._posted: list = []
         # Rules are memoryless, so without ids a rule type's posts depend
         # only on its inputs.
         self._post_memo: Optional[dict] = None if model.use_ids else {}
@@ -152,6 +157,8 @@ class MeshNetwork:
                 self.trace.append(TraceEvent(0, v, None, self.states[v]))
         if self._static_occupants:
             self._pending = self._empty_neighbors(self.states)
+        else:
+            self._posted = list(self.states)
 
     def _empty_neighbors(self, cells) -> set:
         table, states = self._table, self.states
@@ -196,10 +203,10 @@ class MeshNetwork:
 
     def run_round(self, probe: Optional[AccessProbe] = None) -> None:
         """Deliver last round's pairs, then update every processor that
-        received at least one.  With static occupants (see the module
-        docstring) only EMPTY processors whose inputs changed or whose last
-        law was unforced are re-evaluated; the others would keep their
-        state and draw nothing."""
+        received at least one.  Only processors whose inputs or state
+        changed or whose last law was unforced are re-evaluated (see the
+        module docstring); the others would keep their state and posts and
+        draw nothing."""
         if not self._started:
             raise ValueError("call init_round0 first")
         self.round += 1
@@ -240,10 +247,9 @@ class MeshNetwork:
             if probe is not None:
                 probe.log(v, v)
             glues = tuple([p[0] if p is not None else None for p in inputs[v]])
-            if law.forced(None, glues, msgs):
-                new = law.sample(None, glues, msgs, None)
-            else:
-                new = law.sample(None, glues, msgs, uniform(seed, v, r))
+            new, cdf = law.lookup(None, glues, msgs)
+            if cdf is not None:
+                new = pick(cdf, uniform(seed, v, r))
                 if new is None:
                     pending.add(v)  # the next round's draw may attach it
             if new is not None:
@@ -257,25 +263,33 @@ class MeshNetwork:
         self._entered = entered
 
     def _general_round(self, probe: Optional[AccessProbe]) -> None:
-        """Every occupant posts; every processor that hears a pair is updated."""
+        """A round with detachment or rules: only the pending processors
+        (see the module docstring) are evaluated.  Each pulls its inputs
+        from its neighbors' posts before any of them is updated."""
         r = self.round
         d = self.model.d
         table = self._table
         states = self.states
-
         outputs = self.outputs
-        delivered: dict[Point, list] = {}
-        for v in outputs:
-            pairs = outputs[v]
+        inputs = self.inputs
+        targets = self._pending
+        targets.update([w for v in self._posted for _, w, _ in table[v]])
+        heard = []
+        for v in sorted(targets):
+            slot = [None] * d
+            hears = False
             for i, w, j in table[v]:
-                slot = delivered.get(w)
-                if slot is None:
-                    slot = [None] * d
-                    delivered[w] = slot
-                slot[j] = pairs[i]
-                if probe is not None:
-                    probe.log(w, v)
-        self.inputs = {v: tuple(slot) for v, slot in delivered.items()}
+                pairs = outputs.get(w)
+                if pairs is not None:
+                    slot[i] = pairs[j]
+                    hears = True
+                    if probe is not None:
+                        probe.log(v, w)
+            if hears:
+                inputs[v] = tuple(slot)
+                heard.append(v)
+            else:
+                inputs.pop(v, None)  # its last neighbor left: it idles
 
         law = self.law
         seed = self.master_seed
@@ -283,23 +297,25 @@ class MeshNetwork:
         types = self.model.types
         # with an empty alphabet every posted message is None
         silent = None if self.model.messages else (None,) * d
-        # Each update reads only v's own state and delivered inputs, so
-        # applying it before visiting the next target changes nothing.
-        for v in sorted(delivered):
+        pending = set()
+        posted = []
+        for v in heard:
             if probe is not None:
                 probe.log(v, v)
             old = states.get(v)
             if old is not None and not detach_on and types[old].rule is None:
                 continue  # nothing can change
-            slot = delivered[v]
+            slot = inputs[v]
             glues = tuple([p[0] if p is not None else None for p in slot])
             msgs = silent if silent is not None else tuple(
                 [p[1] if p is not None else None for p in slot])
-            if law.forced(old, glues, msgs):
-                new = law.sample(old, glues, msgs, None)
-            else:
-                new = law.sample(old, glues, msgs, uniform(seed, v, r))
+            new, cdf = law.lookup(old, glues, msgs)
+            if cdf is not None:
+                new = pick(cdf, uniform(seed, v, r))
+                pending.add(v)  # the next round's draw may differ
             if new != old:
+                pending.add(v)
+                posted.append(v)
                 if self.trace is not None:
                     self.trace.append(TraceEvent(r, v, old, new))
                 if new is None:
@@ -314,7 +330,12 @@ class MeshNetwork:
                 outputs[v] = self._post(v, new, glues, msgs)
             elif new is not None and types[new].rule is not None:
                 # state kept, but the rule may emit different messages now
-                outputs[v] = self._post(v, new, glues, msgs)
+                pairs = self._post(v, new, glues, msgs)
+                if pairs != outputs[v]:
+                    outputs[v] = pairs
+                    posted.append(v)
+        self._pending = pending
+        self._posted = posted
 
     def run(self, rounds: int, probe: Optional[AccessProbe] = None) -> list[TraceEvent]:
         """Execute `rounds` synchronized rounds; returns the trace so far."""

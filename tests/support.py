@@ -11,6 +11,8 @@ import random
 from nucleate.agents import (AgentModel, AgentType, BindingRules, Kinetics, RuleOutput,
                              register_rule)
 from nucleate.lattice import OPPOSITE, add, directions
+from nucleate.meshnet import MeshNetwork, TraceEvent
+from nucleate.rng import uniform
 from nucleate.tiles import BindingGraph, Configuration, Glue, TileType, attachments, cut_strength
 
 
@@ -245,3 +247,63 @@ def reachable_by_sequential_model(model, window) -> set:
                     seen.add(key)
                     stack.append(nxt)
     return seen
+
+
+class EvaluateEveryoneNetwork(MeshNetwork):
+    """A mesh whose general rounds skip no processor: every occupant
+    delivers its posts, and every processor that hears a pair samples its
+    law through the public `forced` and `sample`.  The oracle for the
+    event-driven general round, which must match it round for round."""
+
+    def _general_round(self, probe):
+        r = self.round
+        d = self.model.d
+        table = self._table
+        states = self.states
+
+        outputs = self.outputs
+        delivered = {}
+        for v in outputs:
+            pairs = outputs[v]
+            for i, w, j in table[v]:
+                slot = delivered.get(w)
+                if slot is None:
+                    slot = [None] * d
+                    delivered[w] = slot
+                slot[j] = pairs[i]
+                if probe is not None:
+                    probe.log(w, v)
+        self.inputs = {v: tuple(slot) for v, slot in delivered.items()}
+
+        law = self.law
+        seed = self.master_seed
+        detach_on = self.model.kinetics.detach
+        types = self.model.types
+        for v in sorted(delivered):
+            if probe is not None:
+                probe.log(v, v)
+            old = states.get(v)
+            if old is not None and not detach_on and types[old].rule is None:
+                continue  # nothing can change
+            slot = delivered[v]
+            glues = tuple(p[0] if p is not None else None for p in slot)
+            msgs = tuple(p[1] if p is not None else None for p in slot)
+            if law.forced(old, glues, msgs):
+                new = law.sample(old, glues, msgs, None)
+            else:
+                new = law.sample(old, glues, msgs, uniform(seed, v, r))
+            if new != old:
+                if self.trace is not None:
+                    self.trace.append(TraceEvent(r, v, old, new))
+                if new is None:
+                    del states[v]
+                    self.ids.pop(v, None)
+                    outputs.pop(v, None)
+                    continue
+                if old is None:
+                    self._enter(v, new)
+                else:
+                    states[v] = new
+                outputs[v] = self._post(v, new, glues, msgs)
+            elif new is not None and types[new].rule is not None:
+                outputs[v] = self._post(v, new, glues, msgs)

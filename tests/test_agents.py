@@ -15,13 +15,15 @@ from nucleate.agents import (
     embed_tile_system,
     initial_state,
     model_step,
+    neighbor_table,
     nucleate,
+    pick,
     register_rule,
     surface_inputs,
     validate_model,
 )
 from nucleate.engine import run
-from nucleate.lattice import Mesh
+from nucleate.lattice import OPPOSITE, Mesh, add, directions
 from nucleate.rng import derive_seed
 from nucleate.systems import checkerboard_tileset
 from nucleate.tiles import attachments
@@ -154,6 +156,57 @@ def test_law_depends_only_on_local_tuple():
         occupant, glues, messages = random_law_input(rng, model)
         assert law_a.distribution(occupant, glues, messages) == \
             law_b.distribution(occupant, glues, messages)
+
+
+def test_lookup_draws_by_the_literal_inverse_cdf():
+    # the memoized (outcome, cdf) entry must pick what a literal running
+    # sum over `distribution` picks, with the same float additions in the
+    # same order, for every u: the running sums themselves included, and
+    # the fallback to the last outcome when u reaches the final sum
+    rng = random.Random(4242)
+    checked = 0
+    for _ in range(40):
+        model = random_agent_model(rng, message_rules=("ping", "relay", "tally"))
+        law = TransitionLaw(model)
+        for _ in range(40):
+            occupant, glues, messages = random_law_input(rng, model)
+            dist = law.distribution(occupant, glues, messages)
+            outcome, cdf = law.lookup(occupant, glues, messages)
+            assert law.forced(occupant, glues, messages) == (cdf is None) == (len(dist) == 1)
+            if cdf is None:
+                assert [outcome] == list(dist)
+                assert law.sample(occupant, glues, messages, None) == outcome
+                continue
+            sums, acc = [], 0.0
+            for p in dist.values():
+                acc += p
+                sums.append(acc)
+            draws = sums + [0.0, math.nextafter(1.0, 0.0)] + [rng.random() for _ in range(5)]
+            for u in draws:
+                expected = list(dist)[-1]
+                for key, total in zip(dist, sums):
+                    if u < total:
+                        expected = key
+                        break
+                assert pick(cdf, u) == law.sample(occupant, glues, messages, u) == expected
+                checked += 1
+    assert checked > 0
+
+
+def test_neighbor_table_matches_add_and_contains():
+    for k in (2, 3):
+        for side in range(1, 6):
+            window = Mesh(k, side)
+            expected = {}
+            for v in window.vertices():
+                entries = []
+                for d in directions(k):
+                    w = add(v, d.vector)
+                    if window.contains(w):
+                        entries.append((d.index, w, OPPOSITE[d.index]))
+                expected[v] = tuple(entries)
+            table = neighbor_table(window)
+            assert list(table.items()) == list(expected.items()), (k, side)
 
 
 @register_rule("flee-on-p")

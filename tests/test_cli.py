@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import nucleate
+import support  # noqa: F401  registers the relay rule the pinned relay model runs
 from nucleate.cli import main
 from nucleate.formats import parse_mesh_trace
 from nucleate.experiment import parse_experiment_csv
@@ -129,6 +130,64 @@ def test_meshsim_bytes_are_pinned(tmp_path, capsys, model, size, rounds, seed, p
     capsys.readouterr()
     assert code == 0
     assert (_sha256(tmp_path / "trace.txt"), _sha256(tmp_path / "result.json")) == pins
+
+
+#: A 3-dimensional model on the general mesh path: two `ping` agents whose
+#: every side carries glue g (bond 1, temperature 2), with detachment.
+PING3D = {
+    "name": "ping-3d",
+    "agents": [{"name": name, "color": color, "glues": ["g"] * 6, "rule": "ping"}
+               for name, color in (("amber", 1), ("jade", 2))],
+    "rules": [{"a": "g", "b": "g", "strength": 1}],
+    "temperature": 2,
+    "messages": ["p"],
+    "pi_nu": 0.05,
+    "kinetics": {"lambda_on": 0.5, "p_off": 0.2, "epsilon": 0.1, "detach": True},
+}
+#: A 2-dimensional model with ids whose posts depend on its inputs: `relay`
+#: agents pass messages on and detach on hearing "q" from two sides.
+RELAY_IDS = {
+    "name": "relay-ids",
+    "agents": [{"name": name, "color": color, "glues": ["g"] * 4, "rule": "relay"}
+               for name, color in (("amber", 1), ("jade", 2))],
+    "rules": [{"a": "g", "b": "g", "strength": 1}],
+    "temperature": 1,
+    "messages": ["p", "q"],
+    "pi_nu": 0.1,
+    "use_ids": True,
+    "kinetics": {"lambda_on": 0.5, "p_off": 0.3, "epsilon": 0.1, "detach": True},
+}
+#: sha256 of (trace.txt, result.json) from `meshsim` on PING3D at 10^3 for
+#: 15 rounds, per seed, and on RELAY_IDS at 16x16 for 20 rounds, seed 0, as
+#: the mesh wrote them before its general rounds became event-driven.
+MESHSIM_PING3D_10 = {
+    0: ("c11620b5ed45e3bb2114b29a7265f71ab19cc898a3ef9ec36ba0b40b6adf86ac",
+        "abd3b7c782dcf6909255d896385a37da2cd7d6e59eb15b99c058f0e2a7dbf3d4"),
+    1: ("0f0ff4da0a334ac018310d5e2fcefafa44596bfe2831539a3b57f0759d19ace0",
+        "52025cd2afb5100a2adc13f592b403d79dacb8b9394c2faecaae771745940bdd"),
+    2: ("d7099c23afd311b8479e7b0b597e58aef21d84373e3a62ab03cf667b891ed4fb",
+        "21d526199ad50d45418c3ddfc25dfb5c8bd80925a76ed86b522e8e883202757e"),
+}
+MESHSIM_RELAY_IDS_16 = (
+    "a1b9a6e0622b85861777e4739948de89fdf57937432e4097522c6317309d9bdc",
+    "4214cfa914ed3240b8cd9bdab69c57584e5f303fadb283c81c0e61b0f0099c4d",
+)
+
+
+@pytest.mark.parametrize("doc, size, rounds, seed, pins", [
+    *((PING3D, 10, 15, seed, pins) for seed, pins in sorted(MESHSIM_PING3D_10.items())),
+    (RELAY_IDS, 16, 20, 0, MESHSIM_RELAY_IDS_16),
+])
+def test_general_path_meshsim_bytes_are_pinned(tmp_path, capsys, doc, size, rounds, seed,
+                                               pins):
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    code = main(["meshsim", "--model", str(model), "--size", str(size), "--rounds",
+                 str(rounds), "--seed", str(seed), "--out", str(out)])
+    capsys.readouterr()
+    assert code == 0
+    assert (_sha256(out / "trace.txt"), _sha256(out / "result.json")) == pins
 
 
 def test_campaign_bytes_are_pinned(tmp_path, capsys):

@@ -450,6 +450,76 @@ def test_static_rounds_match_silent_twins_on_random_models():
     assert all(seen.values()), seen
 
 
+def test_general_rounds_match_evaluate_everyone_oracle():
+    # random models with detachment or message rules against the oracle
+    # that delivers to, and samples, every processor hearing a pair.  Round
+    # by round the two must agree on states, trace, ids, posts and held
+    # inputs, though the event-driven side evaluates fewer processors.
+    import random
+    from dataclasses import replace
+
+    from nucleate.lattice import Mesh
+    from support import EvaluateEveryoneNetwork, random_agent_model
+
+    rng = random.Random(10010)
+    seen = {"k3": 0, "detach": 0, "rules only": 0, "ping": 0, "relay": 0, "tally": 0,
+            "ids": 0, "no alphabet": 0, "unforced": 0, "skipped": 0}
+    for trial in range(240):
+        k = 2 + trial % 2
+        side = 6 if k == 2 else 4
+        model = random_agent_model(rng, k=k, message_rules=("ping", "relay", "tally"))
+        cells = rng.sample(list(Mesh(k, side).vertices()), rng.randint(0, 3))
+        model = replace(
+            model,
+            seed={v: rng.choice(model.type_names) for v in cells},
+            pi_nu=rng.choice((0.05, 0.15, 0.3)),
+            use_ids=rng.random() < 0.5,
+        )
+        if trial % 8 == 0:
+            # no rules and an empty alphabet: detachment alone makes it general
+            model = replace(
+                model,
+                types={n: replace(t, rule=None) for n, t in model.types.items()},
+                messages=(),
+                kinetics=replace(model.kinetics, detach=True, p_off=0.3),
+            )
+        elif all(t.rule is None for t in model.types.values()):
+            name = model.type_names[0]
+            types = dict(model.types)
+            types[name] = replace(types[name], rule=rng.choice(("ping", "relay", "tally")))
+            model = replace(model, types=types)
+        master = rng.getrandbits(64)
+        fast = MeshNetwork(model, side, master_seed=master)
+        oracle = EvaluateEveryoneNetwork(model, side, master_seed=master)
+        fast.init_round0()
+        oracle.init_round0()
+        assert not fast._static_occupants
+        table = fast._table
+        probe = AccessProbe()
+        for r in range(1, 13):
+            evaluated = len(fast._pending.union(
+                *({w for _, w, _ in table[v]} for v in fast._posted)))
+            fast.run_round(probe=probe)
+            oracle.run_round()
+            assert fast.states == oracle.states, (trial, r)
+            assert fast.trace == oracle.trace, (trial, r)
+            assert fast.ids == oracle.ids, (trial, r)
+            assert fast.outputs == oracle.outputs, (trial, r)
+            assert fast.inputs == oracle.inputs, (trial, r)
+            seen["skipped"] += evaluated < len(oracle.inputs)
+            seen["unforced"] += bool(fast._pending - set(fast._posted))
+        assert probe.violations(fast.mesh) == []
+        rules = {t.rule for t in model.types.values()}
+        seen["k3"] += k == 3
+        seen["detach"] += model.kinetics.detach
+        seen["rules only"] += not model.kinetics.detach
+        for rule in ("ping", "relay", "tally"):
+            seen[rule] += rule in rules
+        seen["ids"] += model.use_ids and len(fast.ids) > 1
+        seen["no alphabet"] += not model.messages
+    assert all(seen.values()), seen
+
+
 def test_use_ids_rule_posts_per_id_messages():
     # with ids the rule's posts depend on more than its inputs, so two
     # agents of one type with equal inputs must still post their own
