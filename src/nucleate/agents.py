@@ -31,18 +31,26 @@ from weakref import WeakKeyDictionary
 from .lattice import OPPOSITE, Mesh, Point, around
 # perfbench/tracer.py counts calls through this module's add binding by name.
 from .lattice import add  # noqa: F401
-from .rng import derive_seed, uniform
+# perfbench/tracer.py wraps this module's derive_seed binding by name; the
+# draws go through the rng kernel.
+from .rng import derive_seed  # noqa: F401
+from .rng import drawer, wakeups, window_keys
 from .tiles import TileAssemblySystem
 
 
-@lru_cache(maxsize=32)
 def neighbor_table(window: Mesh) -> dict:
     """window vertex -> tuple of (direction index, neighbor, opposite index)
     for the in-window neighbors, in canonical direction order."""
-    side = window.side
+    return _neighbor_table(window.k, window.side)
+
+
+@lru_cache(maxsize=32)
+def _neighbor_table(k: int, side: int) -> dict:
+    # keyed by the vertex tuples of the window's rng keys, so both caches
+    # share them
     return {v: tuple((i, w, OPPOSITE[i]) for i, w in enumerate(around(v))
                      if min(w) >= 0 and max(w) < side)
-            for v in window.vertices()}
+            for v in window_keys(k, side)}
 
 
 MAX_SYMBOL_LENGTH = 8
@@ -430,10 +438,15 @@ def surface_inputs(state: SurfaceState, model: AgentModel, v: Point):
     """(glues, messages) seen by location v: per canonical direction, the
     facing glue label and outgoing message of the occupied neighbor, or
     None for empty and off-window directions."""
+    return _inputs(state, model, neighbor_table(state.window)[v])
+
+
+def _inputs(state: SurfaceState, model: AgentModel, neighbors: tuple):
+    """surface_inputs for the location whose neighbor-table entry is given."""
     glues = [None] * model.d
     msgs = [None] * model.d
     occupancy = state.occupancy
-    for i, w, j in neighbor_table(state.window)[v]:
+    for i, w, j in neighbors:
         occ = occupancy.get(w)
         if occ is not None:
             glues[i] = model.types[occ].glues[j]
@@ -473,23 +486,33 @@ def _round0_posts(model: AgentModel, occupancy: Mapping[Point, str],
     return out
 
 
+def nucleation_sites(model: AgentModel, keys: dict, seed: int, occupied) -> list:
+    """Round-0 multiple nucleation on the window whose `window_keys` are
+    given: (v, type), in vertex order, for each location v outside
+    `occupied` that wakes, i.e. uniform(seed, v, 0) < pi_nu.  The type is
+    picked uniformly by its own hash path (seed, v, 0, 1): reusing the
+    wake-up draw, which is below pi_nu, would bias it to the first name."""
+    names = model.type_names
+    return [(v, names[h % len(names)]) for v, h in wakeups(seed, keys, model.pi_nu)
+            if v not in occupied]
+
+
 def nucleate(state: SurfaceState, model: AgentModel, seed: int) -> SurfaceState:
-    """Round-0 multiple nucleation: each empty location v wakes iff
-    uniform(seed, v, 0) < pi_nu, as the type its own hash path
-    (seed, v, 0, 1) picks uniformly; then every occupant posts."""
+    """Round-0 multiple nucleation (`nucleation_sites`) on the empty
+    locations; then every occupant posts."""
     if state.stage != 0:
         raise ValueError("nucleation happens at stage 0 only")
-    names = model.type_names
     occupancy = dict(state.occupancy)
     ids = dict(state.ids)
     next_id = state.next_id
-    for v in state.window.vertices():
-        if v not in occupancy and uniform(seed, v, 0) < model.pi_nu:
-            occupancy[v] = names[derive_seed(seed, v, 0, 1) % len(names)]
-            if model.use_ids:
-                ids[v] = next_id
-                next_id += 1
-    return SurfaceState(occupancy, state.window, _round0_posts(model, occupancy, ids), ids,
+    window = state.window
+    for v, name in nucleation_sites(model, window_keys(window.k, window.side), seed,
+                                    state.occupancy):
+        occupancy[v] = name
+        if model.use_ids:
+            ids[v] = next_id
+            next_id += 1
+    return SurfaceState(occupancy, window, _round0_posts(model, occupancy, ids), ids,
                         stage=0, next_id=next_id)
 
 
@@ -505,18 +528,20 @@ def model_step(state: SurfaceState, model: AgentModel, seed: int) -> SurfaceStat
     """
     law = law_for(model)
     r = state.stage + 1
-    table = neighbor_table(state.window)
+    window = state.window
+    table = _neighbor_table(window.k, window.side)
+    draw = drawer(seed, window_keys(window.k, window.side), r)
     occupancy = dict(state.occupancy)
     posts = dict(state.out_messages)
     ids = dict(state.ids)
     next_id = state.next_id
     active = {w for v in state.occupancy for _, w, _ in table[v]}
     for v in sorted(active):
-        glues, msgs = surface_inputs(state, model, v)
+        glues, msgs = _inputs(state, model, table[v])
         old = state.occupancy.get(v)
         new, cdf = law.lookup(old, glues, msgs)
         if cdf is not None:
-            new = pick(cdf, uniform(seed, v, r))
+            new = pick(cdf, draw(v))
         if new is None:
             if old is not None:
                 del occupancy[v]
@@ -531,7 +556,7 @@ def model_step(state: SurfaceState, model: AgentModel, seed: int) -> SurfaceStat
         out = _posts(model, new, glues, msgs, ids.get(v))
         if out is not None:
             posts[v] = out
-    return SurfaceState(occupancy, state.window, posts, ids, stage=r, next_id=next_id)
+    return SurfaceState(occupancy, window, posts, ids, stage=r, next_id=next_id)
 
 
 def embed_tile_system(system: TileAssemblySystem) -> AgentModel:

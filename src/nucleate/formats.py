@@ -147,6 +147,8 @@ def load_tile_system(source: Union[str, Path, dict]) -> tuple[TileAssemblySystem
     """Parse and validate a tile system document; returns (system, document)."""
     doc = _read_document(source)
     _require_keys(doc, {"tiles", "temperature", "seed"}, {"name"}, "")
+    if "name" in doc:
+        _string(doc["name"], "name")
     tiles_doc = doc["tiles"]
     if not isinstance(tiles_doc, list) or not tiles_doc:
         _fail("bad-tiles", "'tiles' must be a nonempty list", "tiles")
@@ -236,6 +238,8 @@ def load_agent_model(source: Union[str, Path, dict]) -> tuple[AgentModel, dict]:
         {"name", "seed", "pi_nu", "kinetics", "messages", "use_ids"},
         "",
     )
+    if "name" in doc:
+        _string(doc["name"], "name")
     agents_doc = doc["agents"]
     if not isinstance(agents_doc, list) or not agents_doc:
         _fail("bad-agents", "'agents' must be a nonempty list", "agents")

@@ -29,13 +29,14 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple, Optional
 
-from .agents import AgentModel, law_for, message_rule, neighbor_table, pick
+from .agents import (AgentModel, TransitionLaw, law_for, message_rule, neighbor_table,
+                     nucleation_sites, pick)
 from .coloring import Coloring
 from .lattice import Mesh, Point
-from .rng import derive_seed, uniform
-# perfbench/tracer.py wraps this module's derived_rng binding by name; no
-# draw here builds a generator.
-from .rng import derived_rng  # noqa: F401
+# perfbench/tracer.py wraps this module's derive_seed and derived_rng
+# bindings by name; the draws go through the rng kernel.
+from .rng import derive_seed, derived_rng  # noqa: F401
+from .rng import drawer, window_keys
 from .tiles import Configuration
 
 #: What a processor posts per side: (glue label or None, message or None).
@@ -81,18 +82,28 @@ class AccessProbe:
         return out
 
 
-@lru_cache(maxsize=32)
-def _model_constants(model: AgentModel) -> tuple[bool, dict]:
-    """(static, silent posts) for a model, shared by all its networks.
+class _Setup(NamedTuple):
+    """What every network of one model on one side shares."""
 
-    Static: no detachment and no message rule, so an occupied processor can
-    never change state nor vary its posts.  Silent posts: the fixed pairs
-    of each type without a rule."""
+    mesh: Mesh
+    table: dict  # neighbor_table(mesh)
+    law: TransitionLaw
+    keys: dict  # window_keys(k, side): the cells' rng key bytes
+    # No detachment and no message rule, so an occupied processor can
+    # never change state nor vary its posts.
+    static: bool
+    silent_posts: dict  # type without a rule -> its fixed pairs
+
+
+@lru_cache(maxsize=32)
+def _setup(model: AgentModel, side: int) -> _Setup:
+    mesh = Mesh(model.k, side)
     static = (not model.kinetics.detach) and all(
         t.rule is None for t in model.types.values())
     silent_posts = {name: tuple((g, None) for g in t.glues)
                     for name, t in model.types.items() if t.rule is None}
-    return static, silent_posts
+    return _Setup(mesh, neighbor_table(mesh), law_for(model), window_keys(model.k, side),
+                  static, silent_posts)
 
 
 class MeshNetwork:
@@ -100,10 +111,11 @@ class MeshNetwork:
 
     def __init__(self, model: AgentModel, side: int, master_seed: int = 0,
                  record_trace: bool = True):
+        setup = _setup(model, side)
         self.model = model
-        self.mesh = Mesh(model.k, side)
+        self.mesh = setup.mesh
         self.master_seed = master_seed
-        self.law = law_for(model)
+        self.law = setup.law
         self.round = 0
         self.states: dict[Point, str] = {}
         self.outputs: dict[Point, tuple] = {}
@@ -111,9 +123,11 @@ class MeshNetwork:
         self.ids: dict[Point, int] = {}
         self.next_id = 0
         self.trace: list[TraceEvent] = [] if record_trace else None
-        self._table = neighbor_table(self.mesh)
+        self._table = setup.table
+        self._keys = setup.keys
         self._started = False
-        self._static_occupants, self._silent_posts = _model_constants(model)
+        self._static_occupants = setup.static
+        self._silent_posts = setup.silent_posts
         # The processors the next round evaluates.  Static regime: EMPTY
         # ones only, plus the cells that entered last round, whose inputs
         # it drops.  General regime: the next round first adds the
@@ -130,7 +144,7 @@ class MeshNetwork:
     def init_round0(self) -> None:
         """Place the seed assembly (ids in sorted location order), then wake
         every other processor with probability pi_nu into a uniformly
-        random non-EMPTY state."""
+        random non-EMPTY state (`nucleation_sites`)."""
         if self._started:
             raise ValueError("network already initialized")
         self._started = True
@@ -139,17 +153,8 @@ class MeshNetwork:
             if not self.mesh.contains(v):
                 raise ValueError(f"seed location {v} lies outside the mesh")
             self._enter(v, model.seed[v])
-        names = model.type_names
-        pi_nu = model.pi_nu
-        seed = self.master_seed
-        if pi_nu > 0:
-            for v in self.mesh.vertices():
-                if v in self.states:
-                    continue
-                # the type pick hashes its own path: reusing the wake-up
-                # draw, which is below pi_nu, would bias it to names[0]
-                if uniform(seed, v, 0) < pi_nu:
-                    self._enter(v, names[derive_seed(seed, v, 0, 1) % len(names)])
+        for v, name in nucleation_sites(model, self._keys, self.master_seed, self.states):
+            self._enter(v, name)
         for v in sorted(self.states):
             self.outputs[v] = self._post(v, self.states[v],
                                          (None,) * model.d, (None,) * model.d)
@@ -238,7 +243,7 @@ class MeshNetwork:
             inputs[v] = tuple(slot)
 
         law = self.law
-        seed = self.master_seed
+        draw = drawer(self.master_seed, self._keys, r)
         # every posted message is None: no type has a rule
         msgs = (None,) * d
         pending = set()
@@ -249,7 +254,7 @@ class MeshNetwork:
             glues = tuple([p[0] if p is not None else None for p in inputs[v]])
             new, cdf = law.lookup(None, glues, msgs)
             if cdf is not None:
-                new = pick(cdf, uniform(seed, v, r))
+                new = pick(cdf, draw(v))
                 if new is None:
                     pending.add(v)  # the next round's draw may attach it
             if new is not None:
@@ -292,7 +297,7 @@ class MeshNetwork:
                 inputs.pop(v, None)  # its last neighbor left: it idles
 
         law = self.law
-        seed = self.master_seed
+        draw = drawer(self.master_seed, self._keys, r)
         detach_on = self.model.kinetics.detach
         types = self.model.types
         # with an empty alphabet every posted message is None
@@ -311,7 +316,7 @@ class MeshNetwork:
                 [p[1] if p is not None else None for p in slot])
             new, cdf = law.lookup(old, glues, msgs)
             if cdf is not None:
-                new = pick(cdf, uniform(seed, v, r))
+                new = pick(cdf, draw(v))
                 pending.add(v)  # the next round's draw may differ
             if new != old:
                 pending.add(v)

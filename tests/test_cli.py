@@ -259,6 +259,23 @@ def test_fidelity_small_sample_run(capsys):
     assert "per_cell_law" in report
 
 
+#: sha256 of stdout from `fidelity` on fidelity2 3x3 at 3000 samples, per
+#: seed: pins the mesh's round-1 draws and model_step's draws.
+FIDELITY_STDOUT = {
+    3: "b402757923cb5a9a4d44540a2772fed160d6c88cb5232bfbabe4e331ac3f05a3",
+    8: "429fa12a44f8b3538b706718d7ca91d07d55f1514bb5812ed22ef340665e904c",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(FIDELITY_STDOUT))
+def test_fidelity_bytes_are_pinned(capsys, seed):
+    code = main(["fidelity", "--model", FIDELITY, "--size", "3",
+                 "--samples", "3000", "--seed", str(seed)])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == FIDELITY_STDOUT[seed]
+
+
 def test_experiment_cli_csv(tmp_path, capsys):
     code = main(["experiment", "--rule", "checkerboard-local", "--pi-nu", "0.2",
                  "--sizes", "2,4", "--rounds", "5", "--trials", "10",
@@ -336,6 +353,17 @@ def test_lint_model_prints_constructor_errors_as_codes(tmp_path, capsys):
     assert main(["lint-model", "--model", str(path)]) == 1
     report = json.loads(capsys.readouterr().out)
     assert [d["code"] for d in report["diagnostics"]] == ["bad-tile"]
+
+
+@pytest.mark.parametrize("model", ["tstar", "checkerboard_local"])
+def test_lint_model_prints_bad_string_for_a_non_string_name(tmp_path, capsys, model):
+    doc = json.loads(shipped_model_path(model).read_text())
+    doc["name"] = 5
+    path = tmp_path / "named.json"
+    path.write_text(json.dumps(doc))
+    assert main(["lint-model", "--model", str(path)]) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert [d["code"] for d in report["diagnostics"]] == ["bad-string"]
 
 
 @pytest.mark.parametrize("key, value, code", [

@@ -156,6 +156,17 @@ def test_names_and_labels_must_be_json_strings(model, path, value):
     assert [d.code for d in lint_document(doc)] == ["bad-string"]
 
 
+@pytest.mark.parametrize("model, load", [("tstar", load_tile_system),
+                                          ("checkerboard_local", load_agent_model)])
+@pytest.mark.parametrize("value", [5, [1], {}, None, True])
+def test_top_level_name_must_be_a_json_string(model, load, value):
+    doc = json.loads(shipped_model_path(model).read_text())
+    doc["name"] = value
+    with pytest.raises(FormatError) as err:
+        load(doc)
+    assert [(d.code, d.path) for d in err.value.diagnostics] == [("bad-string", "name")]
+
+
 def test_strict_agent_fields_keep_accepting_ints_and_null_glues():
     doc = json.loads(shipped_model_path("fidelity2").read_text())
     doc["pi_nu"] = 1
