@@ -21,6 +21,11 @@ over the next occupant.  Kinetics are controlled by three parameters:
 Irreversible, error-free tile assembly is the special case
 p_off = epsilon = 0.  Multiple nucleation places agents uniformly at random
 with probability pi_nu per location, at stage 0 only.
+
+The per-model law (`law_for`) is shared by the model dynamics here and the
+mesh simulation in `meshnet`, and it is the one place where either runs a
+message rule: `TransitionLaw.rule_output` raises `MessageBoundError` unless
+the rule emits d messages from the declared alphabet.
 """
 
 from dataclasses import dataclass, field
@@ -63,7 +68,16 @@ class RuleOutput(NamedTuple):
 
 #: A memoryless message rule: (agent name, d neighbor glues, d incoming
 #: messages, agent id or None) -> RuleOutput.  Entries are None when empty.
+#: Only `TransitionLaw.rule_output` calls a rule in the dynamics.  Posts get
+#: the agent's id under use_ids; the detach intent is always read with id
+#: None, so the law stays a function of (occupant, glues, messages).
 MessageRule = Callable[..., RuleOutput]
+
+
+class MessageBoundError(ValueError):
+    """A rule's output escaped the model's declared bounds: it must be d
+    messages, each None or a symbol of the declared alphabet."""
+
 
 _RULES: dict[str, MessageRule] = {}
 
@@ -285,13 +299,22 @@ class TransitionLaw:
 
     Maps (occupant or None, d neighbor glues, d neighbor messages) to a
     probability distribution over the next occupant; for every input the
-    probabilities sum to one exactly.
+    probabilities sum to one exactly.  It is also the one place where the
+    dynamics run a message rule and check its output (`rule_output`,
+    `posts`), shared by the mesh and the model dynamics through `law_for`.
     """
 
     def __init__(self, model: AgentModel):
         self.model = model
         self._cache: dict = {}
         self._lookups: dict = {}
+        self._posts: dict = {}
+        #: type without a rule -> the pairs it posts whatever it hears
+        self.fixed_posts = {name: tuple((g, None) for g in t.glues)
+                            for name, t in model.types.items() if t.rule is None}
+        #: no detachment and no rule: an occupant never changes state nor
+        #: varies its posts
+        self.static = not model.kinetics.detach and len(self.fixed_posts) == len(model.types)
 
     def bond_total(self, type_name: str, glues: Sequence[Optional[str]]) -> int:
         t = self.model.types[type_name]
@@ -306,11 +329,39 @@ class TransitionLaw:
             if self.bond_total(name, glues) >= tau
         )
 
-    def _detach_intent(self, type_name: str, glues, messages) -> bool:
-        rule = self.model.types[type_name].rule
-        if rule is None:
-            return False
-        return message_rule(rule)(type_name, tuple(glues), tuple(messages), None).detach
+    def rule_output(self, name: str, glues: tuple, messages: tuple,
+                    my_id: Optional[int]) -> RuleOutput:
+        """Run the rule of type `name` (which must have one) once, with its
+        messages as a tuple; MessageBoundError unless it emits d messages
+        from the declared alphabet."""
+        model = self.model
+        rule = model.types[name].rule
+        result = message_rule(rule)(name, glues, messages, my_id)
+        out = tuple(result.messages)
+        if len(out) != model.d:
+            raise MessageBoundError(f"rule {rule!r} emitted {len(out)} messages; "
+                                    f"expected {model.d}")
+        for sym in out:
+            if sym is not None and sym not in model.messages:
+                raise MessageBoundError(f"rule {rule!r} emitted {sym!r}, "
+                                        "not in the declared message alphabet")
+        return RuleOutput(out, result.detach)
+
+    def posts(self, name: str, glues: tuple, messages: tuple,
+              my_id: Optional[int]) -> tuple:
+        """The (glue, message) pairs an agent of type `name` posts per side
+        after hearing (glues, messages).  Rules are memoryless, so with
+        my_id None (always, without use_ids) they are memoized per input."""
+        pairs = self.fixed_posts.get(name)
+        if pairs is None:
+            key = (name, glues, messages)
+            pairs = self._posts.get(key) if my_id is None else None
+            if pairs is None:
+                pairs = tuple(zip(self.model.types[name].glues,
+                                  self.rule_output(name, glues, messages, my_id).messages))
+                if my_id is None:
+                    self._posts[key] = pairs
+        return pairs
 
     def distribution(self, occupant: Optional[str], glues, messages) -> dict:
         """Exact next-occupant distribution for one cell; keys are agent
@@ -333,7 +384,9 @@ class TransitionLaw:
             if occupant not in self.model.types:
                 raise KeyError(f"unknown occupant type {occupant!r}")
             unstable = self.bond_total(occupant, glues) < self.model.temperature
-            if kin.detach and (unstable or self._detach_intent(occupant, glues, messages)):
+            if kin.detach and (unstable or (
+                    self.model.types[occupant].rule is not None
+                    and self.rule_output(occupant, glues, messages, None).detach)):
                 return {occupant: 1.0 - kin.p_off, None: kin.p_off}
             return {occupant: 1.0}
         stable = self.candidates(glues)
@@ -456,34 +509,13 @@ def _inputs(state: SurfaceState, model: AgentModel, neighbors: tuple):
     return tuple(glues), tuple(msgs)
 
 
-def _posts(model: AgentModel, name: str, glues: tuple, msgs: tuple,
-           my_id: Optional[int]) -> Optional[tuple]:
-    """The messages an agent of type `name` posts per side after hearing
-    (glues, msgs); None for a type without a rule, which posts none."""
-    rule_name = model.types[name].rule
-    if rule_name is None:
-        return None
-    result = message_rule(rule_name)(name, glues, msgs, my_id)
-    if len(result.messages) != model.d:
-        raise ValueError(f"rule {rule_name!r} emitted {len(result.messages)} messages; "
-                         f"expected {model.d}")
-    for sym in result.messages:
-        if sym is not None and sym not in model.messages:
-            raise ValueError(f"rule {rule_name!r} emitted {sym!r}, "
-                             "not in the declared message alphabet")
-    return tuple(result.messages)
-
-
 def _round0_posts(model: AgentModel, occupancy: Mapping[Point, str],
                   ids: Mapping[Point, int]) -> dict:
     """Round-0 posts: every occupant's rule hears empty inputs."""
+    law = law_for(model)
     silent = (None,) * model.d
-    out = {}
-    for v, name in occupancy.items():
-        posts = _posts(model, name, silent, silent, ids.get(v))
-        if posts is not None:
-            out[v] = posts
-    return out
+    return {v: law.rule_output(name, silent, silent, ids.get(v)).messages
+            for v, name in occupancy.items() if model.types[name].rule is not None}
 
 
 def nucleation_sites(model: AgentModel, keys: dict, seed: int, occupied) -> list:
@@ -553,9 +585,8 @@ def model_step(state: SurfaceState, model: AgentModel, seed: int) -> SurfaceStat
             if model.use_ids:
                 ids[v] = next_id
                 next_id += 1
-        out = _posts(model, new, glues, msgs, ids.get(v))
-        if out is not None:
-            posts[v] = out
+        if model.types[new].rule is not None:
+            posts[v] = law.rule_output(new, glues, msgs, ids.get(v)).messages
     return SurfaceState(occupancy, window, posts, ids, stage=r, next_id=next_id)
 
 

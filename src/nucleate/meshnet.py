@@ -9,7 +9,10 @@ snapshot, so no partial-round interleaving is representable.
 
 Processors that hear nothing do nothing: an EMPTY processor stays EMPTY and
 an occupied one keeps re-posting its pairs.  Everything else samples the
-model's one-round transition law.  Per-processor randomness is derived from
+model's one-round transition law.  An occupant posts the pairs that the
+same law object gives for its inputs (`TransitionLaw.posts`, shared with the
+model dynamics), which checks every rule output against the model's declared
+bounds.  Per-processor randomness is derived from
 (master seed, coordinates, round), and each update reads only its own
 inputs and state, so a round's outcome does not depend on the order in
 which processors are evaluated.
@@ -22,15 +25,18 @@ same state, and last saw a forced law, so it would draw nothing, keep its
 state and, since rules are memoryless and an occupant keeps its id, post the
 same pairs; the skip changes no state, trace, id or buffer.  With no
 detachment and no message rules, occupants never change and post fixed
-pairs, so only EMPTY processors are ever re-evaluated (the static regime).
+pairs, so only EMPTY processors are ever re-evaluated (the static regime,
+`TransitionLaw.static`).
 """
 
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple, Optional
 
-from .agents import (AgentModel, TransitionLaw, law_for, message_rule, neighbor_table,
-                     nucleation_sites, pick)
+from .agents import AgentModel, TransitionLaw, law_for, neighbor_table, nucleation_sites, pick
+# perfbench/tracer.py wraps this module's message_rule binding by name; the
+# rules run in TransitionLaw.rule_output.
+from .agents import message_rule  # noqa: F401
 from .coloring import Coloring
 from .lattice import Mesh, Point
 # perfbench/tracer.py wraps this module's derive_seed and derived_rng
@@ -39,19 +45,12 @@ from .rng import derive_seed, derived_rng  # noqa: F401
 from .rng import drawer, window_keys
 from .tiles import Configuration
 
-#: What a processor posts per side: (glue label or None, message or None).
-Pair = tuple[Optional[str], Optional[str]]
-
 
 class TraceEvent(NamedTuple):
     round: int
     coordinates: Point
     old: Optional[str]
     new: Optional[str]
-
-
-class MessageBoundError(AssertionError):
-    """A posted payload escaped the model's declared finite sets."""
 
 
 @dataclass(frozen=True)
@@ -89,21 +88,12 @@ class _Setup(NamedTuple):
     table: dict  # neighbor_table(mesh)
     law: TransitionLaw
     keys: dict  # window_keys(k, side): the cells' rng key bytes
-    # No detachment and no message rule, so an occupied processor can
-    # never change state nor vary its posts.
-    static: bool
-    silent_posts: dict  # type without a rule -> its fixed pairs
 
 
 @lru_cache(maxsize=32)
 def _setup(model: AgentModel, side: int) -> _Setup:
     mesh = Mesh(model.k, side)
-    static = (not model.kinetics.detach) and all(
-        t.rule is None for t in model.types.values())
-    silent_posts = {name: tuple((g, None) for g in t.glues)
-                    for name, t in model.types.items() if t.rule is None}
-    return _Setup(mesh, neighbor_table(mesh), law_for(model), window_keys(model.k, side),
-                  static, silent_posts)
+    return _Setup(mesh, neighbor_table(mesh), law_for(model), window_keys(model.k, side))
 
 
 class MeshNetwork:
@@ -126,8 +116,7 @@ class MeshNetwork:
         self._table = setup.table
         self._keys = setup.keys
         self._started = False
-        self._static_occupants = setup.static
-        self._silent_posts = setup.silent_posts
+        self._static_occupants = setup.law.static
         # The processors the next round evaluates.  Static regime: EMPTY
         # ones only, plus the cells that entered last round, whose inputs
         # it drops.  General regime: the next round first adds the
@@ -135,9 +124,6 @@ class MeshNetwork:
         self._pending: set = set()
         self._entered: list = []
         self._posted: list = []
-        # Rules are memoryless, so without ids a rule type's posts depend
-        # only on its inputs.
-        self._post_memo: Optional[dict] = None if model.use_ids else {}
 
     # -- round 0 -------------------------------------------------------
 
@@ -177,32 +163,7 @@ class MeshNetwork:
 
     def _post(self, v: Point, name: str, glues_in: tuple, msgs_in: tuple) -> tuple:
         """Pairs an agent posts on each side: its glue plus its rule's message."""
-        pairs = self._silent_posts.get(name)
-        if pairs is not None:
-            return pairs
-        memo = self._post_memo
-        if memo is None:
-            return self._rule_posts(name, glues_in, msgs_in, self.ids.get(v))
-        key = (name, glues_in, msgs_in)
-        pairs = memo.get(key)
-        if pairs is None:
-            pairs = memo[key] = self._rule_posts(name, glues_in, msgs_in, None)
-        return pairs
-
-    def _rule_posts(self, name: str, glues_in: tuple, msgs_in: tuple,
-                    my_id: Optional[int]) -> tuple:
-        """Run the type's rule and check its messages against the model's bounds."""
-        model = self.model
-        t = model.types[name]
-        result = message_rule(t.rule)(name, glues_in, msgs_in, my_id)
-        msgs_out = tuple(result.messages)
-        if len(msgs_out) != model.d:
-            raise MessageBoundError(
-                f"rule {t.rule!r} emitted {len(msgs_out)} messages, expected {model.d}")
-        for msg in msgs_out:
-            if msg is not None and msg not in model.messages:
-                raise MessageBoundError(f"message {msg!r} escapes the declared alphabet")
-        return tuple(zip(t.glues, msgs_out))
+        return self.law.posts(name, glues_in, msgs_in, self.ids.get(v))
 
     # -- rounds >= 1 ---------------------------------------------------
 
@@ -243,6 +204,7 @@ class MeshNetwork:
             inputs[v] = tuple(slot)
 
         law = self.law
+        fixed_posts = law.fixed_posts
         draw = drawer(self.master_seed, self._keys, r)
         # every posted message is None: no type has a rule
         msgs = (None,) * d
@@ -261,7 +223,7 @@ class MeshNetwork:
                 if self.trace is not None:
                     self.trace.append(TraceEvent(r, v, None, new))
                 self._enter(v, new)
-                outputs[v] = self._silent_posts[new]
+                outputs[v] = fixed_posts[new]
                 entered.append(v)
         pending |= self._empty_neighbors(entered)
         self._pending = pending

@@ -317,6 +317,35 @@ def test_experiment_cli_model_file(capsys):
     assert report["trials"] == 5
 
 
+#: One agent whose `ping` rule posts "p" although the model declares no
+#: message alphabet; its seed cell posts at round 0.
+OFF_ALPHABET = {
+    "name": "off-alphabet",
+    "agents": [{"name": "a", "color": 1, "glues": ["g"] * 4, "rule": "ping"}],
+    "rules": [{"a": "g", "b": "g", "strength": 1}],
+    "temperature": 1,
+    "pi_nu": 0,
+    "seed": [{"x": 0, "y": 0, "agent": "a"}],
+}
+
+
+@pytest.mark.parametrize("command", [
+    ["meshsim", "--size", "4", "--rounds", "2"],
+    ["experiment", "--sizes", "4", "--rounds", "2", "--trials", "2"],
+    ["fidelity", "--size", "2", "--samples", "10"],
+])
+def test_a_rule_leaving_its_alphabet_is_a_validation_error(tmp_path, command):
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps(OFF_ALPHABET))
+    env = dict(os.environ, PYTHONPATH=str(Path(nucleate.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-m", "nucleate.cli", *command,
+                           "--model", str(model), "--out", str(tmp_path / "out")],
+                          env=env, capture_output=True, text=True)
+    assert done.returncode == 2
+    assert done.stderr == ("error: rule 'ping' emitted 'p', "
+                           "not in the declared message alphabet\n")
+
+
 def test_lint_model_clean(capsys):
     assert main(["lint-model", "--model", TSTAR]) == 0
     report = json.loads(capsys.readouterr().out)

@@ -1,9 +1,11 @@
 import pytest
 
 from nucleate.agents import (AgentModel, AgentType, BindingRules, Kinetics,
-                             RuleOutput, register_rule)
+                             MessageBoundError, RuleOutput, initial_state, law_for,
+                             model_step, nucleate, register_rule)
 from nucleate.coloring import check_weak_coloring
-from nucleate.meshnet import AccessProbe, MeshNetwork, MessageBoundError
+from nucleate.lattice import Mesh
+from nucleate.meshnet import AccessProbe, MeshNetwork
 from nucleate.rng import derive_seed
 from nucleate.systems import checkerboard_tileset, fidelity_model
 from nucleate.agents import embed_tile_system
@@ -271,6 +273,51 @@ def test_message_bound_is_enforced():
     net = MeshNetwork(model, 2, master_seed=0)
     with pytest.raises(MessageBoundError):
         net.init_round0()
+
+
+@register_rule("one-short")
+def one_short(agent, glues, messages, my_id=None):
+    return RuleOutput((None,) * (len(glues) - 1))
+
+
+@pytest.mark.parametrize("rule, match", [("loud", "emitted 'offalphabet'"),
+                                         ("one-short", "emitted 3 messages; expected 4")])
+def test_both_dynamics_check_each_post_against_the_bounds(rule, match):
+    bad = AgentType("a", ("g",) * 4, color=1, rule=rule)
+    # round 0: every cell wakes as the rule type
+    woken = AgentModel(types={"a": bad}, rules=BindingRules({}), temperature=1,
+                       pi_nu=1.0, messages=("p",))
+    with pytest.raises(MessageBoundError, match=match):
+        nucleate(initial_state(woken, Mesh(2, 2)), woken, 0)
+    with pytest.raises(MessageBoundError, match=match):
+        MeshNetwork(woken, 2).init_round0()
+    # round 1: the seed runs no rule, and only the rule type binds beside it
+    seeded = AgentModel(types={"q": AgentType("q", ("h",) * 4, color=2), "a": bad},
+                        rules=BindingRules({("g", "h"): 1}), temperature=1,
+                        seed={(0, 0): "q"}, messages=("p",))
+    with pytest.raises(MessageBoundError, match=match):
+        model_step(initial_state(seeded, Mesh(2, 2)), seeded, 0)
+    net = MeshNetwork(seeded, 2)
+    net.init_round0()
+    with pytest.raises(MessageBoundError, match=match):
+        net.run_round()
+
+
+def test_use_ids_detach_intent_is_read_without_the_id():
+    # the law is a memoized function of (occupant, glues, messages), so it
+    # reads a rule's detach intent with my_id None; posts get the real id
+    from support import tally_rule
+    model = AgentModel(types={"a": AgentType("a", ("g",) * 4, color=1, rule="tally")},
+                       rules=BindingRules({("g", "g"): 1}), temperature=1,
+                       kinetics=Kinetics(lambda_on=1.0, detach=True, p_off=0.5),
+                       messages=("p", "q"), use_ids=True)
+    law = law_for(model)
+    glues, msgs = ("g", None, None, None), ("p", None, None, None)
+    assert tally_rule("a", glues, msgs, my_id=2).detach
+    assert not tally_rule("a", glues, msgs, my_id=None).detach
+    assert law.distribution("a", glues, msgs) == {"a": 1.0}
+    assert law.posts("a", glues, msgs, 1) == (("g", "p"),) * 4
+    assert law.posts("a", glues, msgs, None) == (("g", "q"),) * 4
 
 
 def test_processor_views_track_anatomy():
