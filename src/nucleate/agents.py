@@ -210,7 +210,7 @@ class AgentModel:
     k: int = 2
 
     def __post_init__(self):
-        errors = [d for d in validate_model(self) if d.severity == "error"]
+        errors = [d for d in _structure_diagnostics(self) if d.severity == "error"]
         if errors:
             raise ModelValidationError(errors)
 
@@ -235,7 +235,31 @@ class AgentModel:
 
 
 def validate_model(model: AgentModel, strict: bool = False) -> list[Diagnostic]:
-    """Machine-readable diagnostics; severity "error" makes a model unusable."""
+    """Machine-readable diagnostics; severity "error" makes a model unusable.
+
+    Besides the structure the constructor checks, each rule type is run
+    once through the model's law on silent inputs (no neighbour glue, no
+    message, no id), as a lone seed cell posts at round 0.  An output that
+    leaves the declared bounds there is a `rule-out-of-bounds` error: the
+    model still constructs, but its dynamics stop on that post.
+    """
+    diags = _structure_diagnostics(model, strict)
+    law = law_for(model)
+    silent = (None,) * model.d
+    for name, t in model.types.items():
+        if t.rule is None:
+            continue
+        try:
+            law.rule_output(name, silent, silent, None)
+        except MessageBoundError as e:
+            diags.append(Diagnostic("error", "rule-out-of-bounds", f"agent {name!r}: {e}",
+                                    f"agents.{name}.rule"))
+    return diags
+
+
+def _structure_diagnostics(model: AgentModel, strict: bool = False) -> list[Diagnostic]:
+    """The diagnostics a model is constructed against: every field on its
+    own and their cross-references, without running any rule."""
     diags: list[Diagnostic] = []
 
     def err(code, message, path=""):

@@ -57,18 +57,24 @@ def check_weak_coloring(col: Coloring, mode: str = FULL) -> WeakColoringReport:
     """
     if mode not in (FULL, INDUCED):
         raise ValueError(f"unknown mode {mode!r}")
+    assignment = col.assignment
+    get = assignment.get
+    last = col.mesh.side - 1
+    full = mode == FULL
     violations = []
-    for v in sorted(col.assignment):
-        color = col.assignment[v]
-        nbrs = col.mesh.neighbors(v)
-        if not nbrs:
-            continue  # isolated vertex, exempt
-        colored = [col.assignment[w] for w in nbrs if w in col.assignment]
+    for v in sorted(assignment):
+        color = assignment[v]
+        nbrs = around(v)
+        if min(v) == 0 or max(v) == last:
+            # on the mesh boundary: keep the neighbours inside, in order
+            nbrs = [w for w in nbrs if min(w) >= 0 and max(w) <= last]
+            if not nbrs:
+                continue  # isolated vertex, exempt
+        colored = [c for c in map(get, nbrs) if c is not None]
         if not colored:
-            if mode == FULL:
+            if full:
                 violations.append(v)
-            continue
-        if all(c == color for c in colored):
+        elif colored.count(color) == len(colored):
             violations.append(v)
     coverage = len(col.assignment) == col.mesh.size
     valid = not violations and (coverage or mode == INDUCED)
@@ -85,12 +91,17 @@ def find_monochromatic_plus(col: Coloring) -> list[Point]:
     centers = []
     n = col.mesh.side
     colors = col.assignment
+    get = colors.get
     for v in sorted(colors):
         if min(v) < 1 or max(v) > n - 2:
             continue
         color = colors[v]
-        # an interior vertex has all four neighbors inside the mesh
-        if all(colors.get(w) == color for w in around(v)):
+        # an interior vertex has all four neighbors inside the mesh; the
+        # first one of another color settles it
+        for w in around(v):
+            if get(w) != color:
+                break
+        else:
             centers.append(v)
     return centers
 

@@ -18,17 +18,10 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .lattice import OPPOSITE, Mesh, Point, around
-from .tiles import (
-    AttachableTypes,
-    Configuration,
-    TileAssemblySystem,
-    attachments,
-    bond_total,
-    facing_glues,
-    glues_bind,
-)
-# not called here any more; the benchmark's tracer counts calls through this binding
+from .tiles import AttachableTypes, Configuration, TileAssemblySystem, attachments
+# not called here any more; the benchmark's tracer counts calls through these bindings
 from .lattice import add  # noqa: F401
+from .tiles import glues_bind  # noqa: F401
 
 
 @dataclass(frozen=True, slots=True)
@@ -109,12 +102,9 @@ def run(system: TileAssemblySystem, window: Optional[Mesh] = None,
     temperature = system.temperature
     order = {name: i for i, name in enumerate(tiles)}
     cells: dict[Point, str] = system.seed.cells()
-    attachable = AttachableTypes(tiles, temperature)
+    names_of = AttachableTypes(tiles, temperature).names
+    get = cells.get
     inside = window.contains if window is not None else None
-
-    def empty_neighbors(v: Point) -> list[Point]:
-        return [w for w in around(v)
-                if w not in cells and (inside is None or inside(w))]
 
     candidates = attachments(Configuration(cells, window, system.k), tiles, temperature)
     pairs = sorted((v, order[name], name) for v, names in candidates.items() for name in names)
@@ -128,9 +118,11 @@ def run(system: TileAssemblySystem, window: Optional[Mesh] = None,
         additions.append(Addition(stage, v, name))
         i = bisect_left(pairs, (v,))
         del pairs[i:i + len(candidates.pop(v))]
-        for w in empty_neighbors(v):
+        for w in around(v):
+            if w in cells or (inside is not None and not inside(w)):
+                continue
             old = candidates.get(w, ())
-            names = attachable.names(facing_glues(cells, tiles, w))
+            names = names_of(tuple(map(get, around(w))))
             if names == old:
                 continue
             i = bisect_left(pairs, (w,))
@@ -157,7 +149,7 @@ class DeterminismReport:
     message: str = ""
 
 
-def _replay(seq: AssemblySequence):
+def _replay(seq: AssemblySequence, attachable: AttachableTypes):
     """Validate and replay a sequence; yields per-addition binding data.
 
     Returns (cells, input_sides, in_strength) where input_sides[location]
@@ -168,27 +160,25 @@ def _replay(seq: AssemblySequence):
     system = seq.system
     tiles = system.tiles
     cells = system.seed.cells()
+    get = cells.get
+    bond = attachable.bond
     input_sides: dict[Point, int] = {}
     in_strength: dict[Point, int] = {}
     for a in seq.additions:
-        t = tiles.get(a.tile)
-        if t is None:
+        if a.tile not in tiles:
             raise ValueError(f"addition at {a.location} names undefined tile {a.tile!r}")
         if a.location in cells:
             raise ValueError(f"addition at {a.location} targets an occupied cell")
         if seq.window is not None and not seq.window.contains(a.location):
             raise ValueError(f"addition at {a.location} lies outside the window")
-        facing = facing_glues(cells, tiles, a.location)
-        total = bond_total(t, facing)
+        total, sides = bond(a.tile, tuple(map(get, around(a.location))))
         if total < system.temperature:
             raise ValueError(
                 f"stage {a.stage}: {a.tile!r} at {a.location} binds with strength "
                 f"{total} < temperature {system.temperature}"
             )
         cells[a.location] = a.tile
-        input_sides[a.location] = sum(
-            1 << i for i, g in enumerate(facing) if g is not None and glues_bind(t.glues[i], g) > 0
-        )
+        input_sides[a.location] = sides
         in_strength[a.location] = total
     return cells, input_sides, in_strength
 
@@ -203,8 +193,8 @@ def check_local_determinism(seq: AssemblySequence) -> DeterminismReport:
     """
     system = seq.system
     tiles = system.tiles
-    cells, input_sides, in_strength = _replay(seq)
     attachable = AttachableTypes(tiles, system.temperature)
+    cells, input_sides, in_strength = _replay(seq, attachable)
 
     for a in seq.additions:
         if in_strength[a.location] != system.temperature:
@@ -214,13 +204,14 @@ def check_local_determinism(seq: AssemblySequence) -> DeterminismReport:
                 f"{in_strength[a.location]} != temperature {system.temperature}",
             )
 
+    get = cells.get
+    grown = input_sides.get
     for a in seq.additions:
         m = a.location
-        facing = list(facing_glues(cells, tiles, m))
-        for i, (w, j) in enumerate(zip(around(m), OPPOSITE)):
-            if input_sides.get(w, 0) >> j & 1:
-                facing[i] = None  # w grew off the tile at m: delete it too
-        rival = next((name for name in attachable.names(tuple(facing)) if name != a.tile), None)
+        # a neighbour w that grew off the tile at m is deleted with it
+        key = tuple(None if grown(w, 0) >> j & 1 else get(w)
+                    for w, j in zip(around(m), OPPOSITE))
+        rival = next((name for name in attachable.names(key) if name != a.tile), None)
         if rival is not None:
             return DeterminismReport(
                 False, 2, (m, rival),

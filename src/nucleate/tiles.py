@@ -234,42 +234,58 @@ def is_tau_stable(cfg: Configuration, tiles: Mapping[str, TileType], temperature
     return binding_strength(build_binding_graph(cfg, tiles)) >= temperature
 
 
-def facing_glues(cells, tiles: Mapping[str, TileType], v: Point) -> tuple:
-    """Glue each neighbor of v presents toward v, in canonical direction
-    order; None where the neighbor cell is empty.  `cells` is anything
-    with a mapping's get (a dict of cells or a Configuration)."""
-    get = cells.get
-    out = []
-    for w, side in zip(around(v), OPPOSITE):
-        name = get(w)
-        out.append(None if name is None else tiles[name].glues[side])
-    return tuple(out)
-
-
 def bond_total(t: TileType, facing: tuple) -> int:
     """Total strength with which tile type t binds against facing glues."""
     return sum(glues_bind(own, g) for own, g in zip(t.glues, facing) if g is not None)
 
 
 class AttachableTypes:
-    """Facing-glue tuple -> names of the tile types whose bond total there
-    meets the temperature, in tile order.
+    """Attachability of one (tiles, temperature) pair, keyed by the names
+    around a cell: ``tuple(map(cells.get, around(v)))``, one tile name or
+    None per canonical direction.
 
-    The input domain is finite (one glue or None per side), so answers are
-    memoized; an instance serves one (tiles, temperature) pair.
+    A key is a tuple of strs, so the memo hashes and compares it in C; the
+    glues the neighbours present are read only on a miss, where
+    `bond_total` and `glues_bind` define the answer.
     """
 
     def __init__(self, tiles: Mapping[str, TileType], temperature: int):
         self.tiles = tiles
         self.temperature = temperature
-        self._cache: dict = {}
+        self._names: dict = {}
+        self._bonds: dict = {}
 
-    def names(self, facing: tuple) -> tuple[str, ...]:
-        cached = self._cache.get(facing)
+    def _facing(self, around_names: tuple) -> tuple:
+        """Glue each neighbour presents toward the cell; None where empty."""
+        tiles = self.tiles
+        return tuple(None if name is None else tiles[name].glues[side]
+                     for name, side in zip(around_names, OPPOSITE))
+
+    def names(self, around_names: tuple) -> tuple[str, ...]:
+        """Names of the tile types whose bond total meets the temperature
+        at a cell with these neighbours, in tile order."""
+        cached = self._names.get(around_names)
         if cached is None:
+            facing = self._facing(around_names)
             cached = tuple(name for name, t in self.tiles.items()
                            if bond_total(t, facing) >= self.temperature)
-            self._cache[facing] = cached
+            self._names[around_names] = cached
+        return cached
+
+    def bond(self, name: str, around_names: tuple) -> tuple[int, int]:
+        """(total strength, bitmask of the sides that bind) for tile type
+        `name` at a cell with these neighbours; bit i is direction i."""
+        key = (name, around_names)
+        cached = self._bonds.get(key)
+        if cached is None:
+            own = self.tiles[name].glues
+            total = sides = 0
+            for i, g in enumerate(self._facing(around_names)):
+                s = 0 if g is None else glues_bind(own[i], g)
+                if s > 0:
+                    total += s
+                    sides |= 1 << i
+            cached = self._bonds[key] = (total, sides)
         return cached
 
 
@@ -286,16 +302,18 @@ def attachments(cfg: Configuration, tiles: Mapping[str, TileType],
             raise ValueError("attachments at temperature <= 0 need a window to stay finite")
         names = tuple(tiles)
         return {v: names for v in cfg.window.vertices() if v not in cfg}
-    attachable = AttachableTypes(tiles, temperature)
+    names_of = AttachableTypes(tiles, temperature).names
+    cells = cfg.cells()
+    get = cells.get
     window = cfg.window
     seen = set()
     out: dict[Point, tuple[str, ...]] = {}
-    for v, _ in cfg.items():
+    for v in cells:
         for w in around(v):
-            if w in seen or w in cfg or (window is not None and not window.contains(w)):
+            if w in seen or w in cells or (window is not None and not window.contains(w)):
                 continue
             seen.add(w)
-            names = attachable.names(facing_glues(cfg, tiles, w))
+            names = names_of(tuple(map(get, around(w))))
             if names:
                 out[w] = names
     return out

@@ -66,6 +66,86 @@ def brute_frontier(cfg: Configuration, tiles, temperature: int, t: TileType, win
     return out
 
 
+def literal_bond_sides(cfg: Configuration, tiles, t: TileType, v) -> int:
+    """Bitmask of the directions in which tile type t at v binds: bit i is
+    set when the neighbour's facing glue equals t's own glue there as a
+    (label, strength) pair and that strength is positive."""
+    sides = 0
+    for d in directions(cfg.k):
+        name = cfg.get(add(v, d.vector))
+        if name is None:
+            continue
+        own = t.glue(d.index)
+        if tiles[name].glue(OPPOSITE[d.index]) == own and own.strength > 0:
+            sides |= 1 << d.index
+    return sides
+
+
+def brute_local_determinism(seq) -> tuple:
+    """(passed, failed condition, witness) of the three unique-terminal
+    conditions, recomputed by definition: condition 1 from the literal
+    attachment sums met during a replay, condition 2 from `attachable_at`
+    on the final assembly with the examined tile and the neighbours that
+    grew off it deleted, condition 3 from `brute_frontier`."""
+    system = seq.system
+    tiles, temperature, k = system.tiles, system.temperature, system.k
+    cells = system.seed.cells()
+    strength, sides = {}, {}
+    for a in seq.additions:
+        cfg = Configuration(cells, seq.window, k)
+        strength[a.location] = literal_attachment_sum(cfg, tiles, tiles[a.tile], a.location)
+        sides[a.location] = literal_bond_sides(cfg, tiles, tiles[a.tile], a.location)
+        cells[a.location] = a.tile
+    for a in seq.additions:
+        if strength[a.location] != temperature:
+            return False, 1, (a.location, a.tile)
+    for a in seq.additions:
+        m = a.location
+        deleted = {m}
+        for d in directions(k):
+            w = add(m, d.vector)
+            if sides.get(w, 0) >> OPPOSITE[d.index] & 1:
+                deleted.add(w)
+        rest = Configuration({v: n for v, n in cells.items() if v not in deleted},
+                             seq.window, k)
+        for name, t in tiles.items():
+            if name != a.tile and m in attachable_at(rest, tiles, temperature, t):
+                return False, 2, (m, name)
+    final = Configuration(cells, seq.window, k)
+    frontier = {name: brute_frontier(final, tiles, temperature, t, seq.window)
+                for name, t in tiles.items()}
+    spots = set().union(*frontier.values())
+    if spots:
+        v = min(spots)
+        return False, 3, (v, tuple(name for name in tiles if v in frontier[name]))
+    return True, None, None
+
+
+def literal_weak_coloring(col, mode: str) -> tuple:
+    """(valid, coverage, violations) of a weak-coloring check written from
+    the definition over `Mesh.neighbors`: a colored, non-isolated vertex
+    violates when every colored neighbour shares its color, or, in full
+    mode, when no neighbour is colored."""
+    violations = []
+    for v in sorted(col.assignment):
+        nbrs = col.mesh.neighbors(v)
+        if not nbrs:
+            continue
+        colored = [col.assignment[w] for w in nbrs if w in col.assignment]
+        if (not colored and mode == "full") or (
+                colored and all(c == col.assignment[v] for c in colored)):
+            violations.append(v)
+    coverage = len(col.assignment) == col.mesh.size
+    return not violations and (coverage or mode == "induced"), coverage, tuple(violations)
+
+
+def literal_plus_centers(col) -> list:
+    """Vertices with four mesh neighbours that all carry the vertex's color."""
+    return [v for v in sorted(col.assignment)
+            if len(col.mesh.neighbors(v)) == 4
+            and all(col.assignment.get(w) == col.assignment[v] for w in col.mesh.neighbors(v))]
+
+
 def random_tile_set(rng: random.Random, n_types: int = 5, labels=("a", "b", "c", "g"),
                     k: int = 2) -> dict:
     tiles = {}

@@ -10,9 +10,10 @@ import pytest
 import nucleate
 import support  # noqa: F401  registers the relay rule the pinned relay model runs
 from nucleate.cli import main
-from nucleate.formats import parse_mesh_trace
+from nucleate.formats import parse_mesh_trace, tile_system_document
 from nucleate.experiment import parse_experiment_csv
 from nucleate.systems import shipped_model_path
+from nucleate.tiles import Configuration, TileAssemblySystem, tile
 
 TSTAR = str(shipped_model_path("tstar"))
 FIDELITY = str(shipped_model_path("fidelity2"))
@@ -63,6 +64,14 @@ ASSEMBLE_32_TRACES = {
     2: "d0f4f96cf07802c4235cc82dd9713cf7125a42469c87bc53486c9fd8d4687257",
 }
 ASSEMBLE_32_DETERMINISM = "8411a6807bef3be6c061cfab7397c4648b385e2448c3b22be732b78a03778053"
+#: sha256 of the artifacts that depend only on the terminal assembly, which
+#: tstar makes the same for every seed; taken before attachability was keyed
+#: by neighbour names.
+ASSEMBLE_32_TERMINAL = {
+    "coloring.json": "913eba06994b157014061735be9282d077f32e934d608621bf9269d3f20bc8ca",
+    "coloring_report.json": "d0316deaf042b48174bfa9e5181e20ba89826776e569c28fea13befc763e6998",
+    "snapshot.txt": "7a565ced0672ee9442f63a7ad703cb8dcb43894459df19898ea8f0888c4a3612",
+}
 
 
 @pytest.mark.parametrize("seed", sorted(ASSEMBLE_32_TRACES))
@@ -78,6 +87,28 @@ def test_assemble_bytes_are_pinned(tmp_path, capsys, seed):
 
     assert digest("trace.txt") == ASSEMBLE_32_TRACES[seed]
     assert digest("determinism.json") == ASSEMBLE_32_DETERMINISM
+    assert {name: digest(name) for name in ASSEMBLE_32_TERMINAL} == ASSEMBLE_32_TERMINAL
+
+
+#: sha256 of determinism.json from `assemble` at seed 0 on a 2x2 window of a
+#: seed offering one strength-2 east glue that two types share: condition 2
+#: fails at (1, 0), and the file pins the witness text.
+SHARED_GLUE_DETERMINISM = "9de099ecf03c9c97bac8e970b3ad1e8c45bf00c4dabd5f66d7c4d822eca6983a"
+
+
+def test_failing_determinism_report_is_pinned(tmp_path, capsys):
+    e = ("", 0)
+    tiles = {"seed": tile("seed", 1, e, e, ("g", 2), e)}
+    for name in ("t0", "t1"):
+        tiles[name] = tile(name, 2, ("g", 2), e, e, e)
+    system = TileAssemblySystem(tiles, Configuration({(0, 0): "seed"}), 2)
+    model = tmp_path / "shared.json"
+    model.write_text(json.dumps(tile_system_document(system)))
+    code = main(["assemble", "--model", str(model), "--size", "2", "--seed", "0",
+                 "--check-determinism", "--out", str(tmp_path / "out")])
+    capsys.readouterr()
+    assert code == 1
+    assert _sha256(tmp_path / "out" / "determinism.json") == SHARED_GLUE_DETERMINISM
 
 
 def test_assemble_missing_file():
@@ -344,6 +375,24 @@ def test_a_rule_leaving_its_alphabet_is_a_validation_error(tmp_path, command):
     assert done.returncode == 2
     assert done.stderr == ("error: rule 'ping' emitted 'p', "
                            "not in the declared message alphabet\n")
+
+
+def test_lint_model_flags_a_rule_leaving_its_alphabet(tmp_path, capsys):
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(OFF_ALPHABET))
+    assert main(["lint-model", "--model", str(path)]) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert [(d["severity"], d["code"]) for d in report["diagnostics"]] == [
+        ("error", "rule-out-of-bounds")]
+    assert "emitted 'p'" in report["diagnostics"][0]["message"]
+
+
+@pytest.mark.parametrize("doc", [PING3D, RELAY_IDS], ids=["ping3d", "relay-ids"])
+def test_lint_model_passes_rules_that_stay_in_their_alphabet(tmp_path, capsys, doc):
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(doc))
+    assert main(["lint-model", "--model", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out)["diagnostics"] == []
 
 
 def test_lint_model_clean(capsys):

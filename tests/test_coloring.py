@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -11,6 +12,8 @@ from nucleate.coloring import (
     report_document,
 )
 from nucleate.lattice import Mesh
+
+from support import literal_plus_centers, literal_weak_coloring
 
 
 def grid_coloring(side, fn, c=2):
@@ -150,6 +153,28 @@ def test_checker_touches_only_neighbors():
         for w in mesh.neighbors(v):
             burst.add(next(it))
         assert burst <= allowed[v]
+
+
+@pytest.mark.parametrize("k", [2, 3])
+@pytest.mark.parametrize("side", range(1, 7))
+def test_checks_match_the_neighbors_oracle_on_random_partial_colorings(k, side):
+    # side 1 is the isolated vertex; fills from sparse to full, 1..3 colors
+    mesh = Mesh(k, side)
+    rng = random.Random(100 * k + side)
+    for _ in range(40):
+        c = rng.randint(1, 3)
+        fill = rng.choice([0.2, 0.5, 0.9, 1.0])
+        col = Coloring({v: rng.randint(1, c) for v in mesh.vertices() if rng.random() < fill},
+                       mesh, c)
+        for mode in (FULL, INDUCED):
+            report = check_weak_coloring(col, mode)
+            assert (report.valid, report.coverage_complete, report.violations) == \
+                literal_weak_coloring(col, mode)
+        if k == 2:
+            assert find_monochromatic_plus(col) == literal_plus_centers(col)
+        else:
+            with pytest.raises(ValueError):
+                find_monochromatic_plus(col)
 
 
 def test_report_document_caps_violations():

@@ -17,7 +17,7 @@ from nucleate.lattice import Mesh
 from nucleate.systems import checkerboard_tileset
 from nucleate.tiles import Configuration, TileAssemblySystem, attachments, is_tau_stable, tile
 
-from support import random_tile_set
+from support import brute_local_determinism, random_tile_set
 
 E = ("", 0)
 
@@ -196,6 +196,30 @@ def test_seed_only_empty_frontier_passes():
     system = single_glue_system(n_competitors=0)
     result = run(system, Mesh(2, 3), master_seed=0)
     assert check_local_determinism(result.sequence).passed
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_local_determinism_matches_the_brute_force_conditions(k):
+    # random small systems, grown to the end or cut short; one glue label
+    # in half of them makes strength the only difference between glues
+    seen = {}
+    for s in range(400):
+        rng = random.Random(1000 * k + s)
+        labels = ("g",) if s % 2 else ("g", "h")
+        tiles = random_tile_set(rng, n_types=rng.randint(2, 6), labels=labels, k=k)
+        system = TileAssemblySystem(tiles, Configuration({(1,) * k: "t0"}),
+                                    rng.randint(1, 2))
+        window = Mesh(k, 4 if k == 2 else 3)
+        max_stages = rng.choice([None, None, rng.randint(1, 6)])
+        seq = run(system, window, master_seed=s, max_stages=max_stages).sequence
+        report = check_local_determinism(seq)
+        got = (report.passed, report.failed_condition, report.witness)
+        assert got == brute_local_determinism(seq)
+        verdict = (report.failed_condition, len(seq.additions) > 0)
+        seen[verdict] = seen.get(verdict, 0) + 1
+    # every verdict occurs, and passes include grown assemblies
+    for verdict in ((None, True), (1, True), (2, True), (3, True)):
+        assert seen.get(verdict, 0) >= 3, seen
 
 
 def test_terminal_assemblies_equal():

@@ -256,11 +256,27 @@ def test_detect_kind():
 def test_lint_document_collects_diagnostics():
     assert lint_document(shipped_model_path("tstar")) == []
     assert lint_document(shipped_model_path("fidelity2")) == []
+    assert lint_document(shipped_model_path("checkerboard_local")) == []
     broken = {"agents": [{"name": "a", "glues": ["g", "g", "g", "g"]}],
               "rules": [{"a": "g", "b": "zz", "strength": 1}],
               "temperature": 1}
     diags = lint_document(broken)
     assert any(d.code == "dangling-rule" for d in diags)
+
+
+def test_a_rule_leaving_its_alphabet_on_its_first_post_is_an_error():
+    # a lone seed cell posts its rule's output on silent inputs at round 0
+    doc = {"agents": [{"name": "a", "color": 1, "glues": ["g"] * 4, "rule": "ping"}],
+           "rules": [{"a": "g", "b": "g", "strength": 1}],
+           "temperature": 1, "pi_nu": 0, "seed": [{"x": 0, "y": 0, "agent": "a"}]}
+    load_agent_model(doc)  # the model constructs; only its dynamics stop
+    diags = lint_document(doc)
+    assert [(d.severity, d.code, d.path) for d in diags] == [
+        ("error", "rule-out-of-bounds", "agents.a.rule")]
+    assert diags[0].message == ("agent 'a': rule 'ping' emitted 'p', "
+                                "not in the declared message alphabet")
+    doc["messages"] = ["p"]
+    assert lint_document(doc) == []
 
 
 def test_ascii_snapshot_layout():

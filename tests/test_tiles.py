@@ -3,10 +3,11 @@ import random
 import warnings
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from nucleate.lattice import Mesh
+from nucleate.lattice import Mesh, around
 from nucleate.tiles import (
+    AttachableTypes,
     BindingGraph,
     Configuration,
     Glue,
@@ -19,7 +20,7 @@ from nucleate.tiles import (
     tile,
 )
 from support import attachable_at, brute_frontier, exhaustive_binding_strength, \
-    literal_attachment_sum, random_configuration, random_tile_set
+    literal_attachment_sum, literal_bond_sides, random_configuration, random_tile_set
 
 E = ("", 0)
 
@@ -182,6 +183,37 @@ def test_frontier_matches_brute_force():
         for t in tiles.values():
             assert attachable_at(cfg, tiles, temperature, t) == \
                 brute_frontier(cfg, tiles, temperature, t, window)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from([2, 3]), st.integers(1, 4),
+       st.floats(0.1, 0.9))
+def test_name_keyed_attachability_matches_the_literal_sums(seed, k, temperature, fill):
+    # one label at strengths 1 and 2 and at strength 0: Glue equality needs
+    # both label and strength, and strength 0 never binds
+    rng = random.Random(seed)
+    tiles = random_tile_set(rng, n_types=4, labels=("a", "b"), k=k)
+    for name, strength in (("a1", 1), ("a2", 2), ("a0", 0)):
+        tiles[name] = tile(name, 1, *[("a", strength)] * (2 * k))
+    window = Mesh(k, 5 if k == 2 else 3)
+    cfg = random_configuration(rng, tiles, window, fill)
+    attachable = AttachableTypes(tiles, temperature)
+    offered = {name: set() for name in tiles}
+    for v in window.vertices():
+        key = tuple(map(cfg.get, around(v)))
+        for name, t in tiles.items():
+            total, sides = attachable.bond(name, key)
+            assert total == literal_attachment_sum(cfg, tiles, t, v)
+            assert sides == literal_bond_sides(cfg, tiles, t, v)
+        if v not in cfg:
+            names = attachable.names(key)
+            assert names == tuple(name for name, t in tiles.items()
+                                  if literal_attachment_sum(cfg, tiles, t, v) >= temperature)
+            for name in names:
+                offered[name].add(v)
+    for name, t in tiles.items():
+        assert offered[name] == attachable_at(cfg, tiles, temperature, t) \
+            == brute_frontier(cfg, tiles, temperature, t, window)
 
 
 def test_frontier_never_overlaps_domain():
