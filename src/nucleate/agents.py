@@ -33,7 +33,7 @@ from functools import lru_cache
 from typing import Callable, Mapping, NamedTuple, Optional, Sequence
 from weakref import WeakKeyDictionary
 
-from .lattice import OPPOSITE, Mesh, Point, around
+from .lattice import OPPOSITE, Mesh, Point, directions
 # perfbench/tracer.py counts calls through this module's add binding by name.
 from .lattice import add  # noqa: F401
 # perfbench/tracer.py wraps this module's derive_seed binding by name; the
@@ -41,6 +41,26 @@ from .lattice import add  # noqa: F401
 from .rng import derive_seed  # noqa: F401
 from .rng import drawer, wakeups, window_keys
 from .tiles import TileAssemblySystem
+
+
+@lru_cache(maxsize=32)
+def neighbor_rows(k: int, side: int) -> dict:
+    """window vertex -> its 2k neighbors in canonical direction order, each
+    the in-window neighbor or None off the window.
+
+    Built by index arithmetic over the lexicographic vertex order of
+    `window_keys(k, side)`, so every entry is one of that dict's own vertex
+    tuples and no point is built twice.  Cached and shared, so callers must
+    not mutate it."""
+    vertices = list(window_keys(k, side))
+    steps = []  # (axis, unit step, index step) per direction
+    for d in directions(k):
+        axis = next(a for a, c in enumerate(d.vector) if c)
+        unit = d.vector[axis]
+        steps.append((axis, unit, unit * side ** (k - 1 - axis)))
+    return {v: tuple([vertices[n + step] if 0 <= v[axis] + unit < side else None
+                      for axis, unit, step in steps])
+            for n, v in enumerate(vertices)}
 
 
 def neighbor_table(window: Mesh) -> dict:
@@ -51,11 +71,9 @@ def neighbor_table(window: Mesh) -> dict:
 
 @lru_cache(maxsize=32)
 def _neighbor_table(k: int, side: int) -> dict:
-    # keyed by the vertex tuples of the window's rng keys, so both caches
-    # share them
-    return {v: tuple((i, w, OPPOSITE[i]) for i, w in enumerate(around(v))
-                     if min(w) >= 0 and max(w) < side)
-            for v in window_keys(k, side)}
+    # derived from the rows on first use, so it shares their vertex tuples
+    return {v: tuple([(i, w, OPPOSITE[i]) for i, w in enumerate(row) if w is not None])
+            for v, row in neighbor_rows(k, side).items()}
 
 
 MAX_SYMBOL_LENGTH = 8
@@ -326,19 +344,41 @@ class TransitionLaw:
     probabilities sum to one exactly.  It is also the one place where the
     dynamics run a message rule and check its output (`rule_output`,
     `posts`), shared by the mesh and the model dynamics through `law_for`.
+
+    The mesh rounds read the law through post ids: every posted pairs
+    tuple is interned to a small int (`post_id`), and a processor's *key*
+    is the tuple of post ids its neighbors hold in canonical direction
+    order, None where a neighbor posts nothing or lies off the mesh.
+    `slot`, `step` and `keyed_post` answer per key from the memos `slots`,
+    `steps` and `keyed_posts`, which the rounds read directly; on a miss
+    they read `lookup` and `posts`, which stay the definitions.
     """
 
     def __init__(self, model: AgentModel):
         self.model = model
         self._cache: dict = {}
         self._lookups: dict = {}
-        self._posts: dict = {}
+        self._post_ids: dict = {}
+        #: post id -> the pairs tuple it stands for
+        self.pairs_of: list = []
+        #: key -> slot(key); (occupant, key) -> step(occupant, key);
+        #: (type, key) -> keyed_post(type, key)
+        self.slots: dict = {}
+        self.steps: dict = {}
+        self.keyed_posts: dict = {}
         #: type without a rule -> the pairs it posts whatever it hears
         self.fixed_posts = {name: tuple((g, None) for g in t.glues)
                             for name, t in model.types.items() if t.rule is None}
+        #: type without a rule -> (its fixed pairs, their post id)
+        self.fixed_keyed = {name: (pairs, self.post_id(pairs))
+                            for name, pairs in self.fixed_posts.items()}
+        #: the types with a rule, and the occupants that can neither detach
+        #: nor vary their posts
+        self.ruled = frozenset(model.types.keys() - self.fixed_posts.keys())
+        self.inert = frozenset() if model.kinetics.detach else frozenset(self.fixed_posts)
         #: no detachment and no rule: an occupant never changes state nor
         #: varies its posts
-        self.static = not model.kinetics.detach and len(self.fixed_posts) == len(model.types)
+        self.static = not model.kinetics.detach and not self.ruled
 
     def bond_total(self, type_name: str, glues: Sequence[Optional[str]]) -> int:
         t = self.model.types[type_name]
@@ -374,18 +414,57 @@ class TransitionLaw:
     def posts(self, name: str, glues: tuple, messages: tuple,
               my_id: Optional[int]) -> tuple:
         """The (glue, message) pairs an agent of type `name` posts per side
-        after hearing (glues, messages).  Rules are memoryless, so with
-        my_id None (always, without use_ids) they are memoized per input."""
+        after hearing (glues, messages)."""
         pairs = self.fixed_posts.get(name)
         if pairs is None:
-            key = (name, glues, messages)
-            pairs = self._posts.get(key) if my_id is None else None
-            if pairs is None:
-                pairs = tuple(zip(self.model.types[name].glues,
-                                  self.rule_output(name, glues, messages, my_id).messages))
-                if my_id is None:
-                    self._posts[key] = pairs
+            pairs = tuple(zip(self.model.types[name].glues,
+                              self.rule_output(name, glues, messages, my_id).messages))
         return pairs
+
+    def post_id(self, pairs: tuple) -> int:
+        """The small int that stands for a posted pairs tuple; equal tuples
+        get one id, in order of first post."""
+        pid = self._post_ids.get(pairs)
+        if pid is None:
+            pid = self._post_ids[pairs] = len(self.pairs_of)
+            self.pairs_of.append(pairs)
+        return pid
+
+    def slot(self, key: tuple) -> tuple:
+        """What a processor hears when its neighbors hold the post ids
+        `key`: per side i, the pair that neighbor posts on its side
+        OPPOSITE[i] facing back, or None.  Memoized in `slots`."""
+        slot = self.slots.get(key)
+        if slot is None:
+            pairs_of = self.pairs_of
+            slot = self.slots[key] = tuple([None if p is None else pairs_of[p][OPPOSITE[i]]
+                                            for i, p in enumerate(key)])
+        return slot
+
+    def heard(self, key: tuple) -> tuple:
+        """(glues, messages) of `slot(key)`: per side, the heard glue label
+        and message, or None."""
+        slot = self.slot(key)
+        return (tuple([None if pair is None else pair[0] for pair in slot]),
+                tuple([None if pair is None else pair[1] for pair in slot]))
+
+    def step(self, occupant: Optional[str], key: tuple) -> tuple:
+        """`lookup` of this occupant at the inputs heard from `key`.
+        Memoized in `steps`."""
+        entry = self.steps.get((occupant, key))
+        if entry is None:
+            entry = self.steps[(occupant, key)] = self.lookup(occupant, *self.heard(key))
+        return entry
+
+    def keyed_post(self, name: str, key: tuple) -> tuple:
+        """(pairs, post id) of `posts(name, glues, messages, None)` at the
+        inputs heard from `key`.  Memoized in `keyed_posts`; the rule runs
+        on a miss only."""
+        entry = self.keyed_posts.get((name, key))
+        if entry is None:
+            pairs = self.posts(name, *self.heard(key), None)
+            entry = self.keyed_posts[(name, key)] = (pairs, self.post_id(pairs))
+        return entry
 
     def distribution(self, occupant: Optional[str], glues, messages) -> dict:
         """Exact next-occupant distribution for one cell; keys are agent

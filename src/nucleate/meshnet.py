@@ -17,6 +17,17 @@ bounds.  Per-processor randomness is derived from
 inputs and state, so a round's outcome does not depend on the order in
 which processors are evaluated.
 
+A processor hears its neighbors through post ids.  The law interns every
+posted pairs tuple to a small int (`TransitionLaw.post_id`), the network
+keeps each occupant's id next to its pairs, and `neighbor_rows` lists each
+processor's 2k neighbors in canonical direction order (None off the mesh)
+as the window's own vertex tuples.  A round first reads every evaluated
+processor's key, the tuple of post ids along its row, before any update;
+its delivered inputs, its law entry and its posts are then memo hits keyed
+by that key (`TransitionLaw.slot`, `step`, `keyed_post`).  The model
+dynamics (`agents.model_step`) keep their own delivery over
+`neighbor_table`, so the two codings check each other.
+
 Rounds are event-driven: a processor is re-evaluated only when a neighbor's
 posts changed last round (it entered, detached, or its rule posted different
 pairs), when its own state changed, or when its last law was unforced.  Any
@@ -31,9 +42,10 @@ pairs, so only EMPTY processors are ever re-evaluated (the static regime,
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import chain
 from typing import NamedTuple, Optional
 
-from .agents import AgentModel, TransitionLaw, law_for, neighbor_table, nucleation_sites, pick
+from .agents import AgentModel, TransitionLaw, law_for, neighbor_rows, nucleation_sites, pick
 # perfbench/tracer.py wraps this module's message_rule binding by name; the
 # rules run in TransitionLaw.rule_output.
 from .agents import message_rule  # noqa: F401
@@ -73,6 +85,14 @@ class AccessProbe:
     def log(self, reader: Point, source: Point) -> None:
         self.reads.append((reader, source))
 
+    def log_key(self, reader: Point, row: tuple, key: tuple) -> None:
+        """Log a round's reads by `reader`: each neighbor in its row whose
+        post id it read in `key` (None: no post there), then its own state."""
+        for source, pid in zip(row, key):
+            if pid is not None:
+                self.log(reader, source)
+        self.log(reader, reader)
+
     def violations(self, mesh: Mesh) -> list[tuple[Point, Point]]:
         out = []
         for reader, source in self.reads:
@@ -85,15 +105,15 @@ class _Setup(NamedTuple):
     """What every network of one model on one side shares."""
 
     mesh: Mesh
-    table: dict  # neighbor_table(mesh)
+    rows: dict  # neighbor_rows(k, side)
     law: TransitionLaw
     keys: dict  # window_keys(k, side): the cells' rng key bytes
 
 
 @lru_cache(maxsize=32)
 def _setup(model: AgentModel, side: int) -> _Setup:
-    mesh = Mesh(model.k, side)
-    return _Setup(mesh, neighbor_table(mesh), law_for(model), window_keys(model.k, side))
+    k = model.k
+    return _Setup(Mesh(k, side), neighbor_rows(k, side), law_for(model), window_keys(k, side))
 
 
 class MeshNetwork:
@@ -109,11 +129,13 @@ class MeshNetwork:
         self.round = 0
         self.states: dict[Point, str] = {}
         self.outputs: dict[Point, tuple] = {}
+        #: v -> law.post_id(outputs[v]), for every occupant
+        self.post_ids: dict[Point, int] = {}
         self.inputs: dict[Point, tuple] = {}
         self.ids: dict[Point, int] = {}
         self.next_id = 0
         self.trace: list[TraceEvent] = [] if record_trace else None
-        self._table = setup.table
+        self._rows = setup.rows
         self._keys = setup.keys
         self._started = False
         self._static_occupants = setup.law.static
@@ -141,9 +163,9 @@ class MeshNetwork:
             self._enter(v, model.seed[v])
         for v, name in nucleation_sites(model, self._keys, self.master_seed, self.states):
             self._enter(v, name)
+        nobody = (None,) * model.d  # the key of a processor that hears nothing
         for v in sorted(self.states):
-            self.outputs[v] = self._post(v, self.states[v],
-                                         (None,) * model.d, (None,) * model.d)
+            self.outputs[v], self.post_ids[v] = self._pairs(v, self.states[v], nobody)
             if self.trace is not None:
                 self.trace.append(TraceEvent(0, v, None, self.states[v]))
         if self._static_occupants:
@@ -152,8 +174,9 @@ class MeshNetwork:
             self._posted = list(self.states)
 
     def _empty_neighbors(self, cells) -> set:
-        table, states = self._table, self.states
-        return {w for v in cells for _, w, _ in table[v] if w not in states}
+        near = set(chain.from_iterable(map(self._rows.__getitem__, cells)))
+        near.discard(None)
+        return near.difference(self.states)
 
     def _enter(self, v: Point, name: str) -> None:
         self.states[v] = name
@@ -161,9 +184,19 @@ class MeshNetwork:
             self.ids[v] = self.next_id
             self.next_id += 1
 
-    def _post(self, v: Point, name: str, glues_in: tuple, msgs_in: tuple) -> tuple:
-        """Pairs an agent posts on each side: its glue plus its rule's message."""
-        return self.law.posts(name, glues_in, msgs_in, self.ids.get(v))
+    def _pairs(self, v: Point, name: str, key: tuple) -> tuple:
+        """(pairs, post id) that an agent of type `name` at v posts after
+        hearing its neighbors' post ids `key`: its glue plus its rule's
+        message on each side."""
+        law = self.law
+        fixed = law.fixed_keyed.get(name)
+        if fixed is not None:
+            return fixed
+        my_id = self.ids.get(v)
+        if my_id is None:
+            return law.keyed_post(name, key)
+        pairs = law.posts(name, *law.heard(key), my_id)
+        return pairs, law.post_id(pairs)
 
     # -- rounds >= 1 ---------------------------------------------------
 
@@ -183,38 +216,29 @@ class MeshNetwork:
 
     def _static_round(self, probe: Optional[AccessProbe]) -> None:
         """A round with no detachment and no rules: occupants never change,
-        so only the pending EMPTY processors are evaluated.  Each pulls its
-        inputs from its occupied neighbors before any of them is updated."""
+        so only the pending EMPTY processors are evaluated.  Each reads its
+        neighbors' post ids before any of them is updated."""
         r = self.round
-        d = self.model.d
-        table = self._table
-        outputs = self.outputs
+        rows = self._rows
         inputs = self.inputs
         for v in self._entered:
             del inputs[v]  # occupied now, so it hears nothing
         targets = sorted(self._pending)
-        for v in targets:
-            slot = [None] * d
-            for i, w, j in table[v]:
-                pairs = outputs.get(w)
-                if pairs is not None:
-                    slot[i] = pairs[j]
-                    if probe is not None:
-                        probe.log(v, w)
-            inputs[v] = tuple(slot)
+        read = self.post_ids.get
+        keys = [tuple(map(read, rows[v])) for v in targets]
 
         law = self.law
-        fixed_posts = law.fixed_posts
+        slots, steps = law.slots, law.steps
+        fixed_keyed = law.fixed_keyed
+        outputs, post_ids = self.outputs, self.post_ids
         draw = drawer(self.master_seed, self._keys, r)
-        # every posted message is None: no type has a rule
-        msgs = (None,) * d
         pending = set()
         entered = []
-        for v in targets:
+        for v, key in zip(targets, keys):
             if probe is not None:
-                probe.log(v, v)
-            glues = tuple([p[0] if p is not None else None for p in inputs[v]])
-            new, cdf = law.lookup(None, glues, msgs)
+                probe.log_key(v, rows[v], key)
+            inputs[v] = slots.get(key) or law.slot(key)
+            new, cdf = steps.get((None, key)) or law.step(None, key)
             if cdf is not None:
                 new = pick(cdf, draw(v))
                 if new is None:
@@ -223,7 +247,7 @@ class MeshNetwork:
                 if self.trace is not None:
                     self.trace.append(TraceEvent(r, v, None, new))
                 self._enter(v, new)
-                outputs[v] = fixed_posts[new]
+                outputs[v], post_ids[v] = fixed_keyed[new]
                 entered.append(v)
         pending |= self._empty_neighbors(entered)
         self._pending = pending
@@ -231,52 +255,39 @@ class MeshNetwork:
 
     def _general_round(self, probe: Optional[AccessProbe]) -> None:
         """A round with detachment or rules: only the pending processors
-        (see the module docstring) are evaluated.  Each pulls its inputs
-        from its neighbors' posts before any of them is updated."""
+        (see the module docstring) are evaluated.  Each reads its
+        neighbors' post ids before any of them is updated."""
         r = self.round
-        d = self.model.d
-        table = self._table
+        rows = self._rows
         states = self.states
-        outputs = self.outputs
         inputs = self.inputs
         targets = self._pending
-        targets.update([w for v in self._posted for _, w, _ in table[v]])
-        heard = []
-        for v in sorted(targets):
-            slot = [None] * d
-            hears = False
-            for i, w, j in table[v]:
-                pairs = outputs.get(w)
-                if pairs is not None:
-                    slot[i] = pairs[j]
-                    hears = True
-                    if probe is not None:
-                        probe.log(v, w)
-            if hears:
-                inputs[v] = tuple(slot)
-                heard.append(v)
-            else:
-                inputs.pop(v, None)  # its last neighbor left: it idles
+        targets.update(chain.from_iterable(map(rows.__getitem__, self._posted)))
+        targets.discard(None)
+        targets = sorted(targets)
+        read = self.post_ids.get
+        keys = [tuple(map(read, rows[v])) for v in targets]
 
         law = self.law
+        slots, steps, keyed = law.slots, law.steps, law.keyed_posts
+        outputs, post_ids = self.outputs, self.post_ids
         draw = drawer(self.master_seed, self._keys, r)
-        detach_on = self.model.kinetics.detach
-        types = self.model.types
-        # with an empty alphabet every posted message is None
-        silent = None if self.model.messages else (None,) * d
+        ruled, inert = law.ruled, law.inert
+        ids_on = self.model.use_ids
+        nobody = (None,) * self.model.d
         pending = set()
         posted = []
-        for v in heard:
+        for v, key in zip(targets, keys):
+            if key == nobody:
+                inputs.pop(v, None)  # its last neighbor left: it idles
+                continue
             if probe is not None:
-                probe.log(v, v)
+                probe.log_key(v, rows[v], key)
+            inputs[v] = slots.get(key) or law.slot(key)
             old = states.get(v)
-            if old is not None and not detach_on and types[old].rule is None:
+            if old in inert:
                 continue  # nothing can change
-            slot = inputs[v]
-            glues = tuple([p[0] if p is not None else None for p in slot])
-            msgs = silent if silent is not None else tuple(
-                [p[1] if p is not None else None for p in slot])
-            new, cdf = law.lookup(old, glues, msgs)
+            new, cdf = steps.get((old, key)) or law.step(old, key)
             if cdf is not None:
                 new = pick(cdf, draw(v))
                 pending.add(v)  # the next round's draw may differ
@@ -288,18 +299,21 @@ class MeshNetwork:
                 if new is None:
                     del states[v]
                     self.ids.pop(v, None)
-                    outputs.pop(v, None)
+                    del outputs[v]
+                    del post_ids[v]
                     continue
                 if old is None:
                     self._enter(v, new)
                 else:
                     states[v] = new
-                outputs[v] = self._post(v, new, glues, msgs)
-            elif new is not None and types[new].rule is not None:
+                outputs[v], post_ids[v] = self._pairs(v, new, key)
+            elif new in ruled:
                 # state kept, but the rule may emit different messages now
-                pairs = self._post(v, new, glues, msgs)
-                if pairs != outputs[v]:
+                pairs, pid = (self._pairs(v, new, key) if ids_on
+                              else keyed.get((new, key)) or law.keyed_post(new, key))
+                if pid != post_ids[v]:
                     outputs[v] = pairs
+                    post_ids[v] = pid
                     posted.append(v)
         self._pending = pending
         self._posted = posted

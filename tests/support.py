@@ -9,7 +9,7 @@ import math
 import random
 
 from nucleate.agents import (AgentModel, AgentType, BindingRules, Kinetics, RuleOutput,
-                             register_rule)
+                             neighbor_table, register_rule)
 from nucleate.lattice import OPPOSITE, add, directions
 from nucleate.meshnet import MeshNetwork, TraceEvent
 from nucleate.rng import uniform
@@ -338,7 +338,7 @@ class EvaluateEveryoneNetwork(MeshNetwork):
     def _general_round(self, probe):
         r = self.round
         d = self.model.d
-        table = self._table
+        table = neighbor_table(self.mesh)
         states = self.states
 
         outputs = self.outputs
@@ -384,6 +384,6 @@ class EvaluateEveryoneNetwork(MeshNetwork):
                     self._enter(v, new)
                 else:
                     states[v] = new
-                outputs[v] = self._post(v, new, glues, msgs)
+                outputs[v] = law.posts(new, glues, msgs, self.ids.get(v))
             elif new is not None and types[new].rule is not None:
-                outputs[v] = self._post(v, new, glues, msgs)
+                outputs[v] = law.posts(new, glues, msgs, self.ids.get(v))

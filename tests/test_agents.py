@@ -1,5 +1,6 @@
 import math
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -15,6 +16,7 @@ from nucleate.agents import (
     embed_tile_system,
     initial_state,
     model_step,
+    neighbor_rows,
     neighbor_table,
     nucleate,
     pick,
@@ -23,8 +25,8 @@ from nucleate.agents import (
     validate_model,
 )
 from nucleate.engine import run
-from nucleate.lattice import OPPOSITE, Mesh, add, directions
-from nucleate.rng import derive_seed
+from nucleate.lattice import OPPOSITE, Mesh, add, around, directions
+from nucleate.rng import derive_seed, window_keys
 from nucleate.systems import checkerboard_tileset
 from nucleate.tiles import attachments
 from support import (
@@ -207,6 +209,67 @@ def test_neighbor_table_matches_add_and_contains():
                 expected[v] = tuple(entries)
             table = neighbor_table(window)
             assert list(table.items()) == list(expected.items()), (k, side)
+
+
+def test_neighbor_rows_match_around_and_reuse_the_window_keys():
+    for k in (2, 3):
+        for side in range(1, 7):
+            window = Mesh(k, side)
+            keys = window_keys(k, side)
+            rows = neighbor_rows(k, side)
+            assert all(v is key for v, key in zip(rows, keys)) and len(rows) == len(keys)
+            own = {v: v for v in keys}  # each vertex -> the key object itself
+            for v, row in rows.items():
+                assert len(row) == 2 * k, (k, side, v)
+                for w, expected in zip(row, around(v)):
+                    if window.contains(expected):
+                        assert w == expected and w is own[expected], (k, side, v)
+                    else:
+                        assert w is None, (k, side, v)
+
+
+@pytest.mark.parametrize("k", [2, 3])
+@pytest.mark.parametrize("use_ids", [False, True], ids=["no-ids", "ids"])
+@pytest.mark.parametrize("alphabet", [False, True], ids=["silent", "alphabet"])
+def test_post_id_memos_match_literal_delivery_and_the_law(k, use_ids, alphabet):
+    # random neighbor posts, keyed by their post ids: the memoized slot is
+    # what each neighbor posts on its side facing back, and the memoized
+    # law entry and posts are what a separate law gives at those inputs
+    rng = random.Random(1400 + 10 * k + 2 * use_ids + alphabet)
+    d = 2 * k
+    checked = 0
+    for _ in range(30):
+        model = random_agent_model(rng, k=k, message_rules=("ping", "relay", "tally"))
+        model = replace(model, use_ids=use_ids)
+        if not alphabet:
+            model = replace(model, messages=(),
+                            types={n: replace(t, rule=None) for n, t in model.types.items()})
+        law, reference = TransitionLaw(model), TransitionLaw(model)
+        glue_pool = [None] + sorted(model.glue_labels)
+        msg_pool = [None] + list(model.messages)
+        posted = [tuple((rng.choice(glue_pool), rng.choice(msg_pool)) for _ in range(d))
+                  for _ in range(3)]
+        for _ in range(20):
+            neighbors = [rng.choice(posted) if rng.random() < 0.7 else None for _ in range(d)]
+            key = tuple(None if pairs is None else law.post_id(pairs) for pairs in neighbors)
+            assert [law.pairs_of[p] for p in key if p is not None] == [
+                pairs for pairs in neighbors if pairs is not None]
+            delivered = tuple(None if pairs is None else pairs[OPPOSITE[i]]
+                              for i, pairs in enumerate(neighbors))
+            glues = tuple(None if pair is None else pair[0] for pair in delivered)
+            msgs = tuple(None if pair is None else pair[1] for pair in delivered)
+            for _ in range(2):  # a miss, then a memo hit
+                assert law.slot(key) == delivered
+                assert law.heard(key) == (glues, msgs)
+                for old in (None,) + model.type_names:
+                    assert law.step(old, key) == reference.lookup(old, glues, msgs), old
+                for name in model.type_names:
+                    pairs, pid = law.keyed_post(name, key)
+                    assert pairs == reference.posts(name, glues, msgs, None), name
+                    assert law.pairs_of[pid] == pairs and law.post_id(pairs) == pid
+                    checked += 1
+    assert checked > 0
+    assert len(law.pairs_of) == len(set(law.pairs_of))
 
 
 @register_rule("flee-on-p")

@@ -205,12 +205,8 @@ MESHSIM_RELAY_IDS_16 = (
 )
 
 
-@pytest.mark.parametrize("doc, size, rounds, seed, pins", [
-    *((PING3D, 10, 15, seed, pins) for seed, pins in sorted(MESHSIM_PING3D_10.items())),
-    (RELAY_IDS, 16, 20, 0, MESHSIM_RELAY_IDS_16),
-])
-def test_general_path_meshsim_bytes_are_pinned(tmp_path, capsys, doc, size, rounds, seed,
-                                               pins):
+def _meshsim_hashes(tmp_path, capsys, doc, size, rounds, seed) -> tuple:
+    """sha256 of (trace.txt, result.json) from `meshsim` on a model document."""
     model = tmp_path / "model.json"
     model.write_text(json.dumps(doc))
     out = tmp_path / "out"
@@ -218,7 +214,55 @@ def test_general_path_meshsim_bytes_are_pinned(tmp_path, capsys, doc, size, roun
                  str(rounds), "--seed", str(seed), "--out", str(out)])
     capsys.readouterr()
     assert code == 0
-    assert (_sha256(out / "trace.txt"), _sha256(out / "result.json")) == pins
+    return _sha256(out / "trace.txt"), _sha256(out / "result.json")
+
+
+@pytest.mark.parametrize("doc, size, rounds, seed, pins", [
+    *((PING3D, 10, 15, seed, pins) for seed, pins in sorted(MESHSIM_PING3D_10.items())),
+    (RELAY_IDS, 16, 20, 0, MESHSIM_RELAY_IDS_16),
+])
+def test_general_path_meshsim_bytes_are_pinned(tmp_path, capsys, doc, size, rounds, seed,
+                                               pins):
+    assert _meshsim_hashes(tmp_path, capsys, doc, size, rounds, seed) == pins
+
+
+#: checkerboard-local's two agents with 6 glues: a 3-dimensional model on
+#: the static mesh path (no detachment, no rules).
+LOCAL3D = {
+    "name": "checkerboard-local-3d",
+    "agents": [{"name": name, "color": color, "glues": [glue] * 6, "rule": None}
+               for name, color, glue in (("dark", 1, "c1"), ("light", 2, "c2"))],
+    "rules": [{"a": "c1", "b": "c1", "strength": -4}, {"a": "c1", "b": "c2", "strength": 1},
+              {"a": "c2", "b": "c2", "strength": -4}],
+    "temperature": 1,
+    "messages": [],
+    "pi_nu": 0.1,
+    "kinetics": {"lambda_on": 1.0, "p_off": 0.0, "epsilon": 0.0, "detach": False},
+}
+#: sha256 of (trace.txt, result.json) from `meshsim` on LOCAL3D at 8^3 for
+#: 10 rounds per seed, and on PING3D at 20^3 for 30 rounds at seed 0, as the
+#: mesh wrote them while it still delivered over neighbor triples.
+MESHSIM_LOCAL3D_8 = {
+    0: ("fab962f59f977321b2040efe49168e05a79594006cd371ed083e3c6169f46d36",
+        "e79bdf1851a201150283608b01f47b06acd65ee33a6a8f9641c9b3df755f122f"),
+    1: ("3e22e7ff28d7c45ad2a6238ba8c0e9ba0feef50137b65e2a68dd52e8e37d4a44",
+        "8526368bec26db310b5f7cf448e824a185f406590db407d33fe51016f642b2e4"),
+    2: ("6c5e61a23ebe17e0c7c1de4013079fb61d81fa82ef744bc29473c624a634c848",
+        "005e0ded383216c9aa85ce66df88752a77a7b0f2a40de168f04cdfdfe523639a"),
+}
+MESHSIM_PING3D_20 = (
+    "1f288139e6bf0e157c802c6e3992efb5d009ee0f8ef37b26b9866f7a62cabef1",
+    "80894a000b2d0f0e33cb68f66263b49636ae5622a82f3d2bffa9e8eb483f4e3d",
+)
+
+
+@pytest.mark.parametrize("doc, size, rounds, seed, pins", [
+    *((LOCAL3D, 8, 10, seed, pins) for seed, pins in sorted(MESHSIM_LOCAL3D_8.items())),
+    (PING3D, 20, 30, 0, MESHSIM_PING3D_20),
+])
+def test_three_dimensional_meshsim_bytes_are_pinned(tmp_path, capsys, doc, size, rounds,
+                                                    seed, pins):
+    assert _meshsim_hashes(tmp_path, capsys, doc, size, rounds, seed) == pins
 
 
 def test_campaign_bytes_are_pinned(tmp_path, capsys):

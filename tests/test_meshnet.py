@@ -2,7 +2,7 @@ import pytest
 
 from nucleate.agents import (AgentModel, AgentType, BindingRules, Kinetics,
                              MessageBoundError, RuleOutput, initial_state, law_for,
-                             model_step, nucleate, register_rule)
+                             model_step, neighbor_table, nucleate, register_rule)
 from nucleate.coloring import check_weak_coloring
 from nucleate.lattice import Mesh
 from nucleate.meshnet import AccessProbe, MeshNetwork
@@ -233,6 +233,81 @@ def test_locality_probe_finds_no_violations():
     net.run(10, probe=probe)
     assert probe.reads, "probe saw no reads at all"
     assert probe.violations(net.mesh) == []
+
+
+def _regime_model(rng, k: int, static: bool) -> AgentModel:
+    """A random model with a few seed cells: static (no detachment, no
+    rules) or general (rules, maybe detachment)."""
+    from dataclasses import replace
+
+    from support import random_agent_model
+
+    side = 6 if k == 2 else 4
+    model = random_agent_model(rng, k=k, message_rules=() if static else ("ping", "relay"))
+    cells = rng.sample(list(Mesh(k, side).vertices()), 3)
+    model = replace(model, seed={v: rng.choice(model.type_names) for v in cells},
+                    pi_nu=rng.choice((0.1, 0.3)))
+    if static:
+        return replace(model, kinetics=replace(model.kinetics, detach=False, p_off=0.0))
+    if all(t.rule is None for t in model.types.values()):
+        name = model.type_names[0]
+        types = dict(model.types)
+        types[name] = replace(types[name], rule="ping")
+        model = replace(model, types=types)
+    return model
+
+
+@pytest.mark.parametrize("k", [2, 3])
+@pytest.mark.parametrize("static", [True, False], ids=["static", "general"])
+def test_probe_reads_exactly_the_evaluated_neighborhoods(k, static):
+    # every round, the probe must log (v, w) for each evaluated processor v
+    # and each mesh neighbor w holding posts at the start of the round, and
+    # (v, v), and nothing else: a round that stopped logging its neighbor
+    # reads, or read beyond them, fails here
+    import random
+
+    rng = random.Random(1414 + k + 2 * static)
+    side = 6 if k == 2 else 4
+    neighbor_reads = 0
+    for trial in range(12):
+        net = MeshNetwork(_regime_model(rng, k, static), side, master_seed=rng.getrandbits(64))
+        net.init_round0()
+        assert net._static_occupants == static
+        mesh = net.mesh
+        for r in range(1, 9):
+            posting = set(net.outputs)
+            evaluated = set(net._pending)
+            if not static:
+                evaluated |= {w for v in net._posted for w in mesh.neighbors(v)}
+                evaluated = {v for v in evaluated if posting.intersection(mesh.neighbors(v))}
+            expected = {(v, v) for v in evaluated} | {
+                (v, w) for v in evaluated for w in mesh.neighbors(v) if w in posting}
+            probe = AccessProbe()
+            net.run_round(probe=probe)
+            assert set(probe.reads) == expected, (trial, r)
+            assert len(probe.reads) == len(expected), (trial, r)
+            neighbor_reads += len(expected) - len(evaluated)
+    assert neighbor_reads > 0
+
+
+def test_mesh_rounds_never_build_the_neighbor_triples():
+    # construction, round 0 and two rounds, in both regimes, on fresh
+    # models (so nothing comes from a cached set-up) leave the triple
+    # table's cache untouched: the mesh reads only the neighbor rows
+    import random
+
+    import nucleate.agents as agents
+
+    rng = random.Random(1515)
+    for k in (2, 3):
+        for static in (True, False):
+            model = _regime_model(rng, k, static)
+            before = agents._neighbor_table.cache_info()
+            net = MeshNetwork(model, 6 if k == 2 else 4, master_seed=k)
+            net.init_round0()
+            net.run(2)
+            assert net._static_occupants == static
+            assert agents._neighbor_table.cache_info() == before, (k, static)
 
 
 def test_ping_messages_are_relayed():
@@ -473,7 +548,7 @@ def test_static_rounds_match_silent_twins_on_random_models():
         fast.init_round0()
         slow.init_round0()
         assert fast._static_occupants and not slow._static_occupants
-        table = fast._table
+        table = neighbor_table(fast.mesh)
         probe = AccessProbe()
         for r in range(1, 9):
             before = set(fast.states)
@@ -541,7 +616,7 @@ def test_general_rounds_match_evaluate_everyone_oracle():
         fast.init_round0()
         oracle.init_round0()
         assert not fast._static_occupants
-        table = fast._table
+        table = neighbor_table(fast.mesh)
         probe = AccessProbe()
         for r in range(1, 13):
             evaluated = len(fast._pending.union(
