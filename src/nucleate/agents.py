@@ -30,6 +30,7 @@ the rule emits d messages from the declared alphabet.
 
 from dataclasses import dataclass, field
 from functools import lru_cache
+from types import MappingProxyType
 from typing import Callable, Mapping, NamedTuple, Optional, Sequence
 from weakref import WeakKeyDictionary
 
@@ -357,7 +358,9 @@ class TransitionLaw:
     def __init__(self, model: AgentModel):
         self.model = model
         self._cache: dict = {}
-        self._lookups: dict = {}
+        #: (occupant, glues, messages) -> lookup(...), which `model_step`
+        #: reads directly
+        self.lookups: dict = {}
         self._post_ids: dict = {}
         #: post id -> the pairs tuple it stands for
         self.pairs_of: list = []
@@ -515,7 +518,7 @@ class TransitionLaw:
         sums of the distribution in its order, as (sum, outcome) pairs.
         Memoized per input; glues and messages must be tuples."""
         key = (occupant, glues, messages)
-        entry = self._lookups.get(key)
+        entry = self.lookups.get(key)
         if entry is None:
             dist = self._distribution(occupant, glues, messages)
             if len(dist) == 1:
@@ -527,7 +530,7 @@ class TransitionLaw:
                     acc += p
                     cdf.append((acc, outcome))
                 entry = (None, tuple(cdf))
-            self._lookups[key] = entry
+            self.lookups[key] = entry
         return entry
 
     def sample(self, occupant: Optional[str], glues, messages,
@@ -563,14 +566,16 @@ def law_for(model: AgentModel) -> TransitionLaw:
     return law
 
 
-@dataclass(frozen=True)
-class SurfaceState:
-    """Occupancy, per-side outgoing messages, and ids of agents on a window."""
+class SurfaceState(NamedTuple):
+    """Occupancy, per-side outgoing messages, and ids of agents on a window.
+
+    The dynamics never mutate a state's mappings; they build new ones.  The
+    defaults are one shared read-only empty mapping."""
 
     occupancy: Mapping[Point, str]
     window: Mesh
-    out_messages: Mapping[Point, tuple] = field(default_factory=dict)
-    ids: Mapping[Point, int] = field(default_factory=dict)
+    out_messages: Mapping[Point, tuple] = MappingProxyType({})
+    ids: Mapping[Point, int] = MappingProxyType({})
     stage: int = 0
     next_id: int = 0
 
@@ -590,23 +595,43 @@ def initial_state(model: AgentModel, window: Mesh) -> SurfaceState:
                         stage=0, next_id=len(ids))
 
 
+class _StepPlan(NamedTuple):
+    """What every `model_step` of one model on one window shares."""
+
+    law: TransitionLaw
+    table: dict  # _neighbor_table(k, side): v -> its (i, w, OPPOSITE[i]) triples
+    keys: dict  # window_keys(k, side): the cells' rng key bytes
+    glues: dict  # type -> its glue labels
+    d: int
+
+
+@lru_cache(maxsize=32)
+def _step_plan(model: AgentModel, k: int, side: int) -> _StepPlan:
+    law = law_for(model)
+    return _StepPlan(law, _neighbor_table(k, side), window_keys(k, side),
+                     {name: t.glues for name, t in model.types.items()}, model.d)
+
+
 def surface_inputs(state: SurfaceState, model: AgentModel, v: Point):
     """(glues, messages) seen by location v: per canonical direction, the
     facing glue label and outgoing message of the occupied neighbor, or
     None for empty and off-window directions."""
-    return _inputs(state, model, neighbor_table(state.window)[v])
+    window = state.window
+    plan = _step_plan(model, window.k, window.side)
+    return _inputs(state.occupancy, state.out_messages, plan, plan.table[v])
 
 
-def _inputs(state: SurfaceState, model: AgentModel, neighbors: tuple):
-    """surface_inputs for the location whose neighbor-table entry is given."""
-    glues = [None] * model.d
-    msgs = [None] * model.d
-    occupancy = state.occupancy
+def _inputs(occupancy: Mapping, out_messages: Mapping, plan: _StepPlan, neighbors: tuple):
+    """(glues, messages) heard by the location whose neighbor-table entry
+    is given, from these occupants and their posts."""
+    glues = [None] * plan.d
+    msgs = [None] * plan.d
+    glues_of = plan.glues
     for i, w, j in neighbors:
         occ = occupancy.get(w)
         if occ is not None:
-            glues[i] = model.types[occ].glues[j]
-            out = state.out_messages.get(w)
+            glues[i] = glues_of[occ][j]
+            out = out_messages.get(w)
             if out:
                 msgs[i] = out[j]
     return tuple(glues), tuple(msgs)
@@ -661,20 +686,25 @@ def model_step(state: SurfaceState, model: AgentModel, seed: int) -> SurfaceStat
     re-posts for this round's inputs, the others keep their posts, and a
     detached cell's posts are dropped.
     """
-    law = law_for(model)
-    r = state.stage + 1
     window = state.window
-    table = _neighbor_table(window.k, window.side)
-    draw = drawer(seed, window_keys(window.k, window.side), r)
-    occupancy = dict(state.occupancy)
-    posts = dict(state.out_messages)
+    plan = _step_plan(model, window.k, window.side)
+    law = plan.law
+    lookups = law.lookups
+    table = plan.table
+    ruled = law.ruled
+    use_ids = model.use_ids
+    r = state.stage + 1
+    draw = drawer(seed, plan.keys, r)
+    before, heard = state.occupancy, state.out_messages
+    occupancy = dict(before)
+    posts = dict(heard)
     ids = dict(state.ids)
     next_id = state.next_id
-    active = {w for v in state.occupancy for _, w, _ in table[v]}
+    active = {w for v in before for _, w, _ in table[v]}
     for v in sorted(active):
-        glues, msgs = _inputs(state, model, table[v])
-        old = state.occupancy.get(v)
-        new, cdf = law.lookup(old, glues, msgs)
+        glues, msgs = _inputs(before, heard, plan, table[v])
+        old = before.get(v)
+        new, cdf = lookups.get((old, glues, msgs)) or law.lookup(old, glues, msgs)
         if cdf is not None:
             new = pick(cdf, draw(v))
         if new is None:
@@ -685,12 +715,12 @@ def model_step(state: SurfaceState, model: AgentModel, seed: int) -> SurfaceStat
             continue
         if old is None:
             occupancy[v] = new
-            if model.use_ids:
+            if use_ids:
                 ids[v] = next_id
                 next_id += 1
-        if model.types[new].rule is not None:
+        if new in ruled:
             posts[v] = law.rule_output(new, glues, msgs, ids.get(v)).messages
-    return SurfaceState(occupancy, window, posts, ids, stage=r, next_id=next_id)
+    return SurfaceState(occupancy, window, posts, ids, r, next_id)
 
 
 def embed_tile_system(system: TileAssemblySystem) -> AgentModel:

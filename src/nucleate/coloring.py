@@ -29,7 +29,12 @@ class Coloring:
     def __post_init__(self):
         if self.c < 1:
             raise ValueError("color count c must be >= 1")
-        for v, color in self.assignment.items():
+        assignment = self.assignment
+        if self.mesh.contains_all(assignment) and (
+                not assignment
+                or (min(assignment.values()) >= 1 and max(assignment.values()) <= self.c)):
+            return
+        for v, color in assignment.items():  # find the first offender
             self.mesh.require(v)
             if not 1 <= color <= self.c:
                 raise ValueError(f"color {color} at {v} outside 1..{self.c}")

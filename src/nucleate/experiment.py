@@ -24,10 +24,11 @@ from .agents import AgentModel, initial_state, message_rule, model_step
 from .coloring import check_weak_coloring
 from .lattice import OPPOSITE, Mesh, add, directions
 from .meshnet import MeshNetwork
-from .rng import derive_seed
-# perfbench/tracer.py wraps this module's derived_rng binding by name; no
-# draw here builds a generator.
-from .rng import derived_rng  # noqa: F401
+# perfbench/tracer.py wraps this module's derive_seed and derived_rng
+# bindings by name; the seeds come from seed_stream and no draw here builds
+# a generator.
+from .rng import derive_seed, derived_rng  # noqa: F401
+from .rng import seed_stream
 
 
 def wilson_interval(successes: int, trials: int, z: float = 1.959963984540054) -> tuple[float, float]:
@@ -102,14 +103,13 @@ def _run_trial(model: AgentModel, size: int, seed: int,
 
 def run_experiment(spec: ExperimentSpec, model_hash: str = "") -> ExperimentResult:
     """Run every (size, trial) campaign.  Each trial draws from its own
-    stream, derived from (master seed, size, trial index), so its outcome
-    does not depend on the order in which trials are run."""
+    stream, derive_seed(master seed, size, trial index) (`seed_stream`), so
+    its outcome does not depend on the order in which trials are run."""
     outcomes = []
     for size in spec.sizes:
         results = [
-            _run_trial(spec.model, size, derive_seed(spec.master_seed, size, trial),
-                       spec.rounds)
-            for trial in range(spec.trials)
+            _run_trial(spec.model, size, seed, spec.rounds)
+            for seed in itertools.islice(seed_stream(spec.master_seed, size), spec.trials)
         ]
         successes = sum(1 for ok, _ in results if ok)
         rounds_to_valid = [r for _, r in results if r is not None]
@@ -311,9 +311,11 @@ def run_fidelity(model: AgentModel, side: int, samples: int,
                  master_seed: int = 0) -> FidelityReport:
     """Sample both simulators for one round/step and compare distributions.
 
-    The two sides draw from disjoint master seeds, (master_seed, "mesh", i)
-    and (master_seed, "model", i): with one seed they would agree sample
-    for sample, and their distance would say nothing."""
+    The two sides draw from disjoint master seeds, derive_seed(master_seed,
+    "mesh", i) and derive_seed(master_seed, "model", i) (`seed_stream`):
+    with one seed they would agree sample for sample, and their distance
+    would say nothing.  Every sample builds and runs its own network and
+    takes its own model step."""
     if side > MAX_FIDELITY_SIDE:
         raise ValueError(f"fidelity windows are capped at "
                          f"{MAX_FIDELITY_SIDE}x{MAX_FIDELITY_SIDE}; got {side}")
@@ -321,9 +323,8 @@ def run_fidelity(model: AgentModel, side: int, samples: int,
     exact = product_law(per_cell)
 
     mesh_counts: dict = {}
-    for i in range(samples):
-        net = MeshNetwork(model, side, master_seed=derive_seed(master_seed, "mesh", i),
-                          record_trace=False)
+    for seed in itertools.islice(seed_stream(master_seed, "mesh"), samples):
+        net = MeshNetwork(model, side, master_seed=seed, record_trace=False)
         net.init_round0()
         net.run_round()
         key = frozenset(net.states.items())
@@ -332,8 +333,8 @@ def run_fidelity(model: AgentModel, side: int, samples: int,
     window = Mesh(model.k, side)
     start = initial_state(model, window)
     model_counts: dict = {}
-    for i in range(samples):
-        after = model_step(start, model, derive_seed(master_seed, "model", i))
+    for seed in itertools.islice(seed_stream(master_seed, "model"), samples):
+        after = model_step(start, model, seed)
         key = frozenset(after.occupancy.items())
         model_counts[key] = model_counts.get(key, 0) + 1
 

@@ -430,7 +430,7 @@ def write_ppm(path: Union[str, Path], colors: Mapping[Point, int],
 
 
 def _point_token(v: Point) -> str:
-    return ",".join(str(c) for c in v)
+    return ",".join(map(str, v))
 
 
 def _trace_records(text: str, header: dict, counts: tuple[int, ...], form: str):

@@ -11,8 +11,8 @@ n^k processors agree literally.
 
 import operator
 from dataclasses import dataclass
-from itertools import product
-from typing import Iterator
+from itertools import chain, product
+from typing import Collection, Iterator
 
 Point = tuple[int, ...]
 
@@ -97,6 +97,17 @@ class Mesh:
 
     def contains(self, v: Point) -> bool:
         return len(v) == self.k and min(v) >= 0 and max(v) < self.side
+
+    def contains_all(self, points: Collection[Point]) -> bool:
+        """all(map(self.contains, points)), batched: one pass each for the
+        lengths, the least and the greatest coordinate, with nothing built
+        per point.  Exact for integer coordinates; `points` is read three
+        times, so not an iterator."""
+        if not points:
+            return True
+        coordinates = chain.from_iterable
+        return (set(map(len, points)) == {self.k} and min(coordinates(points)) >= 0
+                and max(coordinates(points)) < self.side)
 
     def vertices(self) -> Iterator[Point]:
         """All vertices in canonical (row-major, last axis fastest) order."""

@@ -28,6 +28,14 @@ by that key (`TransitionLaw.slot`, `step`, `keyed_post`).  The model
 dynamics (`agents.model_step`) keep their own delivery over
 `neighbor_table`, so the two codings check each other.
 
+Round 0 starts from a template shared by every network of one model on one
+side (`_round0`): the seed cells, validated and in sorted order, their ids
+under use_ids, and the (pairs, post id) each posts from silent inputs.  No
+master seed changes any of it, so `init_round0` copies it in and then wakes,
+enters and posts the nucleated cells; it is built by the first
+`init_round0` that needs it, so a seed outside the mesh or a seed rule that
+breaks its bounds still raises there, not at construction.
+
 Rounds are event-driven: a processor is re-evaluated only when a neighbor's
 posts changed last round (it entered, detached, or its rule posted different
 pairs), when its own state changed, or when its last law was unforced.  Any
@@ -116,6 +124,48 @@ def _setup(model: AgentModel, side: int) -> _Setup:
     return _Setup(Mesh(k, side), neighbor_rows(k, side), law_for(model), window_keys(k, side))
 
 
+class _Round0(NamedTuple):
+    """The seed cells' share of round 0 on one model and side.  Shared, so
+    `init_round0` copies each dict before it adds to it."""
+
+    states: dict  # seed cell -> type, in sorted location order
+    ids: dict  # seed cell -> id in that order under use_ids, else empty
+    outputs: dict  # seed cell -> the pairs it posts from silent inputs
+    post_ids: dict  # seed cell -> the post id of those pairs
+
+
+@lru_cache(maxsize=32)
+def _round0(model: AgentModel, side: int) -> _Round0:
+    """The round-0 template: ValueError for a seed cell outside the mesh,
+    MessageBoundError for a seed rule that breaks its bounds (neither is
+    cached, so every `init_round0` raises it)."""
+    setup = _setup(model, side)
+    states = {}
+    for v in sorted(model.seed):
+        if not setup.mesh.contains(v):
+            raise ValueError(f"seed location {v} lies outside the mesh")
+        states[v] = model.seed[v]
+    ids = {v: i for i, v in enumerate(states)} if model.use_ids else {}
+    nobody = (None,) * model.d  # the key of a processor that hears nothing
+    outputs, post_ids = {}, {}
+    for v, name in states.items():
+        outputs[v], post_ids[v] = _pairs(setup.law, name, nobody, ids.get(v))
+    return _Round0(states, ids, outputs, post_ids)
+
+
+def _pairs(law: TransitionLaw, name: str, key: tuple, my_id: Optional[int]) -> tuple:
+    """(pairs, post id) that an agent of type `name` with id `my_id` (None
+    without use_ids) posts after hearing its neighbors' post ids `key`: its
+    glue plus its rule's message on each side."""
+    fixed = law.fixed_keyed.get(name)
+    if fixed is not None:
+        return fixed
+    if my_id is None:
+        return law.keyed_post(name, key)
+    pairs = law.posts(name, *law.heard(key), my_id)
+    return pairs, law.post_id(pairs)
+
+
 class MeshNetwork:
     """n^k processors wired as a k-dimensional mesh, simulating a model."""
 
@@ -150,24 +200,31 @@ class MeshNetwork:
     # -- round 0 -------------------------------------------------------
 
     def init_round0(self) -> None:
-        """Place the seed assembly (ids in sorted location order), then wake
-        every other processor with probability pi_nu into a uniformly
-        random non-EMPTY state (`nucleation_sites`)."""
+        """Place the seed assembly (ids in sorted location order; copied
+        from the `_round0` template), then wake every other processor with
+        probability pi_nu into a uniformly random non-EMPTY state
+        (`nucleation_sites`).  Every occupant posts from silent inputs."""
         if self._started:
             raise ValueError("network already initialized")
         self._started = True
         model = self.model
-        for v in sorted(model.seed):
-            if not self.mesh.contains(v):
-                raise ValueError(f"seed location {v} lies outside the mesh")
-            self._enter(v, model.seed[v])
-        for v, name in nucleation_sites(model, self._keys, self.master_seed, self.states):
-            self._enter(v, name)
-        nobody = (None,) * model.d  # the key of a processor that hears nothing
-        for v in sorted(self.states):
-            self.outputs[v], self.post_ids[v] = self._pairs(v, self.states[v], nobody)
-            if self.trace is not None:
-                self.trace.append(TraceEvent(0, v, None, self.states[v]))
+        seeded = _round0(model, self.mesh.side)
+        states = self.states
+        states.update(seeded.states)
+        self.ids.update(seeded.ids)
+        self.next_id = len(seeded.ids)
+        self.outputs.update(seeded.outputs)
+        self.post_ids.update(seeded.post_ids)
+        woken = nucleation_sites(model, self._keys, self.master_seed, states)
+        if woken:
+            nobody = (None,) * model.d  # the key of a processor that hears nothing
+            for v, name in woken:
+                self._enter(v, name)
+                self.outputs[v], self.post_ids[v] = _pairs(self.law, name, nobody,
+                                                           self.ids.get(v))
+        if self.trace is not None:
+            self.trace.extend([TraceEvent(0, v, None, name)
+                               for v, name in sorted(states.items())])
         if self._static_occupants:
             self._pending = self._empty_neighbors(self.states)
         else:
@@ -183,20 +240,6 @@ class MeshNetwork:
         if self.model.use_ids:
             self.ids[v] = self.next_id
             self.next_id += 1
-
-    def _pairs(self, v: Point, name: str, key: tuple) -> tuple:
-        """(pairs, post id) that an agent of type `name` at v posts after
-        hearing its neighbors' post ids `key`: its glue plus its rule's
-        message on each side."""
-        law = self.law
-        fixed = law.fixed_keyed.get(name)
-        if fixed is not None:
-            return fixed
-        my_id = self.ids.get(v)
-        if my_id is None:
-            return law.keyed_post(name, key)
-        pairs = law.posts(name, *law.heard(key), my_id)
-        return pairs, law.post_id(pairs)
 
     # -- rounds >= 1 ---------------------------------------------------
 
@@ -306,10 +349,10 @@ class MeshNetwork:
                     self._enter(v, new)
                 else:
                     states[v] = new
-                outputs[v], post_ids[v] = self._pairs(v, new, key)
+                outputs[v], post_ids[v] = _pairs(law, new, key, self.ids.get(v))
             elif new in ruled:
                 # state kept, but the rule may emit different messages now
-                pairs, pid = (self._pairs(v, new, key) if ids_on
+                pairs, pid = (_pairs(law, new, key, self.ids.get(v)) if ids_on
                               else keyed.get((new, key)) or law.keyed_post(new, key))
                 if pid != post_ids[v]:
                     outputs[v] = pairs

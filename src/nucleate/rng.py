@@ -8,22 +8,30 @@ order consumes identical randomness.
 
 Per-cell draws are counter-based: the hash of (master seed, coordinates,
 round) turns straight into a float, with no generator object in between.
-The mesh simulation and the model dynamics both draw through one kernel:
-`wakeups` for the round-0 nucleation draws and `drawer` for the draws of
-later rounds.  The kernel hashes the same bytes as `derive_seed` and
-`uniform`, which stay as its reference definitions, but builds each key
-from a window's cached vertex bytes (`window_keys`) instead of calling
-`repr` per draw.  No draw uses `derived_rng`; it stays only because
-perfbench/tracer.py wraps it by name.
+`derive_seed` and `uniform` are the reference definitions; the kernel below
+hashes the same bytes, bit for bit, at a fraction of the cost:
+
+* a key shares its leading bytes with every other key of one master seed
+  (and path), so the kernel hashes them once into a `blake2b` state and
+  each draw copies that *prefix state* and hashes only its own tail;
+* `wakeups` gives the round-0 nucleation draws and `drawer` the draws of
+  later rounds, each built from a window's cached vertex bytes
+  (`window_keys`) instead of calling `repr` per draw;
+* `seed_stream(master, *path)` yields `derive_seed(master, *path, i)` for
+  i = 0, 1, ..., the per-trial and per-sample seeds of `experiment`.
+
+No draw uses `derived_rng`; it stays only because perfbench/tracer.py wraps
+it by name.
 """
 
 import random
 from functools import lru_cache
 from hashlib import blake2b
-from itertools import product
-from typing import Callable
+from itertools import count, product
+from typing import Callable, Iterator
 
 _UNIT = 2.0 ** -53
+_BLANK = blake2b(digest_size=8)  # copied: cheaper than a constructor call
 
 
 def derive_seed(master: int, *path) -> int:
@@ -42,9 +50,30 @@ def uniform(master: int, *path) -> float:
     return (derive_seed(master, *path) >> 11) * _UNIT
 
 
+def seed_stream(master: int, *path) -> Iterator[int]:
+    """derive_seed(master, *path, i) for i = 0, 1, ..., bit for bit.
+
+    The key of item i is repr((master, *path, i)); everything before i is
+    hashed once, from the repr of the path with a 0 appended (so an empty
+    path, whose repr has a trailing comma, needs no special case)."""
+    prefix = _prefix(repr((int(master),) + path + (0,))[:-2].encode())
+    for i in count():
+        h = prefix.copy()
+        h.update(b"%d)" % i)
+        yield int.from_bytes(h.digest(), "big")
+
+
 def derived_rng(master: int, *path) -> random.Random:
     """A fresh random.Random seeded via derive_seed."""
     return random.Random(derive_seed(master, *path))
+
+
+def _prefix(head: bytes) -> blake2b:
+    """The hash state after `head`: a key's leading bytes, shared by many
+    keys, which each draw copies and finishes with its own tail."""
+    h = _BLANK.copy()
+    h.update(head)
+    return h
 
 
 @lru_cache(maxsize=32)
@@ -63,24 +92,28 @@ def wakeups(master: int, keys: dict, pi_nu: float) -> list:
     by the power of two 2^53 rounds neither."""
     if pi_nu <= 0:
         return []
-    head = b"(%d, " % master
+    prefix = _prefix(b"(%d, " % master)
     limit = pi_nu * 2 ** 53
     woken = []
     for v, key in keys.items():
-        h = int.from_bytes(blake2b(head + key + b", 0)", digest_size=8).digest(), "big")
-        if h >> 11 < limit:
-            woken.append((v, int.from_bytes(
-                blake2b(head + key + b", 0, 1)", digest_size=8).digest(), "big")))
+        cell = prefix.copy()
+        cell.update(key)
+        wake = cell.copy()
+        wake.update(b", 0)")
+        if int.from_bytes(wake.digest(), "big") >> 11 < limit:
+            cell.update(b", 0, 1)")
+            woken.append((v, int.from_bytes(cell.digest(), "big")))
     return woken
 
 
 def drawer(master: int, keys: dict, r: int) -> Callable[[tuple], float]:
     """The draws of round r: v -> uniform(master, v, r), bit for bit, for
     the vertices of `keys`."""
-    head = b"(%d, " % master
+    prefix = _prefix(b"(%d, " % master)
     tail = b", %d)" % r
 
     def draw(v: tuple) -> float:
-        return (int.from_bytes(blake2b(head + keys[v] + tail, digest_size=8).digest(),
-                               "big") >> 11) * _UNIT
+        h = prefix.copy()
+        h.update(keys[v] + tail)
+        return (int.from_bytes(h.digest(), "big") >> 11) * _UNIT
     return draw

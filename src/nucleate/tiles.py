@@ -90,11 +90,17 @@ class Configuration:
             else:
                 k = 2
         self.k = k
-        for v in self._cells:
-            if len(v) != self.k:
-                raise ValueError(f"location {v} is not {self.k}-dimensional")
-            if window is not None and not window.contains(v):
-                raise ValueError(f"location {v} lies outside the window")
+        cells = self._cells
+        if window is None:
+            valid = set(map(len, cells)) <= {k}
+        else:
+            valid = window.k == k and window.contains_all(cells)
+        if not valid:  # find the first offender
+            for v in cells:
+                if len(v) != k:
+                    raise ValueError(f"location {v} is not {k}-dimensional")
+                if window is not None and not window.contains(v):
+                    raise ValueError(f"location {v} lies outside the window")
 
     @property
     def domain(self) -> frozenset:

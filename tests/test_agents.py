@@ -412,6 +412,53 @@ def test_irreversible_occupants_persist():
     assert len(state.occupancy) == 16
 
 
+
+def _mappings(state):
+    return (dict(state.occupancy), dict(state.out_messages), dict(state.ids))
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_dynamics_leave_their_input_state_alone(k):
+    # nucleate and model_step build new mappings; the state they read,
+    # which a caller may step again (fidelity steps one start state many
+    # times), must keep its occupancy, posts and ids
+    from support import random_agent_model
+
+    rng = random.Random(4040 + k)
+    side = 4 if k == 2 else 3
+    seen = {"ids": 0, "posts": 0, "detached": 0}
+    for trial in range(40):
+        model = random_agent_model(rng, k=k, message_rules=("ping", "relay", "tally"))
+        cells = rng.sample(list(Mesh(k, side).vertices()), rng.randint(0, 3))
+        model = replace(model, seed={v: rng.choice(model.type_names) for v in cells},
+                        pi_nu=rng.choice((0.1, 0.3)), use_ids=trial % 2 == 0)
+        master = rng.getrandbits(64)
+        start = initial_state(model, Mesh(k, side))
+        kept = _mappings(start)
+        state = nucleate(start, model, master)
+        assert _mappings(start) == kept, trial
+        for _ in range(4):
+            kept = _mappings(state)
+            after = model_step(state, model, master)
+            assert _mappings(state) == kept, trial
+            seen["detached"] += bool(set(state.occupancy) - set(after.occupancy))
+            state = after
+        seen["ids"] += len(state.ids) > 1
+        seen["posts"] += bool(state.out_messages)
+    assert all(seen.values()), seen
+
+
+def test_surface_state_defaults_are_read_only():
+    state = SurfaceState({}, Mesh(2, 2))
+    assert state.out_messages == {} and state.ids == {}
+    assert state.stage == 0 and state.next_id == 0
+    with pytest.raises(TypeError):
+        state.out_messages[(0, 0)] = (None,) * 4
+    with pytest.raises(TypeError):
+        state.ids[(0, 0)] = 0
+    assert SurfaceState({}, Mesh(2, 2)).ids == {}
+
+
 # -- embedding ---------------------------------------------------------
 
 

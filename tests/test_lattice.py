@@ -115,3 +115,50 @@ def test_contains_rejects_wrong_length_negative_and_side(window):
         for bad in (-1, 3):
             v = inside[:axis] + (bad,) + inside[axis + 1:]
             assert not window.contains(v)
+
+
+POINTS = st.lists(st.lists(st.integers(-2, 6), min_size=1, max_size=4).map(tuple), max_size=12)
+
+
+@given(st.sampled_from([2, 3]), st.integers(1, 5), POINTS)
+def test_contains_all_equals_contains_per_point(k, side, points):
+    mesh = Mesh(k, side)
+    assert mesh.contains_all(points) == all(map(mesh.contains, points))
+    assert mesh.contains_all(dict.fromkeys(points)) == all(map(mesh.contains, points))
+
+
+def _configuration(cells, window=None):
+    from nucleate.tiles import Configuration
+    return Configuration(cells, window)
+
+
+def _coloring(assignment, c=2):
+    from nucleate.coloring import Coloring
+    return Coloring(assignment, Mesh(2, 4), c)
+
+
+# Each case holds an off-window, wrong-dimension or out-of-range entry
+# among valid ones: the batched checks must report the first offender in
+# iteration order, with the message of the per-point loop.
+@pytest.mark.parametrize("build, message", [
+    (lambda: _configuration({(0, 0): "a", (4, 1): "a", (1, 1, 1): "a"}, Mesh(2, 4)),
+     "location (4, 1) lies outside the window"),
+    (lambda: _configuration({(0, 0): "a", (1, -1): "a"}, Mesh(2, 4)),
+     "location (1, -1) lies outside the window"),
+    (lambda: _configuration({(0, 0): "a", (1, 1, 1): "a", (9, 9): "a"}, Mesh(2, 4)),
+     "location (1, 1, 1) is not 2-dimensional"),
+    (lambda: _configuration({(0, 0): "a", (1,): "a"}),
+     "location (1,) is not 2-dimensional"),
+    (lambda: _coloring({(0, 0): 1, (0, 4): 3, (1, 1): 1}),
+     "(0, 4) is not a vertex of the 2-dim mesh of side 4"),
+    (lambda: _coloring({(0, 0): 1, (1, 1, 1): 1}),
+     "(1, 1, 1) is not a vertex of the 2-dim mesh of side 4"),
+    (lambda: _coloring({(0, 0): 1, (0, 1): 3, (1, 1): 0}),
+     "color 3 at (0, 1) outside 1..2"),
+    (lambda: _coloring({(0, 0): 2, (0, 1): 0}),
+     "color 0 at (0, 1) outside 1..2"),
+])
+def test_window_errors_name_the_first_offender(build, message):
+    with pytest.raises(ValueError) as err:
+        build()
+    assert str(err.value) == message

@@ -732,3 +732,77 @@ def test_model_dynamics_match_the_mesh_round_for_round():
         seen["k3"] += k == 3
         seen["ids"] += model.use_ids and len(net.ids) > 1
     assert all(seen.values()), seen
+
+
+# -- the round-0 template -------------------------------------------------
+
+
+def _round0_view(net):
+    """Everything round 0 leaves in a network, as plain copies."""
+    return (list(net.states.items()), dict(net.ids), dict(net.outputs),
+            dict(net.post_ids), list(net.trace), net.next_id)
+
+
+def _random_seeded_model(rng, k, side, use_ids):
+    from dataclasses import replace
+
+    from support import random_agent_model
+
+    model = random_agent_model(rng, k=k, message_rules=("ping", "relay", "tally"))
+    cells = rng.sample(list(Mesh(k, side).vertices()), rng.randint(0, 3))
+    return replace(model, seed={v: rng.choice(model.type_names) for v in cells},
+                   pi_nu=rng.choice((0.0, 0.1, 0.3)), use_ids=use_ids)
+
+
+@pytest.mark.parametrize("k", [2, 3])
+@pytest.mark.parametrize("use_ids", [False, True])
+def test_round0_template_matches_a_fresh_setup(k, use_ids):
+    # a network that starts from the cached template must hold the same
+    # round 0 as one built with every shared set-up recomputed
+    import random
+
+    import nucleate.meshnet as meshnet
+
+    rng = random.Random(1500 + 10 * k + use_ids)
+    side = 5 if k == 2 else 3
+    for trial in range(30):
+        model = _random_seeded_model(rng, k, side, use_ids)
+        master = rng.getrandbits(64)
+        MeshNetwork(model, side, master_seed=master + 1).init_round0()  # builds the template
+        cached = MeshNetwork(model, side, master_seed=master)
+        cached.init_round0()
+        meshnet._setup.cache_clear()
+        meshnet._round0.cache_clear()
+        fresh = MeshNetwork(model, side, master_seed=master)
+        fresh.init_round0()
+        assert _round0_view(cached) == _round0_view(fresh), trial
+        assert [e.coordinates for e in fresh.trace] == sorted(fresh.states), trial
+
+
+@pytest.mark.parametrize("k", [2, 3])
+@pytest.mark.parametrize("use_ids", [False, True])
+def test_running_a_network_leaves_the_template_alone(k, use_ids):
+    # the template's dicts are shared: rounds that detach, re-post or
+    # enter cells in one network must not show in the next one's round 0
+    import random
+
+    rng = random.Random(2500 + 10 * k + use_ids)
+    side = 5 if k == 2 else 3
+    for trial in range(30):
+        model = _random_seeded_model(rng, k, side, use_ids)
+        master = rng.getrandbits(64)
+        first = MeshNetwork(model, side, master_seed=master)
+        first.init_round0()
+        start = _round0_view(first)
+        first.run(6)
+        again = MeshNetwork(model, side, master_seed=master)
+        again.init_round0()
+        assert _round0_view(again) == start, trial
+
+
+def test_seed_outside_mesh_raises_in_init_round0_every_time():
+    model = forced_growth_model(seed={(0, 0): "t", (3, 1): "t"})
+    for _ in range(2):
+        net = MeshNetwork(model, 3)  # construction never reads the seed
+        with pytest.raises(ValueError, match=r"seed location \(3, 1\) lies outside the mesh"):
+            net.init_round0()
