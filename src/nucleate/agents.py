@@ -353,11 +353,12 @@ class TransitionLaw:
     `slot`, `step` and `keyed_post` answer per key from the memos `slots`,
     `steps` and `keyed_posts`, which the rounds read directly; on a miss
     they read `lookup` and `posts`, which stay the definitions.
+    `keyed_post` is the one source of a round's posts, with or without an
+    id, and `lookups` the one memo of `distribution`.
     """
 
     def __init__(self, model: AgentModel):
         self.model = model
-        self._cache: dict = {}
         #: (occupant, glues, messages) -> lookup(...), which `model_step`
         #: reads directly
         self.lookups: dict = {}
@@ -365,20 +366,19 @@ class TransitionLaw:
         #: post id -> the pairs tuple it stands for
         self.pairs_of: list = []
         #: key -> slot(key); (occupant, key) -> step(occupant, key);
-        #: (type, key) -> keyed_post(type, key)
+        #: (rule type, key) -> keyed_post(rule type, key) without an id
         self.slots: dict = {}
         self.steps: dict = {}
         self.keyed_posts: dict = {}
-        #: type without a rule -> the pairs it posts whatever it hears
-        self.fixed_posts = {name: tuple((g, None) for g in t.glues)
-                            for name, t in model.types.items() if t.rule is None}
-        #: type without a rule -> (its fixed pairs, their post id)
-        self.fixed_keyed = {name: (pairs, self.post_id(pairs))
-                            for name, pairs in self.fixed_posts.items()}
+        #: type without a rule -> (the pairs it posts whatever it hears,
+        #: their post id)
+        fixed = {name: tuple((g, None) for g in t.glues)
+                 for name, t in model.types.items() if t.rule is None}
+        self.fixed_keyed = {name: (pairs, self.post_id(pairs)) for name, pairs in fixed.items()}
         #: the types with a rule, and the occupants that can neither detach
         #: nor vary their posts
-        self.ruled = frozenset(model.types.keys() - self.fixed_posts.keys())
-        self.inert = frozenset() if model.kinetics.detach else frozenset(self.fixed_posts)
+        self.ruled = frozenset(model.types.keys() - self.fixed_keyed.keys())
+        self.inert = frozenset() if model.kinetics.detach else frozenset(self.fixed_keyed)
         #: no detachment and no rule: an occupant never changes state nor
         #: varies its posts
         self.static = not model.kinetics.detach and not self.ruled
@@ -418,11 +418,11 @@ class TransitionLaw:
               my_id: Optional[int]) -> tuple:
         """The (glue, message) pairs an agent of type `name` posts per side
         after hearing (glues, messages)."""
-        pairs = self.fixed_posts.get(name)
-        if pairs is None:
-            pairs = tuple(zip(self.model.types[name].glues,
-                              self.rule_output(name, glues, messages, my_id).messages))
-        return pairs
+        fixed = self.fixed_keyed.get(name)
+        if fixed is not None:
+            return fixed[0]
+        return tuple(zip(self.model.types[name].glues,
+                         self.rule_output(name, glues, messages, my_id).messages))
 
     def post_id(self, pairs: tuple) -> int:
         """The small int that stands for a posted pairs tuple; equal tuples
@@ -459,10 +459,18 @@ class TransitionLaw:
             entry = self.steps[(occupant, key)] = self.lookup(occupant, *self.heard(key))
         return entry
 
-    def keyed_post(self, name: str, key: tuple) -> tuple:
-        """(pairs, post id) of `posts(name, glues, messages, None)` at the
-        inputs heard from `key`.  Memoized in `keyed_posts`; the rule runs
-        on a miss only."""
+    def keyed_post(self, name: str, key: tuple, my_id: Optional[int] = None) -> tuple:
+        """(pairs, post id) of `posts(name, glues, messages, my_id)` at the
+        inputs heard from `key`, for an agent with id `my_id` (None without
+        use_ids).  A type without a rule reads its `fixed_keyed` entry; an
+        id-free post is memoized in `keyed_posts`, so its rule runs on a
+        miss only; a post with an id runs the rule every time."""
+        fixed = self.fixed_keyed.get(name)
+        if fixed is not None:
+            return fixed
+        if my_id is not None:
+            pairs = self.posts(name, *self.heard(key), my_id)
+            return pairs, self.post_id(pairs)
         entry = self.keyed_posts.get((name, key))
         if entry is None:
             pairs = self.posts(name, *self.heard(key), None)
@@ -471,20 +479,9 @@ class TransitionLaw:
 
     def distribution(self, occupant: Optional[str], glues, messages) -> dict:
         """Exact next-occupant distribution for one cell; keys are agent
-        names plus None for empty."""
-        return dict(self._distribution(occupant, tuple(glues), tuple(messages)))
-
-    def _distribution(self, occupant, glues, messages) -> dict:
-        # the input domain is finite, so memoize; callers must not mutate
-        key = (occupant, glues, messages)
-        cached = self._cache.get(key)
-        if cached is not None:
-            return cached
-        dist = self._compute_distribution(occupant, glues, messages)
-        self._cache[key] = dist
-        return dist
-
-    def _compute_distribution(self, occupant, glues, messages) -> dict:
+        names plus None for empty.  Not memoized: `lookup` memoizes what
+        the dynamics read of it."""
+        glues, messages = tuple(glues), tuple(messages)
         kin = self.model.kinetics
         if occupant is not None:
             if occupant not in self.model.types:
@@ -520,7 +517,7 @@ class TransitionLaw:
         key = (occupant, glues, messages)
         entry = self.lookups.get(key)
         if entry is None:
-            dist = self._distribution(occupant, glues, messages)
+            dist = self.distribution(occupant, glues, messages)
             if len(dist) == 1:
                 entry = (next(iter(dist)), None)
             else:

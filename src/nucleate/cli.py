@@ -32,11 +32,11 @@ from .systems import NUCLEATION_RULE_IDS, nucleation_family
 OK, CHECK_FAILED, USAGE = 0, 1, 2
 
 
-def _positive(kind):
+def _at_least(low: int, kind: str):
     def parse(text: str) -> int:
         value = int(text)
-        if value < 1:
-            raise argparse.ArgumentTypeError(f"{kind} must be >= 1, got {value}")
+        if value < low:
+            raise argparse.ArgumentTypeError(f"{kind} must be >= {low}, got {value}")
         return value
     return parse
 
@@ -229,8 +229,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("assemble", help="run tile assembly on an n x n window")
     common(p)
-    p.add_argument("--size", type=_positive("size"), required=True)
-    p.add_argument("--max-stages", type=int, default=None)
+    p.add_argument("--size", type=_at_least(1, "size"), required=True)
+    p.add_argument("--max-stages", type=_at_least(0, "max-stages"), default=None)
     p.add_argument("--check-coloring", action="store_true")
     p.add_argument("--check-determinism", action="store_true")
     p.add_argument("--expect-valid", action="store_true")
@@ -239,8 +239,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("meshsim", help="simulate the processor mesh for some rounds")
     common(p)
-    p.add_argument("--size", type=_positive("size"), required=True)
-    p.add_argument("--rounds", type=int, default=10)
+    p.add_argument("--size", type=_at_least(1, "size"), required=True)
+    p.add_argument("--rounds", type=_at_least(0, "rounds"), default=10)
     p.add_argument("--expect-valid", action="store_true")
     p.add_argument("--ppm", action="store_true")
     p.set_defaults(func=cmd_meshsim)
@@ -253,13 +253,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pi-nu", type=float, default=0.1)
     p.add_argument("--sizes", type=_sizes, default=(8, 16, 32, 64))
     p.add_argument("--rounds", type=int, default=10)
-    p.add_argument("--trials", type=_positive("trials"), default=200)
+    p.add_argument("--trials", type=_at_least(1, "trials"), default=200)
     p.set_defaults(func=cmd_experiment)
 
     p = sub.add_parser("fidelity", help="mesh-vs-model one-round distribution check")
     common(p, fmt=("json",))
-    p.add_argument("--size", type=_positive("size"), required=True)
-    p.add_argument("--samples", type=_positive("samples"), default=100_000)
+    p.add_argument("--size", type=_at_least(1, "size"), required=True)
+    p.add_argument("--samples", type=_at_least(1, "samples"), default=100_000)
     p.set_defaults(func=cmd_fidelity)
 
     p = sub.add_parser("check", help="weak c-coloring report for a coloring file")

@@ -8,6 +8,7 @@ canonical JSON encoding), which together reproduce any run byte for byte.
 
 import hashlib
 import json
+import warnings
 from pathlib import Path
 from typing import Mapping, Optional, Union
 
@@ -355,7 +356,13 @@ def lint_document(source: Union[str, Path, dict], strict: bool = False) -> list[
         doc = _read_document(source)
         kind = detect_kind(doc)
         if kind == "tile-system":
-            load_tile_system(doc)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")  # temperature 0: a diagnostic below
+                system, _ = load_tile_system(doc)
+            if system.temperature == 0:
+                return [Diagnostic("warning", "temperature-zero",
+                                   "temperature 0: every empty location is a frontier",
+                                   "temperature")]
             return []
         model, _ = load_agent_model(doc)
         return validate_model(model, strict=strict)

@@ -10,12 +10,12 @@ snapshot, so no partial-round interleaving is representable.
 Processors that hear nothing do nothing: an EMPTY processor stays EMPTY and
 an occupied one keeps re-posting its pairs.  Everything else samples the
 model's one-round transition law.  An occupant posts the pairs that the
-same law object gives for its inputs (`TransitionLaw.posts`, shared with the
-model dynamics), which checks every rule output against the model's declared
-bounds.  Per-processor randomness is derived from
-(master seed, coordinates, round), and each update reads only its own
-inputs and state, so a round's outcome does not depend on the order in
-which processors are evaluated.
+same law object gives for its inputs and id (`TransitionLaw.keyed_post`;
+the law is shared with the model dynamics), which checks every rule output
+against the model's declared bounds; the network builds no pairs itself.
+Per-processor randomness is derived from (master seed, coordinates, round),
+and each update reads only its own inputs and state, so a round's outcome
+does not depend on the order in which processors are evaluated.
 
 A processor hears its neighbors through post ids.  The law interns every
 posted pairs tuple to a small int (`TransitionLaw.post_id`), the network
@@ -23,9 +23,9 @@ keeps each occupant's id next to its pairs, and `neighbor_rows` lists each
 processor's 2k neighbors in canonical direction order (None off the mesh)
 as the window's own vertex tuples.  A round first reads every evaluated
 processor's key, the tuple of post ids along its row, before any update;
-its delivered inputs, its law entry and its posts are then memo hits keyed
-by that key (`TransitionLaw.slot`, `step`, `keyed_post`).  The model
-dynamics (`agents.model_step`) keep their own delivery over
+its delivered inputs, its law entry and its id-free posts are then memo
+hits keyed by that key (`TransitionLaw.slot`, `step`, `keyed_post`).  The
+model dynamics (`agents.model_step`) keep their own delivery over
 `neighbor_table`, so the two codings check each other.
 
 Round 0 starts from a template shared by every network of one model on one
@@ -149,21 +149,8 @@ def _round0(model: AgentModel, side: int) -> _Round0:
     nobody = (None,) * model.d  # the key of a processor that hears nothing
     outputs, post_ids = {}, {}
     for v, name in states.items():
-        outputs[v], post_ids[v] = _pairs(setup.law, name, nobody, ids.get(v))
+        outputs[v], post_ids[v] = setup.law.keyed_post(name, nobody, ids.get(v))
     return _Round0(states, ids, outputs, post_ids)
-
-
-def _pairs(law: TransitionLaw, name: str, key: tuple, my_id: Optional[int]) -> tuple:
-    """(pairs, post id) that an agent of type `name` with id `my_id` (None
-    without use_ids) posts after hearing its neighbors' post ids `key`: its
-    glue plus its rule's message on each side."""
-    fixed = law.fixed_keyed.get(name)
-    if fixed is not None:
-        return fixed
-    if my_id is None:
-        return law.keyed_post(name, key)
-    pairs = law.posts(name, *law.heard(key), my_id)
-    return pairs, law.post_id(pairs)
 
 
 class MeshNetwork:
@@ -220,8 +207,8 @@ class MeshNetwork:
             nobody = (None,) * model.d  # the key of a processor that hears nothing
             for v, name in woken:
                 self._enter(v, name)
-                self.outputs[v], self.post_ids[v] = _pairs(self.law, name, nobody,
-                                                           self.ids.get(v))
+                self.outputs[v], self.post_ids[v] = self.law.keyed_post(name, nobody,
+                                                                        self.ids.get(v))
         if self.trace is not None:
             self.trace.extend([TraceEvent(0, v, None, name)
                                for v, name in sorted(states.items())])
@@ -349,10 +336,10 @@ class MeshNetwork:
                     self._enter(v, new)
                 else:
                     states[v] = new
-                outputs[v], post_ids[v] = _pairs(law, new, key, self.ids.get(v))
+                outputs[v], post_ids[v] = law.keyed_post(new, key, self.ids.get(v))
             elif new in ruled:
                 # state kept, but the rule may emit different messages now
-                pairs, pid = (_pairs(law, new, key, self.ids.get(v)) if ids_on
+                pairs, pid = (law.keyed_post(new, key, self.ids.get(v)) if ids_on
                               else keyed.get((new, key)) or law.keyed_post(new, key))
                 if pid != post_ids[v]:
                     outputs[v] = pairs

@@ -240,19 +240,14 @@ def is_tau_stable(cfg: Configuration, tiles: Mapping[str, TileType], temperature
     return binding_strength(build_binding_graph(cfg, tiles)) >= temperature
 
 
-def bond_total(t: TileType, facing: tuple) -> int:
-    """Total strength with which tile type t binds against facing glues."""
-    return sum(glues_bind(own, g) for own, g in zip(t.glues, facing) if g is not None)
-
-
 class AttachableTypes:
     """Attachability of one (tiles, temperature) pair, keyed by the names
     around a cell: ``tuple(map(cells.get, around(v)))``, one tile name or
     None per canonical direction.
 
     A key is a tuple of strs, so the memo hashes and compares it in C; the
-    glues the neighbours present are read only on a miss, where
-    `bond_total` and `glues_bind` define the answer.
+    glues the neighbours present are read only on a miss of `bond`, the
+    one bond sum over `glues_bind`, and `names` is computed from `bond`.
     """
 
     def __init__(self, tiles: Mapping[str, TileType], temperature: int):
@@ -272,10 +267,9 @@ class AttachableTypes:
         at a cell with these neighbours, in tile order."""
         cached = self._names.get(around_names)
         if cached is None:
-            facing = self._facing(around_names)
-            cached = tuple(name for name, t in self.tiles.items()
-                           if bond_total(t, facing) >= self.temperature)
-            self._names[around_names] = cached
+            bond, tau = self.bond, self.temperature
+            cached = self._names[around_names] = tuple(
+                name for name in self.tiles if bond(name, around_names)[0] >= tau)
         return cached
 
     def bond(self, name: str, around_names: tuple) -> tuple[int, int]:

@@ -267,6 +267,17 @@ def test_post_id_memos_match_literal_delivery_and_the_law(k, use_ids, alphabet):
                     pairs, pid = law.keyed_post(name, key)
                     assert pairs == reference.posts(name, glues, msgs, None), name
                     assert law.pairs_of[pid] == pairs and law.post_id(pairs) == pid
+                    # a post with an id runs the rule with it and is never memoized
+                    my_id = rng.randrange(4) if use_ids else None
+                    memo = dict(law.keyed_posts)
+                    pairs, pid = law.keyed_post(name, key, my_id)
+                    assert pairs == reference.posts(name, glues, msgs, my_id), (name, my_id)
+                    assert law.pairs_of[pid] == pairs and law.post_id(pairs) == pid
+                    if my_id is not None:
+                        assert law.keyed_posts == memo, (name, my_id)
+                    if name in law.fixed_keyed:  # no rule: one entry whatever the id
+                        for any_id in (None, 0, 7):
+                            assert law.keyed_post(name, key, any_id) is law.fixed_keyed[name]
                     checked += 1
     assert checked > 0
     assert len(law.pairs_of) == len(set(law.pairs_of))

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -119,6 +120,19 @@ def test_assemble_size_zero_is_usage_error():
     with pytest.raises(SystemExit) as err:
         main(["assemble", "--model", TSTAR, "--size", "0"])
     assert err.value.code == 2
+
+
+@pytest.mark.parametrize("command", [
+    ["meshsim", "--model", LOCAL, "--size", "4", "--rounds", "-3"],
+    ["assemble", "--model", TSTAR, "--size", "4", "--max-stages", "-2"],
+])
+def test_negative_budgets_are_usage_errors(tmp_path, capsys, command):
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as err:
+        main([*command, "--out", str(out)])
+    assert err.value.code == 2
+    assert "must be >= 0" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_assemble_wrong_model_kind():
@@ -443,6 +457,20 @@ def test_lint_model_clean(capsys):
     assert main(["lint-model", "--model", TSTAR]) == 0
     report = json.loads(capsys.readouterr().out)
     assert report["diagnostics"] == []
+
+
+def test_lint_model_warns_on_a_temperature_zero_tile_system(tmp_path, capsys):
+    doc = json.loads(shipped_model_path("tstar").read_text())
+    doc["temperature"] = 0
+    path = tmp_path / "tau0.json"
+    path.write_text(json.dumps(doc))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["lint-model", "--model", str(path)]) == 1
+    assert caught == []
+    report = json.loads(capsys.readouterr().out)
+    assert [(d["severity"], d["code"], d["path"]) for d in report["diagnostics"]] == [
+        ("warning", "temperature-zero", "temperature")]
 
 
 def test_lint_model_strict_flags_negative_strengths(capsys):

@@ -1,13 +1,19 @@
 """Every name a nucleate module imports is used there, re-exported by the
-package, or kept as a binding that the benchmark's tracer wraps by name."""
+package, or kept as a binding that the benchmark's tracer wraps by name;
+every top-level function and class of the package is referenced somewhere
+besides its own definition, or registered by a decorator."""
 
 import ast
+from collections import defaultdict
 from pathlib import Path
 
 import nucleate
 
 SRC = Path(nucleate.__file__).parent
-TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+ROOT = Path(__file__).resolve().parents[1]
+TRACER = ROOT / "perfbench" / "tracer.py"
+#: decorators whose call registers the definition, so it needs no other reference
+REGISTRARS = {"register_rule"}
 
 
 def tracer_bindings() -> set:
@@ -53,3 +59,68 @@ def test_every_import_is_used_exported_or_traced():
 def test_the_check_sees_a_dead_import():
     tree = ast.parse("import os\nfrom x import a, b as c\nfrom y import d\nprint(a, d.e)\n")
     assert unused_imports(tree) == ["os", "c"]
+
+
+def definitions(tree: ast.Module) -> list:
+    """Top-level functions and classes, except those a registering decorator
+    such as ``@register_rule(...)`` records."""
+    def registered(node) -> bool:
+        return any(isinstance(d, ast.Call) and getattr(d.func, "id", None) in REGISTRARS
+                   for d in node.decorator_list)
+    return [node for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            and not registered(node)]
+
+
+def references(tree: ast.Module) -> dict:
+    """name -> the lines where a name, an attribute, an import or a string
+    equal to it (as in the tracer's binding tables) reads it."""
+    out = defaultdict(list)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            name = node.id
+        elif isinstance(node, ast.Attribute):
+            name = node.attr
+        elif isinstance(node, ast.alias):
+            name = node.name
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            name = node.value
+        else:
+            continue
+        out[name].append(node.lineno)
+    return out
+
+
+def dead_definitions(trees: dict, defining) -> list:
+    """`module.name` of each definition in the `defining` modules of
+    `trees` (module -> parsed source) that no module references outside
+    the definition's own lines."""
+    refs = {module: references(tree) for module, tree in trees.items()}
+    dead = []
+    for module in defining:
+        for node in definitions(trees[module]):
+            own = range(node.lineno, node.end_lineno + 1)
+            if not any(line not in own or other != module
+                       for other, found in refs.items() for line in found.get(node.name, ())):
+                dead.append(f"{module}.{node.name}")
+    return dead
+
+
+def test_every_definition_is_referenced():
+    package = {f"nucleate.{path.stem}": ast.parse(path.read_text())
+               for path in sorted(SRC.glob("*.py"))}
+    others = {str(path.relative_to(ROOT)): ast.parse(path.read_text())
+              for folder in (ROOT / "tests", ROOT / "perfbench")
+              for path in sorted(folder.glob("*.py"))}
+    assert dead_definitions(package | others, package) == []
+
+
+def test_the_check_sees_a_dead_definition():
+    trees = {"m": ast.parse(
+        "def used():\n    pass\n"
+        "def _dead(key):\n    return _dead(key)\n"
+        "@register_rule('x')\ndef _rule():\n    pass\n"
+        "class Ghost:\n    pass\n"
+        "used()\n"),
+             "n": ast.parse("import m\nm.used()\n")}
+    assert dead_definitions(trees, ["m"]) == ["m._dead", "m.Ghost"]
