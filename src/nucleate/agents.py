@@ -22,17 +22,18 @@ Irreversible, error-free tile assembly is the special case
 p_off = epsilon = 0.  Multiple nucleation places agents uniformly at random
 with probability pi_nu per location, at stage 0 only.
 
-The per-model law (`law_for`) is shared by the model dynamics here and the
-mesh simulation in `meshnet`, and it is the one place where either runs a
-message rule: `TransitionLaw.rule_output` raises `MessageBoundError` unless
-the rule emits d messages from the declared alphabet.
+The model's one law (`AgentModel.law`) is shared by the model dynamics here
+and the mesh simulation in `meshnet`, and it is the one place where either
+runs a message rule: `TransitionLaw.rule_output` raises `MessageBoundError`
+unless the rule emits d messages from the declared alphabet.  What no master
+seed changes on an n^k mesh is computed once per side and kept on the law
+(`TransitionLaw.plan`), so a model, its law and its plans are freed together.
 """
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from types import MappingProxyType
 from typing import Callable, Mapping, NamedTuple, Optional, Sequence
-from weakref import WeakKeyDictionary
 
 from .lattice import OPPOSITE, Mesh, Point, directions
 # perfbench/tracer.py counts calls through this module's add binding by name.
@@ -252,6 +253,12 @@ class AgentModel:
     def colors(self) -> int:
         return max((t.color for t in self.types.values()), default=1)
 
+    @cached_property
+    def law(self) -> "TransitionLaw":
+        """The model's one transition law, built on first use and shared by
+        every dynamics that runs the model, so its memos are reused."""
+        return TransitionLaw(self)
+
 
 def validate_model(model: AgentModel, strict: bool = False) -> list[Diagnostic]:
     """Machine-readable diagnostics; severity "error" makes a model unusable.
@@ -263,7 +270,7 @@ def validate_model(model: AgentModel, strict: bool = False) -> list[Diagnostic]:
     model still constructs, but its dynamics stop on that post.
     """
     diags = _structure_diagnostics(model, strict)
-    law = law_for(model)
+    law = model.law
     silent = (None,) * model.d
     for name, t in model.types.items():
         if t.rule is None:
@@ -344,7 +351,7 @@ class TransitionLaw:
     probability distribution over the next occupant; for every input the
     probabilities sum to one exactly.  It is also the one place where the
     dynamics run a message rule and check its output (`rule_output`,
-    `posts`), shared by the mesh and the model dynamics through `law_for`.
+    `posts`), shared by the mesh and the model dynamics as `AgentModel.law`.
 
     The mesh rounds read the law through post ids: every posted pairs
     tuple is interned to a small int (`post_id`), and a processor's *key*
@@ -354,11 +361,14 @@ class TransitionLaw:
     `steps` and `keyed_posts`, which the rounds read directly; on a miss
     they read `lookup` and `posts`, which stay the definitions.
     `keyed_post` is the one source of a round's posts, with or without an
-    id, and `lookups` the one memo of `distribution`.
+    id, and `lookups` the one memo of `distribution`.  `plan(side)` is
+    what the dynamics share on one mesh side.
     """
 
     def __init__(self, model: AgentModel):
         self.model = model
+        #: side -> plan(side), which `model_step` reads directly
+        self.plans: dict = {}
         #: (occupant, glues, messages) -> lookup(...), which `model_step`
         #: reads directly
         self.lookups: dict = {}
@@ -541,6 +551,57 @@ class TransitionLaw:
         """True when the next state is deterministic (a single-outcome law)."""
         return self.lookup(occupant, tuple(glues), tuple(messages))[1] is None
 
+    def plan(self, side: int) -> "Plan":
+        """The model's `Plan` on the n^k mesh of this side, built once and
+        kept in `plans`."""
+        plan = self.plans.get(side)
+        if plan is None:
+            plan = self.plans[side] = Plan(self, side)
+        return plan
+
+
+class Plan:
+    """What every mesh network and every `model_step` of one model on one
+    mesh side share; no master seed changes any of it.  Shared, so callers
+    copy before they add."""
+
+    def __init__(self, law: TransitionLaw, side: int):
+        model = law.model
+        self.law = law
+        self.mesh = Mesh(model.k, side)
+        self.keys = window_keys(model.k, side)  # the cells' rng key bytes
+        self.rows = neighbor_rows(model.k, side)
+        self.glues = {name: t.glues for name, t in model.types.items()}
+        self.d = model.d
+
+    @cached_property
+    def table(self) -> dict:
+        """`_neighbor_table(k, side)`: v -> its (i, w, OPPOSITE[i]) triples.
+        Built on first use, so the mesh rounds, which read `rows`, never
+        build it."""
+        return _neighbor_table(self.mesh.k, self.mesh.side)
+
+    @cached_property
+    def round0(self) -> tuple:
+        """The seed cells' share of round 0, as four dicts: (states, ids,
+        outputs, post_ids).  Each seed cell's type, in sorted location
+        order; its id in that order under use_ids, else none; the pairs it
+        posts from silent inputs and their post id.  ValueError for a seed
+        cell outside the mesh, MessageBoundError for a seed rule that breaks
+        its bounds; neither is kept, so every `init_round0` raises it."""
+        model = self.law.model
+        states = {}
+        for v in sorted(model.seed):
+            if not self.mesh.contains(v):
+                raise ValueError(f"seed location {v} lies outside the mesh")
+            states[v] = model.seed[v]
+        ids = {v: i for i, v in enumerate(states)} if model.use_ids else {}
+        nobody = (None,) * self.d  # the key of a processor that hears nothing
+        outputs, post_ids = {}, {}
+        for v, name in states.items():
+            outputs[v], post_ids[v] = self.law.keyed_post(name, nobody, ids.get(v))
+        return states, ids, outputs, post_ids
+
 
 def pick(cdf: tuple, u: float) -> Optional[str]:
     """Inverse CDF: the first outcome whose running sum exceeds u, or the
@@ -549,18 +610,6 @@ def pick(cdf: tuple, u: float) -> Optional[str]:
         if u < acc:
             return outcome
     return cdf[-1][1]
-
-
-_LAWS = WeakKeyDictionary()
-
-
-def law_for(model: AgentModel) -> TransitionLaw:
-    """Shared per-model law instance, so its distribution memo is reused."""
-    law = _LAWS.get(model)
-    if law is None:
-        law = TransitionLaw(model)
-        _LAWS[model] = law
-    return law
 
 
 class SurfaceState(NamedTuple):
@@ -592,33 +641,15 @@ def initial_state(model: AgentModel, window: Mesh) -> SurfaceState:
                         stage=0, next_id=len(ids))
 
 
-class _StepPlan(NamedTuple):
-    """What every `model_step` of one model on one window shares."""
-
-    law: TransitionLaw
-    table: dict  # _neighbor_table(k, side): v -> its (i, w, OPPOSITE[i]) triples
-    keys: dict  # window_keys(k, side): the cells' rng key bytes
-    glues: dict  # type -> its glue labels
-    d: int
-
-
-@lru_cache(maxsize=32)
-def _step_plan(model: AgentModel, k: int, side: int) -> _StepPlan:
-    law = law_for(model)
-    return _StepPlan(law, _neighbor_table(k, side), window_keys(k, side),
-                     {name: t.glues for name, t in model.types.items()}, model.d)
-
-
 def surface_inputs(state: SurfaceState, model: AgentModel, v: Point):
     """(glues, messages) seen by location v: per canonical direction, the
     facing glue label and outgoing message of the occupied neighbor, or
     None for empty and off-window directions."""
-    window = state.window
-    plan = _step_plan(model, window.k, window.side)
+    plan = model.law.plan(state.window.side)
     return _inputs(state.occupancy, state.out_messages, plan, plan.table[v])
 
 
-def _inputs(occupancy: Mapping, out_messages: Mapping, plan: _StepPlan, neighbors: tuple):
+def _inputs(occupancy: Mapping, out_messages: Mapping, plan: Plan, neighbors: tuple):
     """(glues, messages) heard by the location whose neighbor-table entry
     is given, from these occupants and their posts."""
     glues = [None] * plan.d
@@ -637,7 +668,7 @@ def _inputs(occupancy: Mapping, out_messages: Mapping, plan: _StepPlan, neighbor
 def _round0_posts(model: AgentModel, occupancy: Mapping[Point, str],
                   ids: Mapping[Point, int]) -> dict:
     """Round-0 posts: every occupant's rule hears empty inputs."""
-    law = law_for(model)
+    law = model.law
     silent = (None,) * model.d
     return {v: law.rule_output(name, silent, silent, ids.get(v)).messages
             for v, name in occupancy.items() if model.types[name].rule is not None}
@@ -663,7 +694,7 @@ def nucleate(state: SurfaceState, model: AgentModel, seed: int) -> SurfaceState:
     ids = dict(state.ids)
     next_id = state.next_id
     window = state.window
-    for v, name in nucleation_sites(model, window_keys(window.k, window.side), seed,
+    for v, name in nucleation_sites(model, model.law.plan(window.side).keys, seed,
                                     state.occupancy):
         occupancy[v] = name
         if model.use_ids:
@@ -684,8 +715,8 @@ def model_step(state: SurfaceState, model: AgentModel, seed: int) -> SurfaceStat
     detached cell's posts are dropped.
     """
     window = state.window
-    plan = _step_plan(model, window.k, window.side)
-    law = plan.law
+    law = model.law
+    plan = law.plans.get(window.side) or law.plan(window.side)
     lookups = law.lookups
     table = plan.table
     ruled = law.ruled

@@ -57,6 +57,25 @@ def _write(out_dir, name: str, text: str) -> None:
         (Path(out_dir) / name).write_text(text, encoding="utf-8")
 
 
+def _print_diagnostics(diagnostics) -> None:
+    for d in diagnostics:
+        print(f"{d.severity}: [{d.code}] {d.message}", file=sys.stderr)
+
+
+def _require_2d_ppm(args, k: int) -> None:
+    """Reject --ppm on a 3-dimensional surface before any work is done."""
+    if args.ppm and k != 2:
+        raise ValueError("pixmap snapshots are 2-dimensional only")
+
+
+def _surface_report(coloring: col.Coloring, mode: str = col.FULL):
+    """(weak-coloring check, its report document); the plus search runs on
+    2-dimensional meshes only."""
+    check = col.check_weak_coloring(coloring, mode=mode)
+    plus = col.find_monochromatic_plus(coloring) if coloring.mesh.k == 2 else None
+    return check, col.report_document(check, plus)
+
+
 def _emit(doc: dict, args, ascii_text: str = "") -> None:
     if args.format == "ascii" and ascii_text:
         print(ascii_text, end="")
@@ -66,6 +85,8 @@ def _emit(doc: dict, args, ascii_text: str = "") -> None:
 
 def cmd_assemble(args) -> int:
     system, doc = formats.load_tile_system(args.model)
+    _require_2d_ppm(args, system.k)
+    _print_diagnostics(formats.tile_system_warnings(system))
     model_hash = formats.content_hash(doc)
     window = Mesh(system.k, args.size)
     result = engine.run(system, window, master_seed=args.seed,
@@ -91,10 +112,7 @@ def cmd_assemble(args) -> int:
 
     failed = False
     if args.check_coloring:
-        coloring = col.Coloring(colors, window, system.colors)
-        check = col.check_weak_coloring(coloring)
-        plus = col.find_monochromatic_plus(coloring) if system.k == 2 else None
-        report["coloring"] = col.report_document(check, plus)
+        check, report["coloring"] = _surface_report(col.Coloring(colors, window, system.colors))
         _write(args.out, "coloring.json", json.dumps(
             formats.coloring_document(colors, window, system.colors), indent=2))
         _write(args.out, "coloring_report.json", json.dumps(report["coloring"], indent=2))
@@ -119,13 +137,13 @@ def cmd_assemble(args) -> int:
 
 def cmd_meshsim(args) -> int:
     model, doc = formats.load_agent_model(args.model)
+    _require_2d_ppm(args, model.k)
     model_hash = formats.content_hash(doc)
     net = MeshNetwork(model, args.size, master_seed=args.seed)
     net.init_round0()
     events = net.run(args.rounds)
     cfg, coloring = net.extract_configuration()
-    check = col.check_weak_coloring(coloring)
-    plus = col.find_monochromatic_plus(coloring) if model.k == 2 else None
+    check, coloring_report = _surface_report(coloring)
 
     colors = coloring.assignment
     snapshot = formats.ascii_snapshot(colors, net.mesh)
@@ -137,7 +155,7 @@ def cmd_meshsim(args) -> int:
         "size": args.size,
         "rounds": args.rounds,
         "occupied": len(cfg),
-        "coloring": col.report_document(check, plus),
+        "coloring": coloring_report,
     }
     _write(args.out, "trace.txt", trace)
     _write(args.out, "snapshot.txt", snapshot)
@@ -194,13 +212,10 @@ def cmd_fidelity(args) -> int:
 
 
 def cmd_check(args) -> int:
-    coloring = formats.load_coloring(args.coloring)
-    report = col.check_weak_coloring(coloring, mode=args.mode)
-    plus = col.find_monochromatic_plus(coloring) if coloring.mesh.k == 2 else None
-    doc = col.report_document(report, plus)
+    check, doc = _surface_report(formats.load_coloring(args.coloring), args.mode)
     _write(args.out, "coloring_report.json", json.dumps(doc, indent=2))
     print(json.dumps(doc, indent=2))
-    if args.expect_valid and not report.valid:
+    if args.expect_valid and not check.valid:
         return CHECK_FAILED
     return OK
 
@@ -284,8 +299,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except formats.FormatError as e:
-        for d in e.diagnostics:
-            print(f"{d.severity}: [{d.code}] {d.message}", file=sys.stderr)
+        _print_diagnostics(e.diagnostics)
         return USAGE
     except FileNotFoundError as e:
         print(f"error: {e}", file=sys.stderr)

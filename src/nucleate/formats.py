@@ -192,14 +192,25 @@ def load_tile_system(source: Union[str, Path, dict]) -> tuple[TileAssemblySystem
     temperature = _integer(doc["temperature"], "temperature")
 
     try:
-        system = TileAssemblySystem(
-            tiles=tiles,
-            seed=Configuration(seed_cells, k=k),
-            temperature=temperature,
-        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # temperature 0: see tile_system_warnings
+            system = TileAssemblySystem(
+                tiles=tiles,
+                seed=Configuration(seed_cells, k=k),
+                temperature=temperature,
+            )
     except ValueError as e:
         _fail("invalid-system", str(e))
     return system, doc
+
+
+def tile_system_warnings(system: TileAssemblySystem) -> list[Diagnostic]:
+    """The warning diagnostics of a loaded tile system: `temperature-zero`
+    at temperature 0, the warning the loader keeps quiet."""
+    if system.temperature == 0:
+        return [Diagnostic("warning", "temperature-zero",
+                           "temperature 0: every empty location is a frontier", "temperature")]
+    return []
 
 
 def tile_system_document(system: TileAssemblySystem, name: Optional[str] = None) -> dict:
@@ -356,14 +367,7 @@ def lint_document(source: Union[str, Path, dict], strict: bool = False) -> list[
         doc = _read_document(source)
         kind = detect_kind(doc)
         if kind == "tile-system":
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")  # temperature 0: a diagnostic below
-                system, _ = load_tile_system(doc)
-            if system.temperature == 0:
-                return [Diagnostic("warning", "temperature-zero",
-                                   "temperature 0: every empty location is a frontier",
-                                   "temperature")]
-            return []
+            return tile_system_warnings(load_tile_system(doc)[0])
         model, _ = load_agent_model(doc)
         return validate_model(model, strict=strict)
     except FormatError as e:

@@ -28,11 +28,13 @@ hits keyed by that key (`TransitionLaw.slot`, `step`, `keyed_post`).  The
 model dynamics (`agents.model_step`) keep their own delivery over
 `neighbor_table`, so the two codings check each other.
 
-Round 0 starts from a template shared by every network of one model on one
-side (`_round0`): the seed cells, validated and in sorted order, their ids
-under use_ids, and the (pairs, post id) each posts from silent inputs.  No
-master seed changes any of it, so `init_round0` copies it in and then wakes,
-enters and posts the nucleated cells; it is built by the first
+Every network of one model on one side reads one plan
+(`TransitionLaw.plan`, kept on the model's law `AgentModel.law`): the mesh,
+its rows and rng keys, and the round-0 template (`Plan.round0`): the seed
+cells, validated and in sorted order, their ids under use_ids, and the
+(pairs, post id) each posts from silent inputs.  No master seed changes any
+of it, so `init_round0` copies the template in and then wakes, enters and
+posts the nucleated cells; the template is built by the first
 `init_round0` that needs it, so a seed outside the mesh or a seed rule that
 breaks its bounds still raises there, not at construction.
 
@@ -49,11 +51,10 @@ pairs, so only EMPTY processors are ever re-evaluated (the static regime,
 """
 
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import chain
 from typing import NamedTuple, Optional
 
-from .agents import AgentModel, TransitionLaw, law_for, neighbor_rows, nucleation_sites, pick
+from .agents import AgentModel, nucleation_sites, pick
 # perfbench/tracer.py wraps this module's message_rule binding by name; the
 # rules run in TransitionLaw.rule_output.
 from .agents import message_rule  # noqa: F401
@@ -62,7 +63,7 @@ from .lattice import Mesh, Point
 # perfbench/tracer.py wraps this module's derive_seed and derived_rng
 # bindings by name; the draws go through the rng kernel.
 from .rng import derive_seed, derived_rng  # noqa: F401
-from .rng import drawer, window_keys
+from .rng import drawer
 from .tiles import Configuration
 
 
@@ -109,60 +110,16 @@ class AccessProbe:
         return out
 
 
-class _Setup(NamedTuple):
-    """What every network of one model on one side shares."""
-
-    mesh: Mesh
-    rows: dict  # neighbor_rows(k, side)
-    law: TransitionLaw
-    keys: dict  # window_keys(k, side): the cells' rng key bytes
-
-
-@lru_cache(maxsize=32)
-def _setup(model: AgentModel, side: int) -> _Setup:
-    k = model.k
-    return _Setup(Mesh(k, side), neighbor_rows(k, side), law_for(model), window_keys(k, side))
-
-
-class _Round0(NamedTuple):
-    """The seed cells' share of round 0 on one model and side.  Shared, so
-    `init_round0` copies each dict before it adds to it."""
-
-    states: dict  # seed cell -> type, in sorted location order
-    ids: dict  # seed cell -> id in that order under use_ids, else empty
-    outputs: dict  # seed cell -> the pairs it posts from silent inputs
-    post_ids: dict  # seed cell -> the post id of those pairs
-
-
-@lru_cache(maxsize=32)
-def _round0(model: AgentModel, side: int) -> _Round0:
-    """The round-0 template: ValueError for a seed cell outside the mesh,
-    MessageBoundError for a seed rule that breaks its bounds (neither is
-    cached, so every `init_round0` raises it)."""
-    setup = _setup(model, side)
-    states = {}
-    for v in sorted(model.seed):
-        if not setup.mesh.contains(v):
-            raise ValueError(f"seed location {v} lies outside the mesh")
-        states[v] = model.seed[v]
-    ids = {v: i for i, v in enumerate(states)} if model.use_ids else {}
-    nobody = (None,) * model.d  # the key of a processor that hears nothing
-    outputs, post_ids = {}, {}
-    for v, name in states.items():
-        outputs[v], post_ids[v] = setup.law.keyed_post(name, nobody, ids.get(v))
-    return _Round0(states, ids, outputs, post_ids)
-
-
 class MeshNetwork:
     """n^k processors wired as a k-dimensional mesh, simulating a model."""
 
     def __init__(self, model: AgentModel, side: int, master_seed: int = 0,
                  record_trace: bool = True):
-        setup = _setup(model, side)
+        plan = model.law.plan(side)
         self.model = model
-        self.mesh = setup.mesh
+        self.mesh = plan.mesh
         self.master_seed = master_seed
-        self.law = setup.law
+        self.law = plan.law
         self.round = 0
         self.states: dict[Point, str] = {}
         self.outputs: dict[Point, tuple] = {}
@@ -172,10 +129,9 @@ class MeshNetwork:
         self.ids: dict[Point, int] = {}
         self.next_id = 0
         self.trace: list[TraceEvent] = [] if record_trace else None
-        self._rows = setup.rows
-        self._keys = setup.keys
+        self._plan = plan
         self._started = False
-        self._static_occupants = setup.law.static
+        self._static_occupants = plan.law.static
         # The processors the next round evaluates.  Static regime: EMPTY
         # ones only, plus the cells that entered last round, whose inputs
         # it drops.  General regime: the next round first adds the
@@ -188,21 +144,21 @@ class MeshNetwork:
 
     def init_round0(self) -> None:
         """Place the seed assembly (ids in sorted location order; copied
-        from the `_round0` template), then wake every other processor with
-        probability pi_nu into a uniformly random non-EMPTY state
+        from the plan's `round0` template), then wake every other processor
+        with probability pi_nu into a uniformly random non-EMPTY state
         (`nucleation_sites`).  Every occupant posts from silent inputs."""
         if self._started:
             raise ValueError("network already initialized")
         self._started = True
         model = self.model
-        seeded = _round0(model, self.mesh.side)
+        seeded, seed_ids, seed_outputs, seed_post_ids = self._plan.round0
         states = self.states
-        states.update(seeded.states)
-        self.ids.update(seeded.ids)
-        self.next_id = len(seeded.ids)
-        self.outputs.update(seeded.outputs)
-        self.post_ids.update(seeded.post_ids)
-        woken = nucleation_sites(model, self._keys, self.master_seed, states)
+        states.update(seeded)
+        self.ids.update(seed_ids)
+        self.next_id = len(seed_ids)
+        self.outputs.update(seed_outputs)
+        self.post_ids.update(seed_post_ids)
+        woken = nucleation_sites(model, self._plan.keys, self.master_seed, states)
         if woken:
             nobody = (None,) * model.d  # the key of a processor that hears nothing
             for v, name in woken:
@@ -218,7 +174,7 @@ class MeshNetwork:
             self._posted = list(self.states)
 
     def _empty_neighbors(self, cells) -> set:
-        near = set(chain.from_iterable(map(self._rows.__getitem__, cells)))
+        near = set(chain.from_iterable(map(self._plan.rows.__getitem__, cells)))
         near.discard(None)
         return near.difference(self.states)
 
@@ -249,7 +205,7 @@ class MeshNetwork:
         so only the pending EMPTY processors are evaluated.  Each reads its
         neighbors' post ids before any of them is updated."""
         r = self.round
-        rows = self._rows
+        rows = self._plan.rows
         inputs = self.inputs
         for v in self._entered:
             del inputs[v]  # occupied now, so it hears nothing
@@ -261,7 +217,7 @@ class MeshNetwork:
         slots, steps = law.slots, law.steps
         fixed_keyed = law.fixed_keyed
         outputs, post_ids = self.outputs, self.post_ids
-        draw = drawer(self.master_seed, self._keys, r)
+        draw = drawer(self.master_seed, self._plan.keys, r)
         pending = set()
         entered = []
         for v, key in zip(targets, keys):
@@ -288,7 +244,7 @@ class MeshNetwork:
         (see the module docstring) are evaluated.  Each reads its
         neighbors' post ids before any of them is updated."""
         r = self.round
-        rows = self._rows
+        rows = self._plan.rows
         states = self.states
         inputs = self.inputs
         targets = self._pending
@@ -301,7 +257,7 @@ class MeshNetwork:
         law = self.law
         slots, steps, keyed = law.slots, law.steps, law.keyed_posts
         outputs, post_ids = self.outputs, self.post_ids
-        draw = drawer(self.master_seed, self._keys, r)
+        draw = drawer(self.master_seed, self._plan.keys, r)
         ruled, inert = law.ruled, law.inert
         ids_on = self.model.use_ids
         nobody = (None,) * self.model.d

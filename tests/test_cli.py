@@ -135,6 +135,35 @@ def test_negative_budgets_are_usage_errors(tmp_path, capsys, command):
     assert not out.exists()
 
 
+def _tile_cube_document() -> dict:
+    """A 3-dimensional tile system: one tile type with glue g on every side."""
+    t = tile("t", 1, *[("g", 1)] * 6)
+    return tile_system_document(TileAssemblySystem({"t": t}, Configuration({(0, 0, 0): "t"}), 1))
+
+
+@pytest.mark.parametrize("command", ["assemble", "meshsim"])
+def test_ppm_on_a_3d_surface_is_rejected_before_any_work(tmp_path, capsys, command):
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(PING3D if command == "meshsim" else _tile_cube_document()))
+    out = tmp_path / "out"
+    assert main([command, "--model", str(path), "--size", "3", "--ppm", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: pixmap snapshots are 2-dimensional only\n"
+    assert not out.exists()
+
+
+def test_assemble_reports_temperature_zero_as_one_warning_line(tmp_path, capsys):
+    doc = json.loads(shipped_model_path("tstar").read_text())
+    doc["temperature"] = 0
+    path = tmp_path / "tau0.json"
+    path.write_text(json.dumps(doc))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["assemble", "--model", str(path), "--size", "4"]) == 0
+    assert caught == []
+    assert capsys.readouterr().err == (
+        "warning: [temperature-zero] temperature 0: every empty location is a frontier\n")
+
+
 def test_assemble_wrong_model_kind():
     assert main(["assemble", "--model", FIDELITY, "--size", "4"]) == 2
 

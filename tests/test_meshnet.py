@@ -1,7 +1,7 @@
 import pytest
 
 from nucleate.agents import (AgentModel, AgentType, BindingRules, Kinetics,
-                             MessageBoundError, RuleOutput, initial_state, law_for,
+                             MessageBoundError, RuleOutput, initial_state,
                              model_step, neighbor_table, nucleate, register_rule)
 from nucleate.coloring import check_weak_coloring
 from nucleate.lattice import Mesh
@@ -155,7 +155,6 @@ def test_round_is_independent_of_evaluation_order():
     # own derived draw: the outcome must match run_round's sorted sweep.
     import random
 
-    from nucleate.agents import law_for
     from nucleate.rng import uniform
 
     types = {
@@ -170,7 +169,7 @@ def test_round_is_independent_of_evaluation_order():
         kinetics=Kinetics(lambda_on=0.5, detach=True, p_off=0.3, epsilon=0.2),
         messages=("p",),
     )
-    law = law_for(model)
+    law = model.law
     shuffler = random.Random(3)
     seed = 41
     net = MeshNetwork(model, 6, master_seed=seed)
@@ -386,7 +385,7 @@ def test_use_ids_detach_intent_is_read_without_the_id():
                        rules=BindingRules({("g", "g"): 1}), temperature=1,
                        kinetics=Kinetics(lambda_on=1.0, detach=True, p_off=0.5),
                        messages=("p", "q"), use_ids=True)
-    law = law_for(model)
+    law = model.law
     glues, msgs = ("g", None, None, None), ("p", None, None, None)
     assert tally_rule("a", glues, msgs, my_id=2).detach
     assert not tally_rule("a", glues, msgs, my_id=None).detach
@@ -761,8 +760,6 @@ def test_round0_template_matches_a_fresh_setup(k, use_ids):
     # round 0 as one built with every shared set-up recomputed
     import random
 
-    import nucleate.meshnet as meshnet
-
     rng = random.Random(1500 + 10 * k + use_ids)
     side = 5 if k == 2 else 3
     for trial in range(30):
@@ -771,8 +768,7 @@ def test_round0_template_matches_a_fresh_setup(k, use_ids):
         MeshNetwork(model, side, master_seed=master + 1).init_round0()  # builds the template
         cached = MeshNetwork(model, side, master_seed=master)
         cached.init_round0()
-        meshnet._setup.cache_clear()
-        meshnet._round0.cache_clear()
+        model.law.plans.clear()
         fresh = MeshNetwork(model, side, master_seed=master)
         fresh.init_round0()
         assert _round0_view(cached) == _round0_view(fresh), trial
@@ -806,3 +802,34 @@ def test_seed_outside_mesh_raises_in_init_round0_every_time():
         net = MeshNetwork(model, 3)  # construction never reads the seed
         with pytest.raises(ValueError, match=r"seed location \(3, 1\) lies outside the mesh"):
             net.init_round0()
+
+
+def test_a_dropped_model_frees_its_law_and_plans():
+    # a model's law and plans hang off the model, so no module-level cache
+    # keeps a model alive once its callers drop it
+    import gc
+    import weakref
+    from dataclasses import replace
+
+    from nucleate.agents import surface_inputs, validate_model
+
+    base = forced_growth_model(seed={(1, 1): "t"})
+    ping = {"t": AgentType("t", ("g",) * 4, color=1, rule="ping")}
+    variants = ({},  # static regime: no detachment, no rule
+                {"kinetics": Kinetics(lambda_on=0.5, detach=True, p_off=0.3)},
+                {"types": ping, "messages": ("p",)})
+    refs = []
+    for i in range(21):
+        model = replace(base, pi_nu=0.1 * (i % 4), **variants[i % 3])
+        net = MeshNetwork(model, 4, master_seed=i)
+        net.init_round0()
+        net.run(3)
+        assert net.law.static == (i % 3 == 0)
+        state = nucleate(initial_state(model, Mesh(2, 4)), model, i)
+        state = model_step(state, model, i)
+        surface_inputs(state, model, (1, 1))
+        assert validate_model(model) == []
+        refs += [weakref.ref(model), weakref.ref(net.law)]
+        del model, net, state
+    gc.collect()
+    assert [r for r in refs if r() is not None] == []
