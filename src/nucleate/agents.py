@@ -389,9 +389,6 @@ class TransitionLaw:
         #: nor vary their posts
         self.ruled = frozenset(model.types.keys() - self.fixed_keyed.keys())
         self.inert = frozenset() if model.kinetics.detach else frozenset(self.fixed_keyed)
-        #: no detachment and no rule: an occupant never changes state nor
-        #: varies its posts
-        self.static = not model.kinetics.detach and not self.ruled
 
     def bond_total(self, type_name: str, glues: Sequence[Optional[str]]) -> int:
         t = self.model.types[type_name]
@@ -624,9 +621,6 @@ class SurfaceState(NamedTuple):
     ids: Mapping[Point, int] = MappingProxyType({})
     stage: int = 0
     next_id: int = 0
-
-    def occupant(self, v: Point) -> Optional[str]:
-        return self.occupancy.get(v)
 
 
 def initial_state(model: AgentModel, window: Mesh) -> SurfaceState:

@@ -301,9 +301,6 @@ def main(argv=None) -> int:
     except formats.FormatError as e:
         _print_diagnostics(e.diagnostics)
         return USAGE
-    except FileNotFoundError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return USAGE
     except (OSError, ValueError, KeyError) as e:
         print(f"error: {e}", file=sys.stderr)
         return USAGE

@@ -44,12 +44,15 @@ pairs), when its own state changed, or when its last law was unforced.  Any
 other processor hears the pairs it heard at its last evaluation, holds the
 same state, and last saw a forced law, so it would draw nothing, keep its
 state and, since rules are memoryless and an occupant keeps its id, post the
-same pairs; the skip changes no state, trace, id or buffer.  With no
-detachment and no message rules, occupants never change and post fixed
-pairs, so only EMPTY processors are ever re-evaluated (the static regime,
-`TransitionLaw.static`).
+same pairs; the skip changes no state, trace, id or buffer.  An inert
+occupant (`TransitionLaw.inert`: no detachment and no rule) can neither
+detach nor change its posts, so it is never evaluated, nor kept pending once
+it enters.  A processor's input buffers (the `InputBuffers` view `inputs`,
+and `processor(v).inputs`) are read from the post ids as they stood at the
+start of the last round, whether or not that round evaluated it.
 """
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 from itertools import chain
 from typing import NamedTuple, Optional
@@ -83,6 +86,36 @@ class ProcessorView:
     color: Optional[int]
     inputs: tuple
     outputs: tuple
+
+
+class InputBuffers(Mapping):
+    """Read-only map v -> the input buffers the last round delivered to v,
+    for each processor that heard at least one pair (none before round 1).
+    It reads the post ids at the start of that round: `post_ids` with the
+    round's changes undone (`posted`: v -> v's id before them, None for no
+    posts)."""
+
+    def __init__(self, post_ids: dict, posted: dict, rows: dict, slot):
+        before = dict(post_ids)
+        for v, pid in posted.items():
+            if pid is None:
+                del before[v]
+            else:
+                before[v] = pid
+        heard = set(chain.from_iterable(map(rows.__getitem__, before)))
+        heard.discard(None)
+        self._before, self._rows, self._slot, self._heard = before, rows, slot, heard
+
+    def __getitem__(self, v: Point) -> tuple:
+        if v not in self._heard:
+            raise KeyError(v)
+        return self._slot(tuple(map(self._before.get, self._rows[v])))
+
+    def __iter__(self):
+        return iter(sorted(self._heard))
+
+    def __len__(self) -> int:
+        return len(self._heard)
 
 
 class AccessProbe:
@@ -125,20 +158,20 @@ class MeshNetwork:
         self.outputs: dict[Point, tuple] = {}
         #: v -> law.post_id(outputs[v]), for every occupant
         self.post_ids: dict[Point, int] = {}
-        self.inputs: dict[Point, tuple] = {}
         self.ids: dict[Point, int] = {}
         self.next_id = 0
         self.trace: list[TraceEvent] = [] if record_trace else None
         self._plan = plan
         self._started = False
-        self._static_occupants = plan.law.static
-        # The processors the next round evaluates.  Static regime: EMPTY
-        # ones only, plus the cells that entered last round, whose inputs
-        # it drops.  General regime: the next round first adds the
-        # neighbors of the cells whose posts changed last round.
+        # The processors the next round evaluates, besides the neighbors of
+        # the cells whose posts changed last round: the ones whose state
+        # changed or whose law was unforced, inert occupants excepted.
         self._pending: set = set()
-        self._entered: list = []
-        self._posted: list = []
+        #: v -> v's post id at the start of the last round (None: no
+        #: posts), for each v whose posts changed in it
+        self._posted: dict = {}
+        #: the inert occupants, which no round evaluates
+        self._inert_cells: set = set()
 
     # -- round 0 -------------------------------------------------------
 
@@ -168,15 +201,10 @@ class MeshNetwork:
         if self.trace is not None:
             self.trace.extend([TraceEvent(0, v, None, name)
                                for v, name in sorted(states.items())])
-        if self._static_occupants:
-            self._pending = self._empty_neighbors(self.states)
-        else:
-            self._posted = list(self.states)
-
-    def _empty_neighbors(self, cells) -> set:
-        near = set(chain.from_iterable(map(self._plan.rows.__getitem__, cells)))
-        near.discard(None)
-        return near.difference(self.states)
+        self._posted = dict.fromkeys(states)
+        inert = self.law.inert
+        if inert:
+            self._inert_cells = {v for v, name in states.items() if name in inert}
 
     def _enter(self, v: Point, name: str) -> None:
         self.states[v] = name
@@ -189,97 +217,49 @@ class MeshNetwork:
     def run_round(self, probe: Optional[AccessProbe] = None) -> None:
         """Deliver last round's pairs, then update every processor that
         received at least one.  Only processors whose inputs or state
-        changed or whose last law was unforced are re-evaluated (see the
-        module docstring); the others would keep their state and posts and
-        draw nothing."""
+        changed or whose last law was unforced are re-evaluated, and inert
+        occupants never are (see the module docstring); the others would
+        keep their state and posts and draw nothing.  Each evaluated
+        processor reads its neighbors' post ids before any of them is
+        updated."""
         if not self._started:
             raise ValueError("call init_round0 first")
         self.round += 1
-        if self._static_occupants:
-            self._static_round(probe)
-        else:
-            self._general_round(probe)
-
-    def _static_round(self, probe: Optional[AccessProbe]) -> None:
-        """A round with no detachment and no rules: occupants never change,
-        so only the pending EMPTY processors are evaluated.  Each reads its
-        neighbors' post ids before any of them is updated."""
-        r = self.round
-        rows = self._plan.rows
-        inputs = self.inputs
-        for v in self._entered:
-            del inputs[v]  # occupied now, so it hears nothing
-        targets = sorted(self._pending)
-        read = self.post_ids.get
-        keys = [tuple(map(read, rows[v])) for v in targets]
-
-        law = self.law
-        slots, steps = law.slots, law.steps
-        fixed_keyed = law.fixed_keyed
-        outputs, post_ids = self.outputs, self.post_ids
-        draw = drawer(self.master_seed, self._plan.keys, r)
-        pending = set()
-        entered = []
-        for v, key in zip(targets, keys):
-            if probe is not None:
-                probe.log_key(v, rows[v], key)
-            inputs[v] = slots.get(key) or law.slot(key)
-            new, cdf = steps.get((None, key)) or law.step(None, key)
-            if cdf is not None:
-                new = pick(cdf, draw(v))
-                if new is None:
-                    pending.add(v)  # the next round's draw may attach it
-            if new is not None:
-                if self.trace is not None:
-                    self.trace.append(TraceEvent(r, v, None, new))
-                self._enter(v, new)
-                outputs[v], post_ids[v] = fixed_keyed[new]
-                entered.append(v)
-        pending |= self._empty_neighbors(entered)
-        self._pending = pending
-        self._entered = entered
-
-    def _general_round(self, probe: Optional[AccessProbe]) -> None:
-        """A round with detachment or rules: only the pending processors
-        (see the module docstring) are evaluated.  Each reads its
-        neighbors' post ids before any of them is updated."""
         r = self.round
         rows = self._plan.rows
         states = self.states
-        inputs = self.inputs
+        law = self.law
+        ruled, inert = law.ruled, law.inert
         targets = self._pending
         targets.update(chain.from_iterable(map(rows.__getitem__, self._posted)))
         targets.discard(None)
-        targets = sorted(targets)
+        targets = sorted(targets.difference(self._inert_cells))
         read = self.post_ids.get
         keys = [tuple(map(read, rows[v])) for v in targets]
 
-        law = self.law
-        slots, steps, keyed = law.slots, law.steps, law.keyed_posts
+        steps, keyed, fixed = law.steps, law.keyed_posts, law.fixed_keyed
         outputs, post_ids = self.outputs, self.post_ids
         draw = drawer(self.master_seed, self._plan.keys, r)
-        ruled, inert = law.ruled, law.inert
         ids_on = self.model.use_ids
         nobody = (None,) * self.model.d
+        inert_cells = self._inert_cells
         pending = set()
-        posted = []
+        posted = {}
         for v, key in zip(targets, keys):
             if key == nobody:
-                inputs.pop(v, None)  # its last neighbor left: it idles
-                continue
+                continue  # its last neighbor left: it idles
             if probe is not None:
                 probe.log_key(v, rows[v], key)
-            inputs[v] = slots.get(key) or law.slot(key)
             old = states.get(v)
-            if old in inert:
-                continue  # nothing can change
             new, cdf = steps.get((old, key)) or law.step(old, key)
             if cdf is not None:
                 new = pick(cdf, draw(v))
-                pending.add(v)  # the next round's draw may differ
+            if new in inert:
+                inert_cells.add(v)  # it entered, never to change again
+            elif cdf is not None or new != old:
+                pending.add(v)  # its state or its next draw may differ
             if new != old:
-                pending.add(v)
-                posted.append(v)
+                posted[v] = post_ids.get(v)
                 if self.trace is not None:
                     self.trace.append(TraceEvent(r, v, old, new))
                 if new is None:
@@ -292,15 +272,16 @@ class MeshNetwork:
                     self._enter(v, new)
                 else:
                     states[v] = new
-                outputs[v], post_ids[v] = law.keyed_post(new, key, self.ids.get(v))
+                outputs[v], post_ids[v] = (fixed.get(new)
+                                           or law.keyed_post(new, key, self.ids.get(v)))
             elif new in ruled:
                 # state kept, but the rule may emit different messages now
                 pairs, pid = (law.keyed_post(new, key, self.ids.get(v)) if ids_on
                               else keyed.get((new, key)) or law.keyed_post(new, key))
                 if pid != post_ids[v]:
+                    posted[v] = post_ids[v]
                     outputs[v] = pairs
                     post_ids[v] = pid
-                    posted.append(v)
         self._pending = pending
         self._posted = posted
 
@@ -311,6 +292,11 @@ class MeshNetwork:
         return list(self.trace) if self.trace is not None else []
 
     # -- observation ---------------------------------------------------
+
+    @property
+    def inputs(self) -> InputBuffers:
+        """v -> v's input buffers as the last round delivered them."""
+        return InputBuffers(self.post_ids, self._posted, self._plan.rows, self.law.slot)
 
     def processor(self, v: Point) -> ProcessorView:
         self.mesh.require(v)

@@ -330,12 +330,15 @@ def reachable_by_sequential_model(model, window) -> set:
 
 
 class EvaluateEveryoneNetwork(MeshNetwork):
-    """A mesh whose general rounds skip no processor: every occupant
-    delivers its posts, and every processor that hears a pair samples its
-    law through the public `forced` and `sample`.  The oracle for the
-    event-driven general round, which must match it round for round."""
+    """A mesh whose rounds skip no processor: every occupant delivers its
+    posts, and every processor that hears a pair samples its law through
+    the public `forced` and `sample`, unless it is an occupant that can
+    neither detach nor change its posts.  The oracle for the event-driven
+    round, which must match it round for round; `delivered` holds the input
+    buffers of the last round."""
 
-    def _general_round(self, probe):
+    def run_round(self, probe=None):
+        self.round += 1
         r = self.round
         d = self.model.d
         table = neighbor_table(self.mesh)
@@ -353,7 +356,7 @@ class EvaluateEveryoneNetwork(MeshNetwork):
                 slot[j] = pairs[i]
                 if probe is not None:
                     probe.log(w, v)
-        self.inputs = {v: tuple(slot) for v, slot in delivered.items()}
+        self.delivered = {v: tuple(slot) for v, slot in delivered.items()}
 
         law = self.law
         seed = self.master_seed

@@ -112,8 +112,10 @@ def test_failing_determinism_report_is_pinned(tmp_path, capsys):
     assert _sha256(tmp_path / "out" / "determinism.json") == SHARED_GLUE_DETERMINISM
 
 
-def test_assemble_missing_file():
+def test_assemble_missing_file(capsys):
     assert main(["assemble", "--model", "/nonexistent/m.json", "--size", "4"]) == 2
+    assert capsys.readouterr().err == (
+        "error: [Errno 2] No such file or directory: '/nonexistent/m.json'\n")
 
 
 def test_assemble_size_zero_is_usage_error():
@@ -169,8 +171,8 @@ def test_assemble_wrong_model_kind():
 
 
 #: sha256 of (trace.txt, result.json) from `meshsim` on checkerboard_local
-#: 32x32 for 15 rounds (the static, message-free path), per seed, as the
-#: mesh wrote them before its static rounds became event-driven.
+#: 32x32 for 15 rounds (message-free, every occupant inert), per seed, as
+#: the mesh wrote them before its rounds on such models became event-driven.
 MESHSIM_LOCAL_32 = {
     0: ("8a5683f6e8630563bdf0671174ba5138cb4a5150e2ae220f1491c06cd7719fc8",
         "83785fe5a29d5a70ec428aec6b9e0f4e2905e529328887a9cd8fa90713e74dc5"),
@@ -179,8 +181,8 @@ MESHSIM_LOCAL_32 = {
     2: ("fddaa3f93a0c704b78fe16e0e72d6c0fc09088480e38bdf81fdd888e985a31c4",
         "3f01ba67cdf46996ce990fd0a447e05233b40f283137c5084ed10db3e44ba95c"),
 }
-#: The same for fidelity2 16x16, 20 rounds, seed 0: detachment forces the
-#: general path.
+#: The same for fidelity2 16x16, 20 rounds, seed 0: with detachment no
+#: occupant is inert.
 MESHSIM_FIDELITY_16 = (
     "e08c8836488027dcb719935c3eb6208cffcec34fe7b9a199e005fc779ec869e2",
     "44dea4e92d2549ab8dbc7da5edb0a879d20756dce058815748dcdcb02c376f28",
@@ -269,8 +271,8 @@ def test_general_path_meshsim_bytes_are_pinned(tmp_path, capsys, doc, size, roun
     assert _meshsim_hashes(tmp_path, capsys, doc, size, rounds, seed) == pins
 
 
-#: checkerboard-local's two agents with 6 glues: a 3-dimensional model on
-#: the static mesh path (no detachment, no rules).
+#: checkerboard-local's two agents with 6 glues: a 3-dimensional model
+#: whose occupants are all inert (no detachment, no rules).
 LOCAL3D = {
     "name": "checkerboard-local-3d",
     "agents": [{"name": name, "color": color, "glues": [glue] * 6, "rule": None}

@@ -234,6 +234,29 @@ def test_locality_probe_finds_no_violations():
     assert probe.violations(net.mesh) == []
 
 
+def _inert_types(model: AgentModel) -> set:
+    """The types whose occupants can neither detach nor change their
+    posts: every type without a rule, when the model has no detachment."""
+    if model.kinetics.detach:
+        return set()
+    return {name for name, t in model.types.items() if t.rule is None}
+
+
+def _is_static(model: AgentModel) -> bool:
+    """No detachment and no rules: every occupant is inert."""
+    return _inert_types(model) == set(model.types)
+
+
+def _next_evaluated(net: MeshNetwork) -> set:
+    """The processors net's next round evaluates: the pending ones and the
+    neighbors of the cells whose posts changed last round, less the inert
+    occupants and the processors that hear no pair."""
+    mesh, inert = net.mesh, _inert_types(net.model)
+    near = set(net._pending).union(*map(mesh.neighbors, net._posted))
+    return {v for v in near if net.states.get(v) not in inert
+            and any(w in net.outputs for w in mesh.neighbors(v))}
+
+
 def _regime_model(rng, k: int, static: bool) -> AgentModel:
     """A random model with a few seed cells: static (no detachment, no
     rules) or general (rules, maybe detachment)."""
@@ -271,14 +294,11 @@ def test_probe_reads_exactly_the_evaluated_neighborhoods(k, static):
     for trial in range(12):
         net = MeshNetwork(_regime_model(rng, k, static), side, master_seed=rng.getrandbits(64))
         net.init_round0()
-        assert net._static_occupants == static
+        assert _is_static(net.model) == static
         mesh = net.mesh
         for r in range(1, 9):
             posting = set(net.outputs)
-            evaluated = set(net._pending)
-            if not static:
-                evaluated |= {w for v in net._posted for w in mesh.neighbors(v)}
-                evaluated = {v for v in evaluated if posting.intersection(mesh.neighbors(v))}
+            evaluated = _next_evaluated(net)
             expected = {(v, v) for v in evaluated} | {
                 (v, w) for v in evaluated for w in mesh.neighbors(v) if w in posting}
             probe = AccessProbe()
@@ -305,7 +325,7 @@ def test_mesh_rounds_never_build_the_neighbor_triples():
             net = MeshNetwork(model, 6 if k == 2 else 4, master_seed=k)
             net.init_round0()
             net.run(2)
-            assert net._static_occupants == static
+            assert _is_static(model) == static
             assert agents._neighbor_table.cache_info() == before, (k, static)
 
 
@@ -448,11 +468,12 @@ def test_extracted_states_are_model_reachable():
 
 
 def test_static_fast_path_matches_general_path():
-    # same model expressed with and without the static-occupant shortcut:
-    # the fast side has no rule and an empty message alphabet, and a
-    # do-nothing message rule forces the general path.  The nucleating,
-    # stochastic runs leave empty cells whose law is forced EMPTY, which
-    # the fast path stops re-evaluating until a neighbor enters.
+    # same model expressed with and without inert occupants: the fast side
+    # has no rule and an empty message alphabet, so no round evaluates its
+    # occupants, and a do-nothing message rule makes the slow side's
+    # occupants live.  The nucleating, stochastic runs leave empty cells
+    # whose law is forced EMPTY, which neither side re-evaluates until a
+    # neighbor enters.
     def variant(rule, seed, **params):
         types = {
             "t": AgentType("t", ("g",) * 4, color=1, rule=rule),
@@ -493,25 +514,48 @@ def test_static_fast_path_matches_general_path():
             net.init_round0()
             nets.append(net)
         fast, slow = nets
-        assert fast._static_occupants and not slow._static_occupants
+        assert _is_static(fast_model) and not _is_static(slow_model)
         for _ in range(rounds):
-            evaluated = len(fast._pending)
+            evaluated = len(_next_evaluated(fast))
             fast.run_round()
             slow.run_round()
-            # the general path evaluates every processor that hears a pair
+            # against every processor that hears a pair
             pruned += evaluated < len(slow.inputs)
         assert fast.trace == slow.trace, master
         assert fast.states == slow.states, master
     assert pruned > 0
 
 
+def test_static_and_general_regimes_report_the_same_input_buffers():
+    # a full static mesh and its silent-rule twin: every processor hears
+    # the pairs its neighbors posted at the start of the last round, though
+    # the static side evaluates no occupant
+    from dataclasses import replace
+
+    model = forced_growth_model(seed={(1, 1): "t"})
+    twin = replace(model, types={"t": replace(model.types["t"], rule="silence")},
+                   messages=("p",))
+    nets = []
+    for m in (model, twin):
+        net = MeshNetwork(m, 3, master_seed=0)
+        net.init_round0()
+        net.run(3)
+        nets.append(net)
+    static, general = nets
+    assert len(static.states) == 9
+    for v in static.mesh.vertices():
+        assert static.processor(v).inputs == general.processor(v).inputs, v
+    assert static.processor((1, 1)).inputs == (("g", None),) * 4
+    assert static.inputs == general.inputs
+    assert len(static.inputs) == 9
+
+
 def test_static_rounds_match_silent_twins_on_random_models():
     # random static models (no detachment, no rules) against twins whose
-    # every type runs the do-nothing `silence` rule, which sends them down
-    # the general path.  Round by round the two must agree on states, trace,
-    # ids and posts, and the static side must hold the inputs the general
-    # path delivers to every EMPTY processor with an occupied neighbor (the
-    # cells that just entered included), though it re-evaluates fewer.
+    # every type runs the do-nothing `silence` rule, so that none of their
+    # occupants is inert.  Round by round the two must agree on states,
+    # trace, ids, posts and input buffers, though the static side
+    # re-evaluates fewer processors.
     import random
     from dataclasses import replace
 
@@ -546,12 +590,12 @@ def test_static_rounds_match_silent_twins_on_random_models():
         slow = MeshNetwork(twin, side, master_seed=master)
         fast.init_round0()
         slow.init_round0()
-        assert fast._static_occupants and not slow._static_occupants
+        assert _is_static(static_model) and not _is_static(twin)
         table = neighbor_table(fast.mesh)
         probe = AccessProbe()
         for r in range(1, 9):
             before = set(fast.states)
-            evaluated = len(fast._pending)
+            evaluated = len(_next_evaluated(fast))
             fast.run_round(probe=probe)
             slow.run_round()
             assert fast.states == slow.states, (trial, r)
@@ -560,7 +604,7 @@ def test_static_rounds_match_silent_twins_on_random_models():
             assert fast.outputs == slow.outputs, (trial, r)
             heard = {v for v in table if v not in before
                      and any(w in before for _, w, _ in table[v])}
-            assert fast.inputs == {v: slow.inputs[v] for v in heard}, (trial, r)
+            assert fast.inputs == slow.inputs, (trial, r)
             seen["skipped"] += evaluated < len(heard)
         assert probe.violations(fast.mesh) == []
         seen["k3"] += k == 3
@@ -571,16 +615,44 @@ def test_static_rounds_match_silent_twins_on_random_models():
     assert all(seen.values()), seen
 
 
+def _match_evaluate_everyone_oracle(model, side: int, master: int, seen: dict, tag) -> None:
+    """Run `model` for 12 rounds on the event-driven mesh and on the oracle
+    that delivers to, and samples, every processor hearing a pair; round by
+    round the two must agree on states, trace, ids, posts and delivered
+    inputs.  Counts in `seen` the rounds where the mesh skipped a processor
+    the oracle evaluated, and those that left an unforced cell pending."""
+    from support import EvaluateEveryoneNetwork
+
+    fast = MeshNetwork(model, side, master_seed=master)
+    oracle = EvaluateEveryoneNetwork(model, side, master_seed=master)
+    fast.init_round0()
+    oracle.init_round0()
+    probe = AccessProbe()
+    for r in range(1, 13):
+        evaluated = len(_next_evaluated(fast))
+        fast.run_round(probe=probe)
+        oracle.run_round()
+        assert fast.states == oracle.states, (tag, r)
+        assert fast.trace == oracle.trace, (tag, r)
+        assert fast.ids == oracle.ids, (tag, r)
+        assert fast.outputs == oracle.outputs, (tag, r)
+        assert fast.inputs == oracle.delivered, (tag, r)
+        seen["skipped"] += evaluated < len(oracle.delivered)
+        seen["unforced"] += bool(fast._pending - set(fast._posted))
+    assert probe.violations(fast.mesh) == []
+    seen["ids"] += model.use_ids and len(fast.ids) > 1
+
+
 def test_general_rounds_match_evaluate_everyone_oracle():
-    # random models with detachment or message rules against the oracle
-    # that delivers to, and samples, every processor hearing a pair.  Round
-    # by round the two must agree on states, trace, ids, posts and held
-    # inputs, though the event-driven side evaluates fewer processors.
+    # random models with detachment or message rules, then random static
+    # models (no detachment, no rules), against the evaluate-everyone
+    # oracle: the event-driven side evaluates fewer processors, and skips
+    # every inert occupant, yet must match it round for round
     import random
     from dataclasses import replace
 
     from nucleate.lattice import Mesh
-    from support import EvaluateEveryoneNetwork, random_agent_model
+    from support import random_agent_model
 
     rng = random.Random(10010)
     seen = {"k3": 0, "detach": 0, "rules only": 0, "ping": 0, "relay": 0, "tally": 0,
@@ -609,35 +681,42 @@ def test_general_rounds_match_evaluate_everyone_oracle():
             types = dict(model.types)
             types[name] = replace(types[name], rule=rng.choice(("ping", "relay", "tally")))
             model = replace(model, types=types)
-        master = rng.getrandbits(64)
-        fast = MeshNetwork(model, side, master_seed=master)
-        oracle = EvaluateEveryoneNetwork(model, side, master_seed=master)
-        fast.init_round0()
-        oracle.init_round0()
-        assert not fast._static_occupants
-        table = neighbor_table(fast.mesh)
-        probe = AccessProbe()
-        for r in range(1, 13):
-            evaluated = len(fast._pending.union(
-                *({w for _, w, _ in table[v]} for v in fast._posted)))
-            fast.run_round(probe=probe)
-            oracle.run_round()
-            assert fast.states == oracle.states, (trial, r)
-            assert fast.trace == oracle.trace, (trial, r)
-            assert fast.ids == oracle.ids, (trial, r)
-            assert fast.outputs == oracle.outputs, (trial, r)
-            assert fast.inputs == oracle.inputs, (trial, r)
-            seen["skipped"] += evaluated < len(oracle.inputs)
-            seen["unforced"] += bool(fast._pending - set(fast._posted))
-        assert probe.violations(fast.mesh) == []
+        assert not _is_static(model)
+        _match_evaluate_everyone_oracle(model, side, rng.getrandbits(64), seen, trial)
         rules = {t.rule for t in model.types.values()}
         seen["k3"] += k == 3
         seen["detach"] += model.kinetics.detach
         seen["rules only"] += not model.kinetics.detach
         for rule in ("ping", "relay", "tally"):
             seen[rule] += rule in rules
-        seen["ids"] += model.use_ids and len(fast.ids) > 1
         seen["no alphabet"] += not model.messages
+    assert all(seen.values()), seen
+
+    rng = random.Random(10011)
+    seen = {"k3": 0, "ids": 0, "alphabet": 0, "forced": 0, "stochastic": 0,
+            "unforced": 0, "skipped": 0}
+    for trial in range(60):
+        k = 2 + trial % 2
+        side = 6 if k == 2 else 4
+        model = random_agent_model(rng, k=k)
+        cells = rng.sample(list(Mesh(k, side).vertices()), rng.randint(0, 3))
+        lambda_on = rng.choice((0.5, 1.0))
+        epsilon = rng.choice((0.0, 0.2))
+        model = replace(
+            model,
+            seed={v: rng.choice(model.type_names) for v in cells},
+            pi_nu=rng.choice((0.05, 0.2)),
+            kinetics=Kinetics(lambda_on=lambda_on, epsilon=epsilon),
+            messages=rng.choice(((), ("p",))),
+            use_ids=rng.random() < 0.5,
+        )
+        assert _is_static(model)
+        _match_evaluate_everyone_oracle(model, side, rng.getrandbits(64), seen,
+                                        ("static", trial))
+        seen["k3"] += k == 3
+        seen["alphabet"] += bool(model.messages)
+        seen["forced"] += lambda_on == 1.0 and epsilon == 0.0
+        seen["stochastic"] += lambda_on < 1.0 and epsilon > 0.0
     assert all(seen.values()), seen
 
 
@@ -824,7 +903,7 @@ def test_a_dropped_model_frees_its_law_and_plans():
         net = MeshNetwork(model, 4, master_seed=i)
         net.init_round0()
         net.run(3)
-        assert net.law.static == (i % 3 == 0)
+        assert _is_static(model) == (i % 3 == 0)
         state = nucleate(initial_state(model, Mesh(2, 4)), model, i)
         state = model_step(state, model, i)
         surface_inputs(state, model, (1, 1))
