@@ -357,12 +357,14 @@ class TransitionLaw:
     tuple is interned to a small int (`post_id`), and a processor's *key*
     is the tuple of post ids its neighbors hold in canonical direction
     order, None where a neighbor posts nothing or lies off the mesh.
-    `slot`, `step` and `keyed_post` answer per key from the memos `slots`,
-    `steps` and `keyed_posts`, which the rounds read directly; on a miss
-    they read `lookup` and `posts`, which stay the definitions.
-    `keyed_post` is the one source of a round's posts, with or without an
-    id, and `lookups` the one memo of `distribution`.  `plan(side)` is
-    what the dynamics share on one mesh side.
+    `step` and `keyed_post` answer per key from the memos `steps` and
+    `keyed_posts` (and `fixed_posts` for the types without a rule), which
+    the rounds read directly; on a miss they read `slot`, `lookup` and
+    `posts`, which stay the definitions.  `keyed_post` is the one source of
+    a round's posts, with or without an id, and returns their post id;
+    `pairs_of` turns it back into pairs.  `lookups` is the one memo of
+    `distribution`.  `plan(side)` is what the dynamics share on one mesh
+    side.
     """
 
     def __init__(self, model: AgentModel):
@@ -375,20 +377,18 @@ class TransitionLaw:
         self._post_ids: dict = {}
         #: post id -> the pairs tuple it stands for
         self.pairs_of: list = []
-        #: key -> slot(key); (occupant, key) -> step(occupant, key);
-        #: (rule type, key) -> keyed_post(rule type, key) without an id
-        self.slots: dict = {}
+        #: (occupant, key) -> step(occupant, key); (rule type, key) ->
+        #: keyed_post(rule type, key) without an id
         self.steps: dict = {}
         self.keyed_posts: dict = {}
-        #: type without a rule -> (the pairs it posts whatever it hears,
-        #: their post id)
-        fixed = {name: tuple((g, None) for g in t.glues)
-                 for name, t in model.types.items() if t.rule is None}
-        self.fixed_keyed = {name: (pairs, self.post_id(pairs)) for name, pairs in fixed.items()}
+        #: type without a rule -> the post id of the pairs it posts
+        #: whatever it hears
+        self.fixed_posts = {name: self.post_id(tuple((g, None) for g in t.glues))
+                            for name, t in model.types.items() if t.rule is None}
         #: the types with a rule, and the occupants that can neither detach
         #: nor vary their posts
-        self.ruled = frozenset(model.types.keys() - self.fixed_keyed.keys())
-        self.inert = frozenset() if model.kinetics.detach else frozenset(self.fixed_keyed)
+        self.ruled = frozenset(model.types.keys() - self.fixed_posts.keys())
+        self.inert = frozenset() if model.kinetics.detach else frozenset(self.fixed_posts)
 
     def bond_total(self, type_name: str, glues: Sequence[Optional[str]]) -> int:
         t = self.model.types[type_name]
@@ -425,9 +425,9 @@ class TransitionLaw:
               my_id: Optional[int]) -> tuple:
         """The (glue, message) pairs an agent of type `name` posts per side
         after hearing (glues, messages)."""
-        fixed = self.fixed_keyed.get(name)
+        fixed = self.fixed_posts.get(name)
         if fixed is not None:
-            return fixed[0]
+            return self.pairs_of[fixed]
         return tuple(zip(self.model.types[name].glues,
                          self.rule_output(name, glues, messages, my_id).messages))
 
@@ -443,13 +443,10 @@ class TransitionLaw:
     def slot(self, key: tuple) -> tuple:
         """What a processor hears when its neighbors hold the post ids
         `key`: per side i, the pair that neighbor posts on its side
-        OPPOSITE[i] facing back, or None.  Memoized in `slots`."""
-        slot = self.slots.get(key)
-        if slot is None:
-            pairs_of = self.pairs_of
-            slot = self.slots[key] = tuple([None if p is None else pairs_of[p][OPPOSITE[i]]
-                                            for i, p in enumerate(key)])
-        return slot
+        OPPOSITE[i] facing back, or None."""
+        pairs_of = self.pairs_of
+        return tuple([None if p is None else pairs_of[p][OPPOSITE[i]]
+                      for i, p in enumerate(key)])
 
     def heard(self, key: tuple) -> tuple:
         """(glues, messages) of `slot(key)`: per side, the heard glue label
@@ -466,23 +463,22 @@ class TransitionLaw:
             entry = self.steps[(occupant, key)] = self.lookup(occupant, *self.heard(key))
         return entry
 
-    def keyed_post(self, name: str, key: tuple, my_id: Optional[int] = None) -> tuple:
-        """(pairs, post id) of `posts(name, glues, messages, my_id)` at the
+    def keyed_post(self, name: str, key: tuple, my_id: Optional[int] = None) -> int:
+        """The post id of `posts(name, glues, messages, my_id)` at the
         inputs heard from `key`, for an agent with id `my_id` (None without
-        use_ids).  A type without a rule reads its `fixed_keyed` entry; an
+        use_ids).  A type without a rule reads its `fixed_posts` entry; an
         id-free post is memoized in `keyed_posts`, so its rule runs on a
         miss only; a post with an id runs the rule every time."""
-        fixed = self.fixed_keyed.get(name)
-        if fixed is not None:
-            return fixed
+        pid = self.fixed_posts.get(name)
+        if pid is not None:
+            return pid
         if my_id is not None:
-            pairs = self.posts(name, *self.heard(key), my_id)
-            return pairs, self.post_id(pairs)
-        entry = self.keyed_posts.get((name, key))
-        if entry is None:
-            pairs = self.posts(name, *self.heard(key), None)
-            entry = self.keyed_posts[(name, key)] = (pairs, self.post_id(pairs))
-        return entry
+            return self.post_id(self.posts(name, *self.heard(key), my_id))
+        pid = self.keyed_posts.get((name, key))
+        if pid is None:
+            pid = self.keyed_posts[(name, key)] = self.post_id(
+                self.posts(name, *self.heard(key), None))
+        return pid
 
     def distribution(self, occupant: Optional[str], glues, messages) -> dict:
         """Exact next-occupant distribution for one cell; keys are agent
@@ -580,10 +576,10 @@ class Plan:
 
     @cached_property
     def round0(self) -> tuple:
-        """The seed cells' share of round 0, as four dicts: (states, ids,
-        outputs, post_ids).  Each seed cell's type, in sorted location
-        order; its id in that order under use_ids, else none; the pairs it
-        posts from silent inputs and their post id.  ValueError for a seed
+        """The seed cells' share of round 0, as three dicts: (states, ids,
+        post_ids).  Each seed cell's type, in sorted location order; its id
+        in that order under use_ids, else none; the post id of the pairs it
+        posts from silent inputs.  ValueError for a seed
         cell outside the mesh, MessageBoundError for a seed rule that breaks
         its bounds; neither is kept, so every `init_round0` raises it."""
         model = self.law.model
@@ -594,10 +590,9 @@ class Plan:
             states[v] = model.seed[v]
         ids = {v: i for i, v in enumerate(states)} if model.use_ids else {}
         nobody = (None,) * self.d  # the key of a processor that hears nothing
-        outputs, post_ids = {}, {}
-        for v, name in states.items():
-            outputs[v], post_ids[v] = self.law.keyed_post(name, nobody, ids.get(v))
-        return states, ids, outputs, post_ids
+        post_ids = {v: self.law.keyed_post(name, nobody, ids.get(v))
+                    for v, name in states.items()}
+        return states, ids, post_ids
 
 
 def pick(cdf: tuple, u: float) -> Optional[str]:

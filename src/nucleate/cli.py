@@ -142,7 +142,7 @@ def cmd_meshsim(args) -> int:
     net = MeshNetwork(model, args.size, master_seed=args.seed)
     net.init_round0()
     events = net.run(args.rounds)
-    cfg, coloring = net.extract_configuration()
+    coloring = net.coloring()
     check, coloring_report = _surface_report(coloring)
 
     colors = coloring.assignment
@@ -154,7 +154,7 @@ def cmd_meshsim(args) -> int:
         "seed": args.seed,
         "size": args.size,
         "rounds": args.rounds,
-        "occupied": len(cfg),
+        "occupied": len(net.states),
         "coloring": coloring_report,
     }
     _write(args.out, "trace.txt", trace)
@@ -267,7 +267,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="shipped rule family (used when --model is absent)")
     p.add_argument("--pi-nu", type=float, default=0.1)
     p.add_argument("--sizes", type=_sizes, default=(8, 16, 32, 64))
-    p.add_argument("--rounds", type=int, default=10)
+    p.add_argument("--rounds", type=_at_least(0, "rounds"), default=10)
     p.add_argument("--trials", type=_at_least(1, "trials"), default=200)
     p.set_defaults(func=cmd_experiment)
 

@@ -111,14 +111,18 @@ def find_monochromatic_plus(col: Coloring) -> list[Point]:
     return centers
 
 
-def report_document(report: WeakColoringReport, plus_centers=None, cap: int = 100) -> dict:
-    """JSON-ready report; the violation list is capped to keep files small."""
+#: the most violations a report document lists, to keep files small
+REPORT_CAP = 100
+
+
+def report_document(report: WeakColoringReport, plus_centers=None) -> dict:
+    """JSON-ready report; the violation list is capped at REPORT_CAP."""
     doc = {
         "valid": report.valid,
         "coverage": report.coverage_complete,
         "mode": report.mode,
         "violation_count": report.violation_count,
-        "violations": [list(v) for v in report.violations[:cap]],
+        "violations": [list(v) for v in report.violations[:REPORT_CAP]],
     }
     if plus_centers is not None:
         doc["plus_centers"] = [list(v) for v in plus_centers]

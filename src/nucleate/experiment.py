@@ -31,10 +31,11 @@ from .rng import derive_seed, derived_rng  # noqa: F401
 from .rng import seed_stream
 
 
-def wilson_interval(successes: int, trials: int, z: float = 1.959963984540054) -> tuple[float, float]:
+def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
     """95% confidence interval for a binomial proportion (Wilson score)."""
     if trials <= 0:
         raise ValueError("trials must be positive")
+    z = 1.959963984540054  # the standard normal quantile of a two-sided 95% interval
     p = successes / trials
     denom = 1.0 + z * z / trials
     center = (p + z * z / (2 * trials)) / denom
@@ -82,11 +83,10 @@ class ExperimentResult:
 
 
 def surface_success(net: MeshNetwork) -> bool:
-    """Full coverage plus a valid weak coloring of the extracted surface."""
+    """Full coverage plus a valid weak coloring of the network's surface."""
     if len(net.states) != net.mesh.size:
         return False
-    _, col = net.extract_configuration()
-    return check_weak_coloring(col).valid
+    return check_weak_coloring(net.coloring()).valid
 
 
 def _run_trial(model: AgentModel, size: int, seed: int,

@@ -10,33 +10,36 @@ snapshot, so no partial-round interleaving is representable.
 Processors that hear nothing do nothing: an EMPTY processor stays EMPTY and
 an occupied one keeps re-posting its pairs.  Everything else samples the
 model's one-round transition law.  An occupant posts the pairs that the
-same law object gives for its inputs and id (`TransitionLaw.keyed_post`;
-the law is shared with the model dynamics), which checks every rule output
-against the model's declared bounds; the network builds no pairs itself.
+same law object gives for its inputs and id (`TransitionLaw.keyed_post`,
+which returns their post id; the law is shared with the model dynamics),
+which checks every rule output against the model's declared bounds; the
+network builds no pairs itself.
 Per-processor randomness is derived from (master seed, coordinates, round),
 and each update reads only its own inputs and state, so a round's outcome
 does not depend on the order in which processors are evaluated.
 
 A processor hears its neighbors through post ids.  The law interns every
 posted pairs tuple to a small int (`TransitionLaw.post_id`), the network
-keeps each occupant's id next to its pairs, and `neighbor_rows` lists each
-processor's 2k neighbors in canonical direction order (None off the mesh)
-as the window's own vertex tuples.  A round first reads every evaluated
+keeps only each occupant's post id (`post_ids`; its output buffers,
+`outputs` and `processor(v).outputs`, are read from it through
+`TransitionLaw.pairs_of`), and `neighbor_rows` lists each processor's 2k
+neighbors in canonical direction order (None off the mesh) as the
+window's own vertex tuples.  A round first reads every evaluated
 processor's key, the tuple of post ids along its row, before any update;
-its delivered inputs, its law entry and its id-free posts are then memo
-hits keyed by that key (`TransitionLaw.slot`, `step`, `keyed_post`).  The
-model dynamics (`agents.model_step`) keep their own delivery over
-`neighbor_table`, so the two codings check each other.
+its law entry and its id-free post id are then memo hits keyed by that key
+(`TransitionLaw.step`, `keyed_post`).  The model dynamics
+(`agents.model_step`) keep their own delivery over `neighbor_table`, so
+the two codings check each other.
 
 Every network of one model on one side reads one plan
 (`TransitionLaw.plan`, kept on the model's law `AgentModel.law`): the mesh,
 its rows and rng keys, and the round-0 template (`Plan.round0`): the seed
 cells, validated and in sorted order, their ids under use_ids, and the
-(pairs, post id) each posts from silent inputs.  No master seed changes any
-of it, so `init_round0` copies the template in and then wakes, enters and
-posts the nucleated cells; the template is built by the first
-`init_round0` that needs it, so a seed outside the mesh or a seed rule that
-breaks its bounds still raises there, not at construction.
+post id of the pairs each posts from silent inputs.  No master seed
+changes any of it, so `init_round0` copies the template in and then
+wakes, enters and posts the nucleated cells; the template is built by the
+first `init_round0` that needs it, so a seed outside the mesh or a seed
+rule that breaks its bounds still raises there, not at construction.
 
 Rounds are event-driven: a processor is re-evaluated only when a neighbor's
 posts changed last round (it entered, detached, or its rule posted different
@@ -67,7 +70,6 @@ from .lattice import Mesh, Point
 # bindings by name; the draws go through the rng kernel.
 from .rng import derive_seed, derived_rng  # noqa: F401
 from .rng import drawer
-from .tiles import Configuration
 
 
 class TraceEvent(NamedTuple):
@@ -155,8 +157,7 @@ class MeshNetwork:
         self.law = plan.law
         self.round = 0
         self.states: dict[Point, str] = {}
-        self.outputs: dict[Point, tuple] = {}
-        #: v -> law.post_id(outputs[v]), for every occupant
+        #: v -> the post id of the pairs v posts, for every occupant
         self.post_ids: dict[Point, int] = {}
         self.ids: dict[Point, int] = {}
         self.next_id = 0
@@ -184,20 +185,18 @@ class MeshNetwork:
             raise ValueError("network already initialized")
         self._started = True
         model = self.model
-        seeded, seed_ids, seed_outputs, seed_post_ids = self._plan.round0
+        seeded, seed_ids, seed_post_ids = self._plan.round0
         states = self.states
         states.update(seeded)
         self.ids.update(seed_ids)
         self.next_id = len(seed_ids)
-        self.outputs.update(seed_outputs)
         self.post_ids.update(seed_post_ids)
         woken = nucleation_sites(model, self._plan.keys, self.master_seed, states)
         if woken:
             nobody = (None,) * model.d  # the key of a processor that hears nothing
             for v, name in woken:
                 self._enter(v, name)
-                self.outputs[v], self.post_ids[v] = self.law.keyed_post(name, nobody,
-                                                                        self.ids.get(v))
+                self.post_ids[v] = self.law.keyed_post(name, nobody, self.ids.get(v))
         if self.trace is not None:
             self.trace.extend([TraceEvent(0, v, None, name)
                                for v, name in sorted(states.items())])
@@ -221,7 +220,8 @@ class MeshNetwork:
         occupants never are (see the module docstring); the others would
         keep their state and posts and draw nothing.  Each evaluated
         processor reads its neighbors' post ids before any of them is
-        updated."""
+        updated.  An occupant's law offers only itself or EMPTY, so a
+        processor that changes state either enters or detaches."""
         if not self._started:
             raise ValueError("call init_round0 first")
         self.round += 1
@@ -234,11 +234,11 @@ class MeshNetwork:
         targets.update(chain.from_iterable(map(rows.__getitem__, self._posted)))
         targets.discard(None)
         targets = sorted(targets.difference(self._inert_cells))
-        read = self.post_ids.get
+        post_ids = self.post_ids
+        read = post_ids.get
         keys = [tuple(map(read, rows[v])) for v in targets]
 
-        steps, keyed, fixed = law.steps, law.keyed_posts, law.fixed_keyed
-        outputs, post_ids = self.outputs, self.post_ids
+        steps, keyed, fixed = law.steps, law.keyed_posts, law.fixed_posts
         draw = drawer(self.master_seed, self._plan.keys, r)
         ids_on = self.model.use_ids
         nobody = (None,) * self.model.d
@@ -259,29 +259,26 @@ class MeshNetwork:
             elif cdf is not None or new != old:
                 pending.add(v)  # its state or its next draw may differ
             if new != old:
-                posted[v] = post_ids.get(v)
                 if self.trace is not None:
                     self.trace.append(TraceEvent(r, v, old, new))
                 if new is None:
                     del states[v]
                     self.ids.pop(v, None)
-                    del outputs[v]
-                    del post_ids[v]
+                    posted[v] = post_ids.pop(v)
                     continue
-                if old is None:
-                    self._enter(v, new)
-                else:
-                    states[v] = new
-                outputs[v], post_ids[v] = (fixed.get(new)
-                                           or law.keyed_post(new, key, self.ids.get(v)))
-            elif new in ruled:
-                # state kept, but the rule may emit different messages now
-                pairs, pid = (law.keyed_post(new, key, self.ids.get(v)) if ids_on
-                              else keyed.get((new, key)) or law.keyed_post(new, key))
-                if pid != post_ids[v]:
-                    posted[v] = post_ids[v]
-                    outputs[v] = pairs
-                    post_ids[v] = pid
+                self._enter(v, new)
+            elif new not in ruled:
+                continue  # it stays EMPTY, or keeps a type whose posts never vary
+            # it entered, or it kept a type whose rule may post differently now
+            pid = fixed.get(new)
+            if pid is None and not ids_on:
+                pid = keyed.get((new, key))
+            if pid is None:
+                pid = law.keyed_post(new, key, self.ids.get(v))
+            was = post_ids.get(v)
+            if pid != was:
+                posted[v] = was
+                post_ids[v] = pid
         self._pending = pending
         self._posted = posted
 
@@ -294,26 +291,31 @@ class MeshNetwork:
     # -- observation ---------------------------------------------------
 
     @property
+    def outputs(self) -> dict:
+        """v -> the pairs occupant v posts, read from its post id."""
+        pairs_of = self.law.pairs_of
+        return {v: pairs_of[pid] for v, pid in self.post_ids.items()}
+
+    @property
     def inputs(self) -> InputBuffers:
         """v -> v's input buffers as the last round delivered them."""
         return InputBuffers(self.post_ids, self._posted, self._plan.rows, self.law.slot)
 
     def processor(self, v: Point) -> ProcessorView:
         self.mesh.require(v)
-        d = self.model.d
+        silent = (None,) * self.model.d
         state = self.states.get(v)
+        pid = self.post_ids.get(v)
         return ProcessorView(
             coordinates=v,
             state=state,
             color=None if state is None else self.model.types[state].color,
-            inputs=self.inputs.get(v, (None,) * d),
-            outputs=self.outputs.get(v, (None,) * d),
+            inputs=self.inputs.get(v, silent),
+            outputs=silent if pid is None else self.law.pairs_of[pid],
         )
 
-    def extract_configuration(self) -> tuple[Configuration, Coloring]:
-        """Read the simulated surface back out of the processor states."""
-        cfg = Configuration(dict(self.states), self.mesh, self.model.k)
+    def coloring(self) -> Coloring:
+        """The simulated surface as a coloring: each occupant's type color."""
         types = self.model.types
-        col = Coloring({v: types[name].color for v, name in self.states.items()},
-                       self.mesh, self.model.colors)
-        return cfg, col
+        return Coloring({v: types[name].color for v, name in self.states.items()},
+                        self.mesh, self.model.colors)

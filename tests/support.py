@@ -334,8 +334,13 @@ class EvaluateEveryoneNetwork(MeshNetwork):
     posts, and every processor that hears a pair samples its law through
     the public `forced` and `sample`, unless it is an occupant that can
     neither detach nor change its posts.  The oracle for the event-driven
-    round, which must match it round for round; `delivered` holds the input
-    buffers of the last round."""
+    round, which must match it round for round.  It keeps its own posts as
+    pairs in `pairs`, taken from round 0 (its post ids are not updated
+    after that); `delivered` holds the input buffers of the last round."""
+
+    def init_round0(self):
+        super().init_round0()
+        self.pairs = self.outputs
 
     def run_round(self, probe=None):
         self.round += 1
@@ -344,7 +349,7 @@ class EvaluateEveryoneNetwork(MeshNetwork):
         table = neighbor_table(self.mesh)
         states = self.states
 
-        outputs = self.outputs
+        outputs = self.pairs
         delivered = {}
         for v in outputs:
             pairs = outputs[v]

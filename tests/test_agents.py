@@ -147,6 +147,10 @@ def test_normalization_on_random_models():
             dist = law.distribution(occupant, glues, messages)
             assert abs(sum(dist.values()) - 1.0) <= 1e-9
             assert all(p >= 0.0 for p in dist.values())
+            if occupant is not None:
+                # an occupant stays or detaches; the mesh round's one post
+                # branch rests on this
+                assert set(dist) <= {occupant, None}
 
 
 def test_law_depends_only_on_local_tuple():
@@ -232,9 +236,9 @@ def test_neighbor_rows_match_around_and_reuse_the_window_keys():
 @pytest.mark.parametrize("use_ids", [False, True], ids=["no-ids", "ids"])
 @pytest.mark.parametrize("alphabet", [False, True], ids=["silent", "alphabet"])
 def test_post_id_memos_match_literal_delivery_and_the_law(k, use_ids, alphabet):
-    # random neighbor posts, keyed by their post ids: the memoized slot is
-    # what each neighbor posts on its side facing back, and the memoized
-    # law entry and posts are what a separate law gives at those inputs
+    # random neighbor posts, keyed by their post ids: the slot is what each
+    # neighbor posts on its side facing back, and the memoized law entry
+    # and post ids stand for what a separate law gives at those inputs
     rng = random.Random(1400 + 10 * k + 2 * use_ids + alphabet)
     d = 2 * k
     checked = 0
@@ -264,20 +268,21 @@ def test_post_id_memos_match_literal_delivery_and_the_law(k, use_ids, alphabet):
                 for old in (None,) + model.type_names:
                     assert law.step(old, key) == reference.lookup(old, glues, msgs), old
                 for name in model.type_names:
-                    pairs, pid = law.keyed_post(name, key)
-                    assert pairs == reference.posts(name, glues, msgs, None), name
-                    assert law.pairs_of[pid] == pairs and law.post_id(pairs) == pid
+                    pid = law.keyed_post(name, key)
+                    pairs = reference.posts(name, glues, msgs, None)
+                    assert type(pid) is int, name
+                    assert law.pairs_of[pid] == pairs and law.post_id(pairs) == pid, name
                     # a post with an id runs the rule with it and is never memoized
                     my_id = rng.randrange(4) if use_ids else None
                     memo = dict(law.keyed_posts)
-                    pairs, pid = law.keyed_post(name, key, my_id)
-                    assert pairs == reference.posts(name, glues, msgs, my_id), (name, my_id)
-                    assert law.pairs_of[pid] == pairs and law.post_id(pairs) == pid
+                    pid = law.keyed_post(name, key, my_id)
+                    pairs = reference.posts(name, glues, msgs, my_id)
+                    assert law.pairs_of[pid] == pairs and law.post_id(pairs) == pid, (name, my_id)
                     if my_id is not None:
                         assert law.keyed_posts == memo, (name, my_id)
-                    if name in law.fixed_keyed:  # no rule: one entry whatever the id
+                    if name in law.fixed_posts:  # no rule: one id whatever the id
                         for any_id in (None, 0, 7):
-                            assert law.keyed_post(name, key, any_id) is law.fixed_keyed[name]
+                            assert law.keyed_post(name, key, any_id) == law.fixed_posts[name]
                     checked += 1
     assert checked > 0
     assert len(law.pairs_of) == len(set(law.pairs_of))

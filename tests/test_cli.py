@@ -127,6 +127,7 @@ def test_assemble_size_zero_is_usage_error():
 @pytest.mark.parametrize("command", [
     ["meshsim", "--model", LOCAL, "--size", "4", "--rounds", "-3"],
     ["assemble", "--model", TSTAR, "--size", "4", "--max-stages", "-2"],
+    ["experiment", "--sizes", "8", "--trials", "1", "--rounds", "-1"],
 ])
 def test_negative_budgets_are_usage_errors(tmp_path, capsys, command):
     out = tmp_path / "out"

@@ -206,9 +206,12 @@ def test_repeated_seed_location_is_rejected(model, key):
 ])
 def test_shipped_models_load_with_frozen_hashes(model, digest):
     path = shipped_model_path(model)
-    load = load_tile_system if model == "tstar" else load_agent_model
-    _, doc = load(path)
+    load, dump = ((load_tile_system, tile_system_document) if model == "tstar"
+                  else (load_agent_model, agent_model_document))
+    loaded, doc = load(path)
     assert content_hash(doc) == digest
+    # the loaded object re-serialises to the file's content
+    assert content_hash(dump(loaded, doc.get("name"))) == digest
 
 
 def test_missing_keys_rejected():

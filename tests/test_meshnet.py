@@ -204,24 +204,23 @@ def test_zero_rounds_leaves_only_round0_events():
     assert [e.round for e in events] == [0]
 
 
-def test_extract_configuration_roundtrip():
+def test_coloring_reads_the_occupant_colors():
     model = forced_growth_model(seed={(0, 0): "t"})
     net = MeshNetwork(model, 3, master_seed=1)
     net.init_round0()
-    cfg, coloring = net.extract_configuration()
-    assert cfg.cells() == {(0, 0): "t"}
-    assert coloring.assignment == {(0, 0): 1}
+    assert net.states == {(0, 0): "t"}
+    assert net.coloring().assignment == {(0, 0): 1}
     net.run(4)
-    cfg, coloring = net.extract_configuration()
-    assert len(cfg) == 9
+    coloring = net.coloring()
+    assert len(net.states) == 9 and coloring.assignment == dict.fromkeys(net.states, 1)
+    assert coloring.mesh is net.mesh and coloring.c == model.colors
     assert check_weak_coloring(coloring).violation_count == 9  # monochrome fill
 
 
 def test_empty_network_extraction():
     net = MeshNetwork(forced_growth_model(), 3)
     net.init_round0()
-    cfg, coloring = net.extract_configuration()
-    assert len(cfg) == 0 and coloring.assignment == {}
+    assert net.states == {} and net.coloring().assignment == {}
 
 
 def test_locality_probe_finds_no_violations():
@@ -254,7 +253,7 @@ def _next_evaluated(net: MeshNetwork) -> set:
     mesh, inert = net.mesh, _inert_types(net.model)
     near = set(net._pending).union(*map(mesh.neighbors, net._posted))
     return {v for v in near if net.states.get(v) not in inert
-            and any(w in net.outputs for w in mesh.neighbors(v))}
+            and any(w in net.post_ids for w in mesh.neighbors(v))}
 
 
 def _regime_model(rng, k: int, static: bool) -> AgentModel:
@@ -297,7 +296,7 @@ def test_probe_reads_exactly_the_evaluated_neighborhoods(k, static):
         assert _is_static(net.model) == static
         mesh = net.mesh
         for r in range(1, 9):
-            posting = set(net.outputs)
+            posting = set(net.post_ids)
             evaluated = _next_evaluated(net)
             expected = {(v, v) for v in evaluated} | {
                 (v, w) for v in evaluated for w in mesh.neighbors(v) if w in posting}
@@ -424,6 +423,13 @@ def test_processor_views_track_anatomy():
     assert view.outputs[1] == ("g", None)  # posts its glue northward
     empty = net.processor((2, 2))
     assert empty.state is None and empty.color is None
+    assert empty.outputs == (None,) * 4
+    # the posts are kept as post ids only; `outputs` is read from them
+    law = net.law
+    assert net.outputs == {v: law.pairs_of[pid] for v, pid in net.post_ids.items()}
+    assert set(net.outputs) == set(net.states)
+    with pytest.raises(AttributeError):
+        net.outputs = {}
 
 
 def test_three_dimensional_forced_growth():
@@ -635,7 +641,7 @@ def _match_evaluate_everyone_oracle(model, side: int, master: int, seen: dict, t
         assert fast.states == oracle.states, (tag, r)
         assert fast.trace == oracle.trace, (tag, r)
         assert fast.ids == oracle.ids, (tag, r)
-        assert fast.outputs == oracle.outputs, (tag, r)
+        assert fast.outputs == oracle.pairs, (tag, r)
         assert fast.inputs == oracle.delivered, (tag, r)
         seen["skipped"] += evaluated < len(oracle.delivered)
         seen["unforced"] += bool(fast._pending - set(fast._posted))
@@ -799,8 +805,9 @@ def test_model_dynamics_match_the_mesh_round_for_round():
                 net.run_round()
                 state = model_step(state, model, master)
                 seen["detached"] += len(before - set(net.states))
+            outputs = net.outputs
             mesh_side = (net.states, net.ids,
-                         {v: tuple(m for _, m in net.outputs[v]) for v in net.states})
+                         {v: tuple(m for _, m in outputs[v]) for v in net.states})
             model_side = (state.occupancy, state.ids,
                           {v: state.out_messages.get(v, silent) for v in state.occupancy})
             assert mesh_side == model_side, (trial, r)

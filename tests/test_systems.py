@@ -70,8 +70,7 @@ def test_nucleation_family_single_vertex_always_valid():
     for seed in range(20):
         net = MeshNetwork(model, 1, master_seed=seed)
         net.init_round0()
-        _, coloring = net.extract_configuration()
-        report = check_weak_coloring(coloring)
+        report = check_weak_coloring(net.coloring())
         assert len(net.states) == 1 and report.valid
 
 
@@ -83,8 +82,7 @@ def test_nucleation_family_sometimes_fails_at_8():
         net = MeshNetwork(model, 8, master_seed=5000 + t, record_trace=False)
         net.init_round0()
         net.run(10)
-        _, coloring = net.extract_configuration()
-        if len(net.states) == 64 and check_weak_coloring(coloring).valid:
+        if len(net.states) == 64 and check_weak_coloring(net.coloring()).valid:
             successes += 1
     assert successes < trials
 
