@@ -155,10 +155,9 @@ class BindingRules:
     only ever lower a bond total, never a probability.
     """
 
-    def __init__(self, rules: Mapping[tuple[str, str], int] | Sequence[tuple[str, str, int]]):
+    def __init__(self, rules: Mapping[tuple[str, str], int]):
         self._strengths: dict[tuple[str, str], int] = {}
-        items = rules.items() if isinstance(rules, Mapping) else ((pair[:2], pair[2]) for pair in rules)
-        for (a, b), s in items:
+        for (a, b), s in rules.items():
             key = (a, b) if a <= b else (b, a)
             if key in self._strengths and self._strengths[key] != s:
                 raise ValueError(f"conflicting strengths for rule {key}")
@@ -385,10 +384,12 @@ class TransitionLaw:
         #: whatever it hears
         self.fixed_posts = {name: self.post_id(tuple((g, None) for g in t.glues))
                             for name, t in model.types.items() if t.rule is None}
+        #: whether an occupant can ever detach: detachment on, at p_off > 0
+        self._detaching = model.kinetics.detach and model.kinetics.p_off > 0
         #: the types with a rule, and the occupants that can neither detach
         #: nor vary their posts
         self.ruled = frozenset(model.types.keys() - self.fixed_posts.keys())
-        self.inert = frozenset() if model.kinetics.detach else frozenset(self.fixed_posts)
+        self.inert = frozenset() if self._detaching else frozenset(self.fixed_posts)
 
     def bond_total(self, type_name: str, glues: Sequence[Optional[str]]) -> int:
         t = self.model.types[type_name]
@@ -490,7 +491,7 @@ class TransitionLaw:
             if occupant not in self.model.types:
                 raise KeyError(f"unknown occupant type {occupant!r}")
             unstable = self.bond_total(occupant, glues) < self.model.temperature
-            if kin.detach and (unstable or (
+            if self._detaching and (unstable or (
                     self.model.types[occupant].rule is not None
                     and self.rule_output(occupant, glues, messages, None).detach)):
                 return {occupant: 1.0 - kin.p_off, None: kin.p_off}

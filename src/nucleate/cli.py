@@ -48,6 +48,8 @@ def _sizes(text: str) -> tuple[int, ...]:
         raise argparse.ArgumentTypeError(f"bad size list {text!r}")
     if not sizes or any(s < 1 for s in sizes):
         raise argparse.ArgumentTypeError("sizes must be positive integers")
+    if any(a >= b for a, b in zip(sizes, sizes[1:])):
+        raise argparse.ArgumentTypeError("sizes must be strictly ascending")
     return sizes
 
 

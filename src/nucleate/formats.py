@@ -29,12 +29,8 @@ from .tiles import Configuration, Glue, TileAssemblySystem, TileType
 _AXES = ("x", "y", "z")
 
 
-class FormatError(ValueError):
+class FormatError(ModelValidationError):
     """A document failed schema validation; carries machine-readable diagnostics."""
-
-    def __init__(self, diagnostics):
-        self.diagnostics = list(diagnostics)
-        super().__init__("; ".join(d.message for d in self.diagnostics))
 
 
 def _fail(code: str, message: str, path: str = ""):

@@ -48,11 +48,14 @@ other processor hears the pairs it heard at its last evaluation, holds the
 same state, and last saw a forced law, so it would draw nothing, keep its
 state and, since rules are memoryless and an occupant keeps its id, post the
 same pairs; the skip changes no state, trace, id or buffer.  An inert
-occupant (`TransitionLaw.inert`: no detachment and no rule) can neither
-detach nor change its posts, so it is never evaluated, nor kept pending once
-it enters.  A processor's input buffers (the `InputBuffers` view `inputs`,
-and `processor(v).inputs`) are read from the post ids as they stood at the
-start of the last round, whether or not that round evaluated it.
+occupant (`TransitionLaw.inert`: no rule, in a model where no occupant can
+detach) can neither detach nor change its posts, so it is never evaluated,
+nor kept pending once it enters.  A processor's input buffers (`inputs`, a
+live `InputBuffers` view of the network, and `processor(v).inputs`) are
+read from the post ids as they stood at the start of the last round,
+whether or not that round evaluated it.  Looking up one processor reads
+its row of 2k neighbors only; the view's `len` and iteration scan every
+poster.
 """
 
 from collections.abc import Mapping
@@ -91,33 +94,45 @@ class ProcessorView:
 
 
 class InputBuffers(Mapping):
-    """Read-only map v -> the input buffers the last round delivered to v,
-    for each processor that heard at least one pair (none before round 1).
-    It reads the post ids at the start of that round: `post_ids` with the
-    round's changes undone (`posted`: v -> v's id before them, None for no
-    posts)."""
+    """Live read-only map v -> the input buffers the last round delivered
+    to v, for each processor that heard at least one pair (none before
+    round 1).  Like `dict.keys()`, it holds only its network and reads it
+    on each access, so it always shows the network's last round;
+    `dict(net.inputs)` takes a snapshot.  Neighbor w's post id at the
+    start of that round is `_posted[w]` if w's posts changed in it, else
+    `post_ids.get(w)`.  A lookup (`[v]`, `get`, `in`) reads v's row of 2k
+    neighbors only; `len` and iteration scan every poster on each call."""
 
-    def __init__(self, post_ids: dict, posted: dict, rows: dict, slot):
-        before = dict(post_ids)
-        for v, pid in posted.items():
+    def __init__(self, net: "MeshNetwork"):
+        self._net = net
+
+    def __getitem__(self, v: Point) -> tuple:
+        net = self._net
+        posted, read = net._posted, net.post_ids.get
+        key = tuple([posted[w] if w in posted else read(w) for w in net._plan.rows[v]])
+        if key.count(None) == len(key):
+            raise KeyError(v)
+        return net.law.slot(key)
+
+    def _heard(self) -> set:
+        """The processors that heard a pair: the neighbors of every
+        processor that posted at the start of the last round."""
+        net = self._net
+        before = dict(net.post_ids)
+        for v, pid in net._posted.items():
             if pid is None:
                 del before[v]
             else:
                 before[v] = pid
-        heard = set(chain.from_iterable(map(rows.__getitem__, before)))
+        heard = set(chain.from_iterable(map(net._plan.rows.__getitem__, before)))
         heard.discard(None)
-        self._before, self._rows, self._slot, self._heard = before, rows, slot, heard
-
-    def __getitem__(self, v: Point) -> tuple:
-        if v not in self._heard:
-            raise KeyError(v)
-        return self._slot(tuple(map(self._before.get, self._rows[v])))
+        return heard
 
     def __iter__(self):
-        return iter(sorted(self._heard))
+        return iter(sorted(self._heard()))
 
     def __len__(self) -> int:
-        return len(self._heard)
+        return len(self._heard())
 
 
 class AccessProbe:
@@ -298,8 +313,9 @@ class MeshNetwork:
 
     @property
     def inputs(self) -> InputBuffers:
-        """v -> v's input buffers as the last round delivered them."""
-        return InputBuffers(self.post_ids, self._posted, self._plan.rows, self.law.slot)
+        """Live view: v -> v's input buffers as the last round delivered
+        them."""
+        return InputBuffers(self)
 
     def processor(self, v: Point) -> ProcessorView:
         self.mesh.require(v)

@@ -138,6 +138,16 @@ def test_negative_budgets_are_usage_errors(tmp_path, capsys, command):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("sizes", ["16,8", "8,8"])
+def test_sizes_out_of_order_are_usage_errors(tmp_path, capsys, sizes):
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as err:
+        main(["experiment", "--sizes", sizes, "--trials", "1", "--out", str(out)])
+    assert err.value.code == 2
+    assert "argument --sizes: sizes must be strictly ascending" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def _tile_cube_document() -> dict:
     """A 3-dimensional tile system: one tile type with glue g on every side."""
     t = tile("t", 1, *[("g", 1)] * 6)

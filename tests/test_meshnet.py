@@ -138,6 +138,31 @@ def test_detach_frequency_matches_p_off():
     assert abs(freq - p_off) <= 0.01
 
 
+def test_detachment_at_p_off_zero_is_not_live():
+    # detachment switched on at p_off 0 can never happen: its law is forced,
+    # so the run matches its detach-off twin draw for draw, no occupant is
+    # kept pending, and the occupants of types without a rule are inert
+    from dataclasses import replace
+
+    from nucleate.systems import nucleation_family
+
+    model = nucleation_family(0.1, "checkerboard-local").system
+    assert not model.kinetics.detach
+    twin = replace(model, kinetics=replace(model.kinetics, detach=True, p_off=0.0))
+    assert twin.law.inert == model.law.inert == {"dark", "light"}
+    assert twin.law.distribution("dark", ("c1",) + (None,) * 3, (None,) * 4) == {"dark": 1.0}
+    off, on = (MeshNetwork(m, 32, master_seed=3) for m in (model, twin))
+    for net in (off, on):
+        net.init_round0()
+    for r in range(1, 10):
+        off.run_round()
+        on.run_round()
+        assert on.trace == off.trace and on.states == off.states, r
+        assert on._pending == off._pending == set(), r
+        assert on._inert_cells == set(on.states), r
+    assert on.trace[-1].round > 1  # the rounds attached cells
+
+
 def test_identical_seeds_give_identical_traces():
     model = fidelity_model().system
     runs = []
@@ -149,6 +174,23 @@ def test_identical_seeds_give_identical_traces():
     assert runs[0] == runs[1]
 
 
+def churning_ping_model():
+    """Two ping-rule types that attach, detach and err: every round changes
+    some cells' posts."""
+    types = {
+        "a": AgentType("a", ("g", "h", "g", "h"), color=1, rule="ping"),
+        "b": AgentType("b", ("h", "g", "h", "g"), color=2, rule="ping"),
+    }
+    return AgentModel(
+        types=types,
+        rules=BindingRules({("g", "g"): 1, ("h", "h"): 2, ("g", "h"): -1}),
+        temperature=2,
+        pi_nu=0.3,
+        kinetics=Kinetics(lambda_on=0.5, detach=True, p_off=0.3, epsilon=0.2),
+        messages=("p",),
+    )
+
+
 def test_round_is_independent_of_evaluation_order():
     # Recompute each round from snapshots of the delivered inputs and the
     # prior states, visiting targets in shuffled order with each target's
@@ -157,18 +199,7 @@ def test_round_is_independent_of_evaluation_order():
 
     from nucleate.rng import uniform
 
-    types = {
-        "a": AgentType("a", ("g", "h", "g", "h"), color=1, rule="ping"),
-        "b": AgentType("b", ("h", "g", "h", "g"), color=2, rule="ping"),
-    }
-    model = AgentModel(
-        types=types,
-        rules=BindingRules({("g", "g"): 1, ("h", "h"): 2, ("g", "h"): -1}),
-        temperature=2,
-        pi_nu=0.3,
-        kinetics=Kinetics(lambda_on=0.5, detach=True, p_off=0.3, epsilon=0.2),
-        messages=("p",),
-    )
+    model = churning_ping_model()
     law = model.law
     shuffler = random.Random(3)
     seed = 41
@@ -235,8 +266,9 @@ def test_locality_probe_finds_no_violations():
 
 def _inert_types(model: AgentModel) -> set:
     """The types whose occupants can neither detach nor change their
-    posts: every type without a rule, when the model has no detachment."""
-    if model.kinetics.detach:
+    posts: every type without a rule, when no occupant can detach
+    (detachment off, or on at p_off 0)."""
+    if model.kinetics.detach and model.kinetics.p_off > 0:
         return set()
     return {name for name, t in model.types.items() if t.rule is None}
 
@@ -430,6 +462,51 @@ def test_processor_views_track_anatomy():
     assert set(net.outputs) == set(net.states)
     with pytest.raises(AttributeError):
         net.outputs = {}
+
+
+def test_processor_views_read_one_row_of_post_ids():
+    # a lookup reads v's 2k neighbors' post ids, never the whole map: with
+    # every whole-map read of post_ids sealed, processor(v) and inputs[v]
+    # give what they gave before, for every vertex
+    class Sealed(dict):
+        def _sealed(self, *args):
+            raise AssertionError("read the whole post_ids map")
+        __iter__ = keys = items = values = copy = _sealed
+
+    net = MeshNetwork(churning_ping_model(), 6, master_seed=41)
+    net.init_round0()
+    net.run(5)
+    assert net._posted  # the last round changed some posts
+
+    def views():
+        inputs = net.inputs
+        return {v: (net.processor(v), inputs[v] if v in inputs else None)
+                for v in net.mesh.vertices()}
+
+    before = views()
+    assert sum(buffers is not None for _, buffers in before.values()) > 1
+    net.post_ids = Sealed(net.post_ids)
+    assert views() == before
+    with pytest.raises(KeyError):
+        net.inputs[(6, 0)]  # off the mesh
+
+
+def test_a_held_input_view_follows_its_network():
+    # `inputs` is a live view, like dict.keys(): one held across rounds
+    # always shows the last round; dict(net.inputs) takes a snapshot
+    net = MeshNetwork(churning_ping_model(), 6, master_seed=41)
+    net.init_round0()
+    held = net.inputs
+    assert len(held) == 0 and list(held) == []  # nothing delivered before round 1
+    changed = 0
+    for r in range(1, 7):
+        snapshot = dict(held)
+        net.run_round()
+        fresh = net.inputs
+        assert held == fresh and dict(held) == dict(fresh), r
+        assert len(held) == len(fresh) and list(held) == sorted(fresh), r
+        changed += snapshot != dict(held)
+    assert changed
 
 
 def test_three_dimensional_forced_growth():
@@ -634,6 +711,7 @@ def _match_evaluate_everyone_oracle(model, side: int, master: int, seen: dict, t
     fast.init_round0()
     oracle.init_round0()
     probe = AccessProbe()
+    silent = (None,) * model.d
     for r in range(1, 13):
         evaluated = len(_next_evaluated(fast))
         fast.run_round(probe=probe)
@@ -643,6 +721,8 @@ def _match_evaluate_everyone_oracle(model, side: int, master: int, seen: dict, t
         assert fast.ids == oracle.ids, (tag, r)
         assert fast.outputs == oracle.pairs, (tag, r)
         assert fast.inputs == oracle.delivered, (tag, r)
+        for v in fast.mesh.vertices():
+            assert fast.processor(v).inputs == oracle.delivered.get(v, silent), (tag, r, v)
         seen["skipped"] += evaluated < len(oracle.delivered)
         seen["unforced"] += bool(fast._pending - set(fast._posted))
     assert probe.violations(fast.mesh) == []
