@@ -35,7 +35,7 @@ from functools import cached_property, lru_cache
 from types import MappingProxyType
 from typing import Callable, Mapping, NamedTuple, Optional, Sequence
 
-from .lattice import OPPOSITE, Mesh, Point, directions
+from .lattice import OPPOSITE, Mesh, Point, neighbor_rows
 # perfbench/tracer.py counts calls through this module's add binding by name.
 from .lattice import add  # noqa: F401
 # perfbench/tracer.py wraps this module's derive_seed binding by name; the
@@ -43,26 +43,6 @@ from .lattice import add  # noqa: F401
 from .rng import derive_seed  # noqa: F401
 from .rng import drawer, wakeups, window_keys
 from .tiles import TileAssemblySystem
-
-
-@lru_cache(maxsize=32)
-def neighbor_rows(k: int, side: int) -> dict:
-    """window vertex -> its 2k neighbors in canonical direction order, each
-    the in-window neighbor or None off the window.
-
-    Built by index arithmetic over the lexicographic vertex order of
-    `window_keys(k, side)`, so every entry is one of that dict's own vertex
-    tuples and no point is built twice.  Cached and shared, so callers must
-    not mutate it."""
-    vertices = list(window_keys(k, side))
-    steps = []  # (axis, unit step, index step) per direction
-    for d in directions(k):
-        axis = next(a for a, c in enumerate(d.vector) if c)
-        unit = d.vector[axis]
-        steps.append((axis, unit, unit * side ** (k - 1 - axis)))
-    return {v: tuple([vertices[n + step] if 0 <= v[axis] + unit < side else None
-                      for axis, unit, step in steps])
-            for n, v in enumerate(vertices)}
 
 
 def neighbor_table(window: Mesh) -> dict:

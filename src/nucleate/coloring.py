@@ -5,12 +5,17 @@ one neighbor of a different color.  The checker reports violating vertices,
 and a 2D diagnostic locates monochromatic "+" patterns: an interior vertex
 whose four neighbors all share its color, which is exactly a weak-coloring
 violation at a fully-surrounded vertex.
+
+Both checks walk each vertex's row of `lattice.neighbor_rows`, the one
+neighbour table of the mesh, and skip its None slots off the mesh; no
+neighbour is tested for mesh membership, and no key off the mesh is read
+from the assignment.
 """
 
 from dataclasses import dataclass
 from typing import Mapping
 
-from .lattice import Mesh, Point, around
+from .lattice import Mesh, Point, neighbor_rows
 
 #: Check every mesh vertex; uncolored vertices break coverage.
 FULL = "full"
@@ -52,6 +57,13 @@ class WeakColoringReport:
         return len(self.violations)
 
 
+def _in_order(assignment: Mapping[Point, int], rows: dict):
+    """The colored vertices in sorted order.  Every key of a `Coloring` is
+    a mesh vertex, so a coloring as large as the mesh colors every vertex,
+    and the rows already list them in sorted order."""
+    return rows if len(assignment) == len(rows) else sorted(assignment)
+
+
 def check_weak_coloring(col: Coloring, mode: str = FULL) -> WeakColoringReport:
     """Find every colored vertex all of whose visible neighbors match it.
 
@@ -64,15 +76,15 @@ def check_weak_coloring(col: Coloring, mode: str = FULL) -> WeakColoringReport:
         raise ValueError(f"unknown mode {mode!r}")
     assignment = col.assignment
     get = assignment.get
-    last = col.mesh.side - 1
+    rows = neighbor_rows(col.mesh.k, col.mesh.side)
     full = mode == FULL
     violations = []
-    for v in sorted(assignment):
+    for v in _in_order(assignment, rows):
         color = assignment[v]
-        nbrs = around(v)
-        if min(v) == 0 or max(v) == last:
+        nbrs = rows[v]
+        if None in nbrs:
             # on the mesh boundary: keep the neighbours inside, in order
-            nbrs = [w for w in nbrs if min(w) >= 0 and max(w) <= last]
+            nbrs = [w for w in nbrs if w is not None]
             if not nbrs:
                 continue  # isolated vertex, exempt
         colored = [c for c in map(get, nbrs) if c is not None]
@@ -94,16 +106,17 @@ def find_monochromatic_plus(col: Coloring) -> list[Point]:
     if col.mesh.k != 2:
         raise ValueError("monochromatic-plus search is defined for 2-dimensional meshes")
     centers = []
-    n = col.mesh.side
+    rows = neighbor_rows(2, col.mesh.side)
     colors = col.assignment
     get = colors.get
-    for v in sorted(colors):
-        if min(v) < 1 or max(v) > n - 2:
-            continue
+    for v in _in_order(colors, rows):
+        row = rows[v]
+        if None in row:
+            continue  # not interior
         color = colors[v]
         # an interior vertex has all four neighbors inside the mesh; the
         # first one of another color settles it
-        for w in around(v):
+        for w in row:
             if get(w) != color:
                 break
         else:

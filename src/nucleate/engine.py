@@ -10,6 +10,13 @@ a unique terminal assembly: every tile binds with total input strength
 exactly equal to the temperature; no competing tile type can claim an
 occupied location once the tile there and the neighbors that grew off it
 are deleted; and the final frontier is empty.
+
+Every neighbour loop here reads one row per cell from
+`lattice.neighbor_reader`: the window's `neighbor_rows` entry, whose None
+slots lie off the window, or `around` for a windowless run.  A frontier
+cell is an empty in-window cell, so on a window whose every cell is
+occupied condition 3 holds without a scan; that is exact because a
+sequence's seed and additions all lie inside its window.
 """
 
 import random
@@ -17,7 +24,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Optional
 
-from .lattice import OPPOSITE, Mesh, Point, around
+from .lattice import OPPOSITE, Mesh, Point, neighbor_reader
 from .tiles import AttachableTypes, Configuration, TileAssemblySystem, attachments
 # not called here any more; the benchmark's tracer counts calls through these bindings
 from .lattice import add  # noqa: F401
@@ -31,11 +38,20 @@ class Addition:
     tile: str
 
 
+def _require_seed_inside(seed: Configuration, window: Optional[Mesh]) -> None:
+    if window is not None:
+        for v, _ in seed.items():
+            if not window.contains(v):
+                raise ValueError(f"seed location {v} lies outside the window")
+
+
 @dataclass(frozen=True)
 class AssemblySequence:
     """Replayable record of one run: the system plus its ordered additions.
 
     The seed configuration is stage 0; additions are stages 1, 2, ...
+    A seed cell outside the window is refused, as `run` refuses it: the
+    checks read the window's neighbour rows, which hold no cell off it.
     """
 
     system: TileAssemblySystem
@@ -43,6 +59,7 @@ class AssemblySequence:
     additions: tuple[Addition, ...]
 
     def __post_init__(self):
+        _require_seed_inside(self.system.seed, self.window)
         seen = set(self.system.seed.domain)
         last_stage = 0
         for a in self.additions:
@@ -92,9 +109,7 @@ def run(system: TileAssemblySystem, window: Optional[Mesh] = None,
     Windowless and temperature-0 runs take the same loop.
     """
     rng = random.Random(master_seed)
-    for v, _ in system.seed.items():
-        if window is not None and not window.contains(v):
-            raise ValueError(f"seed location {v} lies outside the window")
+    _require_seed_inside(system.seed, window)
     if max_stages is None:
         max_stages = (window.size + 1) if window is not None else 10_000
 
@@ -104,7 +119,7 @@ def run(system: TileAssemblySystem, window: Optional[Mesh] = None,
     cells: dict[Point, str] = system.seed.cells()
     names_of = AttachableTypes(tiles, temperature).names
     get = cells.get
-    inside = window.contains if window is not None else None
+    row = neighbor_reader(window)
 
     candidates = attachments(Configuration(cells, window, system.k), tiles, temperature)
     pairs = sorted((v, order[name], name) for v, names in candidates.items() for name in names)
@@ -118,11 +133,11 @@ def run(system: TileAssemblySystem, window: Optional[Mesh] = None,
         additions.append(Addition(stage, v, name))
         i = bisect_left(pairs, (v,))
         del pairs[i:i + len(candidates.pop(v))]
-        for w in around(v):
-            if w in cells or (inside is not None and not inside(w)):
+        for w in row(v):
+            if w is None or w in cells:
                 continue
             old = candidates.get(w, ())
-            names = names_of(tuple(map(get, around(w))))
+            names = names_of(tuple(map(get, row(w))))
             if names == old:
                 continue
             i = bisect_left(pairs, (w,))
@@ -161,6 +176,7 @@ def _replay(seq: AssemblySequence, attachable: AttachableTypes):
     tiles = system.tiles
     cells = system.seed.cells()
     get = cells.get
+    row_of = neighbor_reader(seq.window)
     bond = attachable.bond
     input_sides: dict[Point, int] = {}
     in_strength: dict[Point, int] = {}
@@ -169,9 +185,10 @@ def _replay(seq: AssemblySequence, attachable: AttachableTypes):
             raise ValueError(f"addition at {a.location} names undefined tile {a.tile!r}")
         if a.location in cells:
             raise ValueError(f"addition at {a.location} targets an occupied cell")
-        if seq.window is not None and not seq.window.contains(a.location):
+        row = row_of(a.location)
+        if row is None:
             raise ValueError(f"addition at {a.location} lies outside the window")
-        total, sides = bond(a.tile, tuple(map(get, around(a.location))))
+        total, sides = bond(a.tile, tuple(map(get, row)))
         if total < system.temperature:
             raise ValueError(
                 f"stage {a.stage}: {a.tile!r} at {a.location} binds with strength "
@@ -206,11 +223,12 @@ def check_local_determinism(seq: AssemblySequence) -> DeterminismReport:
 
     get = cells.get
     grown = input_sides.get
+    row = neighbor_reader(seq.window)
     for a in seq.additions:
         m = a.location
         # a neighbour w that grew off the tile at m is deleted with it
-        key = tuple(None if grown(w, 0) >> j & 1 else get(w)
-                    for w, j in zip(around(m), OPPOSITE))
+        key = tuple([None if grown(w, 0) >> j & 1 else get(w)
+                     for w, j in zip(row(m), OPPOSITE)])
         rival = next((name for name in attachable.names(key) if name != a.tile), None)
         if rival is not None:
             return DeterminismReport(
@@ -218,12 +236,14 @@ def check_local_determinism(seq: AssemblySequence) -> DeterminismReport:
                 f"competing type {rival!r} can also bind at {m}",
             )
 
-    result = Configuration(cells, seq.window, system.k)
-    leftover = attachments(result, tiles, system.temperature)
-    if leftover:
-        v = sorted(leftover)[0]
-        return DeterminismReport(False, 3, (v, leftover[v]),
-                                 f"result is not terminal: frontier at {v}")
+    # a full window has no empty cell, so no frontier
+    if seq.window is None or len(cells) < seq.window.size:
+        leftover = attachments(Configuration(cells, seq.window, system.k), tiles,
+                               system.temperature)
+        if leftover:
+            v = sorted(leftover)[0]
+            return DeterminismReport(False, 3, (v, leftover[v]),
+                                     f"result is not terminal: frontier at {v}")
     return DeterminismReport(True, message="locally deterministic")
 
 

@@ -437,7 +437,8 @@ def write_ppm(path: Union[str, Path], colors: Mapping[Point, int],
 
 
 def _point_token(v: Point) -> str:
-    return ",".join(map(str, v))
+    """`x,y` or `x,y,z`: a trace location and a coloring key."""
+    return ("%d,%d" if len(v) == 2 else "%d,%d,%d") % v
 
 
 def _trace_records(text: str, header: dict, counts: tuple[int, ...], form: str):
@@ -524,7 +525,7 @@ def coloring_document(colors: Mapping[Point, int], window: Mesh, c: int) -> dict
         "k": window.k,
         "side": window.side,
         "c": c,
-        "colors": {_point_token(v): color for v, color in sorted(colors.items())},
+        "colors": {_point_token(v): colors[v] for v in sorted(colors)},
     }
 
 

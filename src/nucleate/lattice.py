@@ -7,12 +7,22 @@ tuples, message buffers, and file formats all index sides the same way.
 A mesh of side n has vertex set {0, ..., n-1}^k; two vertices are adjacent
 iff their L1 distance is 1.  Side n makes an "n x n surface" and a mesh of
 n^k processors agree literally.
+
+`neighbor_rows(k, side)` is the one neighbour table of a window, read by
+the mesh side and the tile side alike: each vertex's 2k neighbours in canonical direction order, None
+off the window.  The mesh rounds gather post ids along it; the tile engine,
+the local-determinism check and the colouring checks walk it, skipping
+None, with no per-neighbour `Mesh.contains` test.  A windowless tile run
+reads `around` instead, through the same loop (`neighbor_reader`).  The
+rng's cached key bytes (`rng.window_keys`) are keyed by the table's own
+vertex tuples.
 """
 
 import operator
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import chain, product
-from typing import Collection, Iterator
+from typing import Callable, Collection, Iterator, Optional
 
 Point = tuple[int, ...]
 
@@ -122,3 +132,40 @@ class Mesh:
         self.require(v)
         side = self.side
         return [w for w in around(v) if min(w) >= 0 and max(w) < side]
+
+
+@lru_cache(maxsize=32)
+def neighbor_rows(k: int, side: int) -> dict:
+    """window vertex -> its 2k neighbors in canonical direction order, each
+    the in-window neighbor or None off the window.
+
+    Built by slicing the lexicographic vertex order of `product`, one
+    column per direction, so every entry is one of the table's own vertex
+    tuples and no point is built twice.  Cached and shared, so callers
+    must not mutate it."""
+    vertices = list(product(range(side), repeat=k))
+    columns = []
+    for d in directions(k):
+        axis = next(a for a, c in enumerate(d.vector) if c)
+        step = side ** (k - 1 - axis)  # index distance to the next vertex along the axis
+        line = side * step  # indices per run of the axis coordinate from 0 to side-1
+        edge = [None] * step  # the run's first (or last) vertices: nothing beyond them
+        column = []
+        for start in range(0, len(vertices), line):
+            if d.vector[axis] < 0:
+                column += edge + vertices[start:start + line - step]
+            else:
+                column += vertices[start + step:start + line] + edge
+        columns.append(column)
+    return dict(zip(vertices, zip(*columns)))
+
+
+def neighbor_reader(window: Optional[Mesh]) -> Callable[[Point], Optional[tuple]]:
+    """v -> v's 2k neighbors in canonical direction order.  With a window,
+    v's `neighbor_rows` row, whose slots off the window are None (and None
+    in place of the row when v itself lies off the window); with none,
+    `around(v)`.  A loop over a row skips None and needs no other boundary
+    test."""
+    if window is None:
+        return around
+    return neighbor_rows(window.k, window.side).get

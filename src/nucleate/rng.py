@@ -16,7 +16,8 @@ hashes the same bytes, bit for bit, at a fraction of the cost:
   each draw copies that *prefix state* and hashes only its own tail;
 * `wakeups` gives the round-0 nucleation draws and `drawer` the draws of
   later rounds, each built from a window's cached vertex bytes
-  (`window_keys`) instead of calling `repr` per draw;
+  (`window_keys`, keyed by the vertex tuples of `lattice.neighbor_rows`)
+  instead of calling `repr` per draw;
 * `seed_stream(master, *path)` yields `derive_seed(master, *path, i)` for
   i = 0, 1, ..., the per-trial and per-sample seeds of `experiment`.
 
@@ -27,8 +28,10 @@ it by name.
 import random
 from functools import lru_cache
 from hashlib import blake2b
-from itertools import count, product
+from itertools import count
 from typing import Callable, Iterator
+
+from .lattice import neighbor_rows
 
 _UNIT = 2.0 ** -53
 _BLANK = blake2b(digest_size=8)  # copied: cheaper than a constructor call
@@ -80,8 +83,10 @@ def _prefix(head: bytes) -> blake2b:
 def window_keys(k: int, side: int) -> dict:
     """vertex -> repr(vertex).encode() for every vertex of {0..side-1}^k,
     in row-major vertex order: the part of a cell's hash key that no round
-    or seed changes.  Cached and shared, so callers must not mutate it."""
-    return {v: repr(v).encode() for v in product(range(side), repeat=k)}
+    or seed changes.  Keyed by the vertex tuples of
+    `lattice.neighbor_rows(k, side)`, so a row's neighbours look their keys
+    up by identity.  Cached and shared, so callers must not mutate it."""
+    return {v: repr(v).encode() for v in neighbor_rows(k, side)}
 
 
 def wakeups(master: int, keys: dict, pi_nu: float) -> list:

@@ -15,7 +15,7 @@ import warnings
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Mapping, Optional
 
-from .lattice import OPPOSITE, Mesh, Point, around, directions
+from .lattice import OPPOSITE, Mesh, Point, around, directions, neighbor_reader
 # not called here any more; the benchmark's tracer counts calls through this binding
 from .lattice import add  # noqa: F401
 
@@ -242,8 +242,9 @@ def is_tau_stable(cfg: Configuration, tiles: Mapping[str, TileType], temperature
 
 class AttachableTypes:
     """Attachability of one (tiles, temperature) pair, keyed by the names
-    around a cell: ``tuple(map(cells.get, around(v)))``, one tile name or
-    None per canonical direction.
+    around a cell: ``tuple(map(cells.get, row(v)))`` for v's row of
+    neighbours (`neighbor_reader`), one tile name or None per canonical
+    direction.
 
     A key is a tuple of strs, so the memo hashes and compares it in C; the
     glues the neighbours present are read only on a miss of `bond`, the
@@ -294,8 +295,9 @@ def attachments(cfg: Configuration, tiles: Mapping[str, TileType],
     """Map of frontier location -> tuple of attachable tile names.
 
     Frontier locations are empty (window-clipped) neighbors of occupied
-    cells; for temperature <= 0 every empty cell qualifies, so a window is
-    required to keep the answer finite.
+    cells, read along the window's neighbour rows (`neighbor_reader`); for
+    temperature <= 0 every empty cell qualifies, so a window is required to
+    keep the answer finite.
     """
     if temperature <= 0:
         if cfg.window is None:
@@ -305,15 +307,15 @@ def attachments(cfg: Configuration, tiles: Mapping[str, TileType],
     names_of = AttachableTypes(tiles, temperature).names
     cells = cfg.cells()
     get = cells.get
-    window = cfg.window
+    row = neighbor_reader(cfg.window)
     seen = set()
     out: dict[Point, tuple[str, ...]] = {}
     for v in cells:
-        for w in around(v):
-            if w in seen or w in cells or (window is not None and not window.contains(w)):
+        for w in row(v):
+            if w is None or w in seen or w in cells:
                 continue
             seen.add(w)
-            names = names_of(tuple(map(get, around(w))))
+            names = names_of(tuple(map(get, row(w))))
             if names:
                 out[w] = names
     return out

@@ -5,6 +5,7 @@ enumeration, literal sums) so the production code is checked against an
 independent path.
 """
 
+import itertools
 import math
 import random
 
@@ -56,9 +57,22 @@ def attachable_at(cfg: Configuration, tiles, temperature: int, t: TileType) -> s
 
 
 def brute_frontier(cfg: Configuration, tiles, temperature: int, t: TileType, window) -> set:
-    """Scan every empty window cell and apply the attachment sum directly."""
+    """Scan every empty window cell and apply the attachment sum directly.
+    With no window, scan the bounding box of the occupied cells grown by
+    one cell on every side: at temperature >= 1 a frontier cell has an
+    occupied neighbour, so it lies in that box."""
+    if window is None:
+        if temperature < 1:
+            raise ValueError("a windowless frontier scan needs temperature >= 1")
+        cells = list(cfg.domain)
+        if not cells:
+            return set()
+        box = [range(min(c) - 1, max(c) + 2) for c in zip(*cells)]
+        vertices = itertools.product(*box)
+    else:
+        vertices = window.vertices()
     out = set()
-    for v in window.vertices():
+    for v in vertices:
         if cfg.get(v) is not None:
             continue
         if literal_attachment_sum(cfg, tiles, t, v) >= temperature:
@@ -156,6 +170,44 @@ def random_tile_set(rng: random.Random, n_types: int = 5, labels=("a", "b", "c",
         )
         name = f"t{i}"
         tiles[name] = TileType(name, glues, color=rng.randint(1, 3))
+    return tiles
+
+
+def spanning_tree_tile_set(rng: random.Random, window, root, temperature: int,
+                           perturb: str = "") -> dict:
+    """Tile types "t0", "t1", ... that grow one random spanning tree of
+    `window` from "t0" at `root`: each cell has its own type, bound to its
+    tree parent alone by a glue of strength `temperature` whose label names
+    that edge, so from a seed of "t0" the tree fills the window one way.
+    `perturb` "rival" adds a type that can take another's cell; "extra"
+    adds a strength-1 bond across one edge outside the tree, so whichever
+    of its ends comes second binds above the temperature."""
+    k = window.k
+    parent = {root: None}  # cell -> (its tree parent, direction from the parent)
+    order, open_cells = [root], [root]
+    while open_cells:
+        v = open_cells.pop(rng.randrange(len(open_cells)))
+        for d in directions(k):
+            w = add(v, d.vector)
+            if window.contains(w) and w not in parent:
+                parent[w] = (v, d.index)
+                order.append(w)
+                open_cells.append(w)
+    glues = {v: [Glue("", 0)] * (2 * k) for v in order}
+    for n, w in enumerate(order[1:], 1):
+        v, i = parent[w]
+        glues[v][i] = glues[w][OPPOSITE[i]] = Glue(f"e{n}", temperature)
+    if perturb == "extra":
+        loose = [(v, d.index) for v in order for d in directions(k)
+                 if add(v, d.vector) in glues and glues[v][d.index].strength == 0]
+        if loose:
+            v, i = rng.choice(loose)
+            glues[v][i] = glues[add(v, directions(k)[i].vector)][OPPOSITE[i]] = Glue("x", 1)
+    tiles = {f"t{n}": TileType(f"t{n}", tuple(glues[v]), color=rng.randint(1, 3))
+             for n, v in enumerate(order)}
+    if perturb == "rival" and len(order) > 1:
+        copied = tiles[f"t{rng.randrange(1, len(order))}"]
+        tiles["r"] = TileType("r", copied.glues, color=copied.color)
     return tiles
 
 
@@ -264,8 +316,6 @@ def synchronous_reachable(model, window, max_states: int = 100_000) -> set:
     """Every occupancy reachable by whole synchronous rounds: successors of
     a state are all combinations of per-cell outcomes with positive
     probability (cells without an occupied neighbor idle)."""
-    import itertools
-
     from nucleate.agents import SurfaceState, TransitionLaw, surface_inputs, neighbor_table
 
     law = TransitionLaw(model)
@@ -335,8 +385,11 @@ class EvaluateEveryoneNetwork(MeshNetwork):
     the public `forced` and `sample`, unless it is an occupant that can
     neither detach nor change its posts.  The oracle for the event-driven
     round, which must match it round for round.  It keeps its own posts as
-    pairs in `pairs`, taken from round 0 (its post ids are not updated
-    after that); `delivered` holds the input buffers of the last round."""
+    pairs in `pairs`, and `delivered` holds the input buffers of the last
+    round.  After each round it rebuilds `post_ids` from `pairs`, and
+    `_posted` from every poster's post id at the start of the round, so
+    the inherited views (`inputs`, `outputs`, `processor`) show its
+    rounds."""
 
     def init_round0(self):
         super().init_round0()
@@ -350,6 +403,7 @@ class EvaluateEveryoneNetwork(MeshNetwork):
         states = self.states
 
         outputs = self.pairs
+        start = self.post_ids
         delivered = {}
         for v in outputs:
             pairs = outputs[v]
@@ -395,3 +449,5 @@ class EvaluateEveryoneNetwork(MeshNetwork):
                 outputs[v] = law.posts(new, glues, msgs, self.ids.get(v))
             elif new is not None and types[new].rule is not None:
                 outputs[v] = law.posts(new, glues, msgs, self.ids.get(v))
+        self.post_ids = {v: law.post_id(pairs) for v, pairs in outputs.items()}
+        self._posted = {v: start.get(v) for v in start.keys() | self.post_ids.keys()}

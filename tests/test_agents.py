@@ -16,7 +16,6 @@ from nucleate.agents import (
     embed_tile_system,
     initial_state,
     model_step,
-    neighbor_rows,
     neighbor_table,
     nucleate,
     pick,
@@ -25,7 +24,7 @@ from nucleate.agents import (
     validate_model,
 )
 from nucleate.engine import run
-from nucleate.lattice import OPPOSITE, Mesh, add, around, directions
+from nucleate.lattice import OPPOSITE, Mesh, add, around, directions, neighbor_rows
 from nucleate.rng import derive_seed, window_keys
 from nucleate.systems import checkerboard_tileset
 from nucleate.tiles import attachments

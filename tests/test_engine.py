@@ -17,7 +17,7 @@ from nucleate.lattice import Mesh
 from nucleate.systems import checkerboard_tileset
 from nucleate.tiles import Configuration, TileAssemblySystem, attachments, is_tau_stable, tile
 
-from support import brute_local_determinism, random_tile_set
+from support import brute_local_determinism, random_tile_set, spanning_tree_tile_set
 
 E = ("", 0)
 
@@ -137,6 +137,21 @@ def test_sequence_replay_validates_stages():
         check_local_determinism(AssemblySequence(system, seq.window, tuple(bad)))
 
 
+def test_sequence_rejects_a_seed_outside_its_window():
+    # the seed that `run` refuses, refused with the same message: the
+    # checks read the window's rows, which hold no cell off the window
+    tiles = {"seed": tile("seed", 1, E, E, E, E)}
+    system = TileAssemblySystem(tiles, Configuration({(2, 2): "seed"}), 1)
+    with pytest.raises(ValueError) as refused_by_run:
+        run(system, Mesh(2, 2))
+    with pytest.raises(ValueError) as refused:
+        AssemblySequence(system, Mesh(2, 2), ())
+    assert str(refused.value) == str(refused_by_run.value) == \
+        "seed location (2, 2) lies outside the window"
+    assert check_local_determinism(AssemblySequence(system, None, ())).passed
+    assert check_local_determinism(AssemblySequence(system, Mesh(2, 3), ())).passed
+
+
 def test_sequence_rejects_duplicates_and_stage_order():
     system = checkerboard_tileset().system
     result = run(system, Mesh(2, 3), master_seed=2)
@@ -220,6 +235,39 @@ def test_local_determinism_matches_the_brute_force_conditions(k):
     # every verdict occurs, and passes include grown assemblies
     for verdict in ((None, True), (1, True), (2, True), (3, True)):
         assert seen.get(verdict, 0) >= 3, seen
+
+    # with no window the checks read `around` instead of the window's rows;
+    # spanning-tree tile sets fill their window, where condition 3 holds
+    # without a frontier scan, unless a rival type or an extra bond breaks
+    # condition 2 or 1 first; cut one tile short, they leave a frontier
+    shapes = {}
+    for s in range(200):
+        rng = random.Random(1000 * k + s)
+        temperature = rng.randint(1, 2)
+        window = Mesh(k, rng.choice([2, 3]) if k == 2 else 2)
+        perturb = rng.choice(["", "", "rival", "extra"])
+        if s % 3:
+            tiles = spanning_tree_tile_set(rng, window, (1,) * k, temperature, perturb)
+        else:
+            labels = ("g",) if s % 2 else ("g", "h")
+            tiles = random_tile_set(rng, n_types=rng.randint(2, 6), labels=labels, k=k)
+        system = TileAssemblySystem(tiles, Configuration({(1,) * k: "t0"}), temperature)
+        if s % 2:
+            shape, seq = "windowless", run(system, None, master_seed=s,
+                                           max_stages=rng.randint(1, 30)).sequence
+        else:
+            max_stages = rng.choice([None, None, window.size - 2])
+            seq = run(system, window, master_seed=s, max_stages=max_stages).sequence
+            shape = "full" if len(seq.additions) + 1 == window.size else "partial"
+        report = check_local_determinism(seq)
+        got = (report.passed, report.failed_condition, report.witness)
+        assert got == brute_local_determinism(seq)
+        verdict = (shape, report.failed_condition)
+        shapes[verdict] = shapes.get(verdict, 0) + 1
+    for verdict in (("windowless", None), ("windowless", 1), ("windowless", 2),
+                    ("windowless", 3), ("full", None), ("full", 1), ("full", 2),
+                    ("partial", 3)):
+        assert shapes.get(verdict, 0) >= 3, shapes
 
 
 def test_terminal_assemblies_equal():

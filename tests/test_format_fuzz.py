@@ -35,7 +35,11 @@ from nucleate.tiles import (
 
 NAMES = st.text(st.characters(blacklist_categories=("Cs", "Zs", "Cc")), min_size=1,
                 max_size=4).filter(lambda s: not any(c.isspace() for c in s))
-LABELS = st.text(st.characters(blacklist_categories=("Cs",)), max_size=3)
+#: Every code point except the surrogates: the set of `st.text`'s default
+#: utf-8 alphabet, named explicitly because building that codec's table
+#: costs about 200 MB, against under 2 MB for the category table.
+UNICODE = st.characters(blacklist_categories=("Cs",))
+LABELS = st.text(UNICODE, max_size=3)
 
 
 def _json(doc: dict) -> dict:
@@ -86,7 +90,7 @@ def agent_models(draw):
         p_off=draw(st.floats(0, 1, exclude_max=True)),
         epsilon=draw(st.floats(0, 1, exclude_max=True)),
     )
-    messages = draw(st.lists(st.text(min_size=1, max_size=MAX_SYMBOL_LENGTH),
+    messages = draw(st.lists(st.text(UNICODE, min_size=1, max_size=MAX_SYMBOL_LENGTH),
                              max_size=3, unique=True))
     return AgentModel(types=types, rules=BindingRules(rules),
                       temperature=draw(st.integers(0, 3)), seed=seed,
@@ -128,13 +132,13 @@ KEYS = st.sampled_from([
     "agents", "rules", "rule", "a", "b", "pi_nu", "kinetics", "lambda_on", "p_off",
     "epsilon", "detach", "messages", "use_ids", "k", "side", "c", "colors",
     "0,0", "1,0", "0,0,0",
-]) | st.text(max_size=4)
+]) | st.text(UNICODE, max_size=4)
 
 #: JSON scalars; integers beyond float range once escaped the real-field
 #: reader as an OverflowError.
 SCALARS = (st.none() | st.booleans() | st.integers() | st.floats()
            | st.sampled_from([2 ** 1100, -2 ** 1100, "", "x", "g", "0,0", "-1,2", "relay"])
-           | st.text(max_size=4))
+           | st.text(UNICODE, max_size=4))
 VALUES = st.recursive(SCALARS, lambda inner: st.lists(inner, max_size=3)
                       | st.dictionaries(KEYS, inner, max_size=3), max_leaves=6)
 

@@ -729,6 +729,25 @@ def _match_evaluate_everyone_oracle(model, side: int, master: int, seen: dict, t
     seen["ids"] += model.use_ids and len(fast.ids) > 1
 
 
+def test_evaluate_everyone_views_show_its_rounds():
+    # the oracle's inherited views read the post ids it rebuilds from its
+    # own pairs each round, so they show its last round, not round 0
+    from support import EvaluateEveryoneNetwork
+
+    model = churning_ping_model()
+    fast = MeshNetwork(model, 6, master_seed=41)
+    oracle = EvaluateEveryoneNetwork(model, 6, master_seed=41)
+    fast.init_round0()
+    oracle.init_round0()
+    for r in range(1, 7):
+        fast.run_round()
+        oracle.run_round()
+        assert dict(oracle.inputs) == oracle.delivered, r
+        assert oracle.outputs == oracle.pairs, r
+        for v in fast.mesh.vertices():
+            assert oracle.processor(v) == fast.processor(v), (r, v)
+
+
 def test_general_rounds_match_evaluate_everyone_oracle():
     # random models with detachment or message rules, then random static
     # models (no detachment, no rules), against the evaluate-everyone
