@@ -536,8 +536,11 @@ class TransitionLaw:
 
 class Plan:
     """What every mesh network and every `model_step` of one model on one
-    mesh side share; no master seed changes any of it.  Shared, so callers
-    copy before they add."""
+    mesh side share; no master seed changes any of it: the mesh, its rng
+    keys and neighbor rows, and, built on first use, the neighbor triples,
+    the round-0 template (`round0`) and the round-1 list (`round1`), which
+    a network reads when its round 0 woke nobody.  Shared, so callers copy
+    before they add."""
 
     def __init__(self, law: TransitionLaw, side: int):
         model = law.model
@@ -574,6 +577,21 @@ class Plan:
         post_ids = {v: self.law.keyed_post(name, nobody, ids.get(v))
                     for v, name in states.items()}
         return states, ids, post_ids
+
+    @cached_property
+    def round1(self) -> tuple:
+        """What round 1 evaluates when round 0 woke nobody, as two tuples:
+        (targets, keys).  The targets are the neighbors of every `round0`
+        seed cell, less None and the inert seed cells, in sorted order; a
+        target's key is the tuple of post ids along its row.  Every network
+        whose round 0 added no cell to the template reads it."""
+        states, _, post_ids = self.round0
+        inert = self.law.inert
+        near = {w for v in states for w in self.rows[v]}
+        near.discard(None)
+        targets = tuple(sorted(v for v in near if states.get(v) not in inert))
+        read = post_ids.get
+        return targets, tuple(tuple(map(read, self.rows[v])) for v in targets)
 
 
 def pick(cdf: tuple, u: float) -> Optional[str]:
@@ -650,9 +668,11 @@ def nucleation_sites(model: AgentModel, keys: dict, seed: int, occupied) -> list
     `occupied` that wakes, i.e. uniform(seed, v, 0) < pi_nu.  The type is
     picked uniformly by its own hash path (seed, v, 0, 1): reusing the
     wake-up draw, which is below pi_nu, would bias it to the first name."""
+    woken = wakeups(seed, keys, model.pi_nu)
+    if not woken:
+        return woken
     names = model.type_names
-    return [(v, names[h % len(names)]) for v, h in wakeups(seed, keys, model.pi_nu)
-            if v not in occupied]
+    return [(v, names[h % len(names)]) for v, h in woken if v not in occupied]
 
 
 def nucleate(state: SurfaceState, model: AgentModel, seed: int) -> SurfaceState:

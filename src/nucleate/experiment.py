@@ -16,6 +16,7 @@ import csv
 import io
 import itertools
 import json
+from collections import Counter
 from dataclasses import dataclass
 from math import sqrt
 from typing import Optional
@@ -322,21 +323,17 @@ def run_fidelity(model: AgentModel, side: int, samples: int,
     per_cell = exact_round_law(model, side)
     exact = product_law(per_cell)
 
-    mesh_counts: dict = {}
+    mesh_counts = Counter()
     for seed in itertools.islice(seed_stream(master_seed, "mesh"), samples):
         net = MeshNetwork(model, side, master_seed=seed, record_trace=False)
         net.init_round0()
         net.run_round()
-        key = frozenset(net.states.items())
-        mesh_counts[key] = mesh_counts.get(key, 0) + 1
+        mesh_counts[frozenset(net.states.items())] += 1
 
-    window = Mesh(model.k, side)
-    start = initial_state(model, window)
-    model_counts: dict = {}
-    for seed in itertools.islice(seed_stream(master_seed, "model"), samples):
-        after = model_step(start, model, seed)
-        key = frozenset(after.occupancy.items())
-        model_counts[key] = model_counts.get(key, 0) + 1
+    start = initial_state(model, Mesh(model.k, side))
+    model_counts = Counter(
+        frozenset(model_step(start, model, seed).occupancy.items())
+        for seed in itertools.islice(seed_stream(master_seed, "model"), samples))
 
     mesh_emp = {k: c / samples for k, c in mesh_counts.items()}
     model_emp = {k: c / samples for k, c in model_counts.items()}

@@ -40,6 +40,10 @@ changes any of it, so `init_round0` copies the template in and then
 wakes, enters and posts the nucleated cells; the template is built by the
 first `init_round0` that needs it, so a seed outside the mesh or a seed
 rule that breaks its bounds still raises there, not at construction.
+When round 0 woke nobody, the network holds just the template, so round 1
+takes its sorted targets and their keys from the plan's round-1 list
+(`Plan.round1`) instead of gathering them; every other round gathers its
+own.
 
 Rounds are event-driven: a processor is re-evaluated only when a neighbor's
 posts changed last round (it entered, detached, or its rule posted different
@@ -207,6 +211,7 @@ class MeshNetwork:
         self.next_id = len(seed_ids)
         self.post_ids.update(seed_post_ids)
         woken = nucleation_sites(model, self._plan.keys, self.master_seed, states)
+        self._woke = bool(woken)  # if not, round 1 reads the plan's round-1 list
         if woken:
             nobody = (None,) * model.d  # the key of a processor that hears nothing
             for v, name in woken:
@@ -245,13 +250,16 @@ class MeshNetwork:
         states = self.states
         law = self.law
         ruled, inert = law.ruled, law.inert
-        targets = self._pending
-        targets.update(chain.from_iterable(map(rows.__getitem__, self._posted)))
-        targets.discard(None)
-        targets = sorted(targets.difference(self._inert_cells))
         post_ids = self.post_ids
-        read = post_ids.get
-        keys = [tuple(map(read, rows[v])) for v in targets]
+        if r == 1 and not self._woke:
+            targets, keys = self._plan.round1  # round 0 left just the template
+        else:
+            targets = self._pending
+            targets.update(chain.from_iterable(map(rows.__getitem__, self._posted)))
+            targets.discard(None)
+            targets = sorted(targets.difference(self._inert_cells))
+            read = post_ids.get
+            keys = [tuple(map(read, rows[v])) for v in targets]
 
         steps, keyed, fixed = law.steps, law.keyed_posts, law.fixed_posts
         draw = drawer(self.master_seed, self._plan.keys, r)

@@ -318,14 +318,20 @@ def test_probe_reads_exactly_the_evaluated_neighborhoods(k, static):
     # (v, v), and nothing else: a round that stopped logging its neighbor
     # reads, or read beyond them, fails here
     import random
+    from dataclasses import replace
 
     rng = random.Random(1414 + k + 2 * static)
     side = 6 if k == 2 else 4
     neighbor_reads = 0
-    for trial in range(12):
-        net = MeshNetwork(_regime_model(rng, k, static), side, master_seed=rng.getrandbits(64))
+    for trial in range(18):
+        model = _regime_model(rng, k, static)
+        if trial >= 12:
+            # round 0 wakes nobody: round 1 reads the plan's target list
+            model = replace(model, pi_nu=0.0)
+        net = MeshNetwork(model, side, master_seed=rng.getrandbits(64))
         net.init_round0()
         assert _is_static(net.model) == static
+        assert net._woke == (trial < 12 and net.states != model.seed), trial
         mesh = net.mesh
         for r in range(1, 9):
             posting = set(net.post_ids)
@@ -698,12 +704,14 @@ def test_static_rounds_match_silent_twins_on_random_models():
     assert all(seen.values()), seen
 
 
-def _match_evaluate_everyone_oracle(model, side: int, master: int, seen: dict, tag) -> None:
+def _match_evaluate_everyone_oracle(model, side: int, master: int, seen: dict,
+                                    tag) -> MeshNetwork:
     """Run `model` for 12 rounds on the event-driven mesh and on the oracle
     that delivers to, and samples, every processor hearing a pair; round by
     round the two must agree on states, trace, ids, posts and delivered
     inputs.  Counts in `seen` the rounds where the mesh skipped a processor
-    the oracle evaluated, and those that left an unforced cell pending."""
+    the oracle evaluated, and those that left an unforced cell pending.
+    Returns the event-driven network."""
     from support import EvaluateEveryoneNetwork
 
     fast = MeshNetwork(model, side, master_seed=master)
@@ -727,6 +735,7 @@ def _match_evaluate_everyone_oracle(model, side: int, master: int, seen: dict, t
         seen["unforced"] += bool(fast._pending - set(fast._posted))
     assert probe.violations(fast.mesh) == []
     seen["ids"] += model.use_ids and len(fast.ids) > 1
+    return fast
 
 
 def test_evaluate_everyone_views_show_its_rounds():
@@ -822,6 +831,42 @@ def test_general_rounds_match_evaluate_everyone_oracle():
         seen["alphabet"] += bool(model.messages)
         seen["forced"] += lambda_on == 1.0 and epsilon == 0.0
         seen["stochastic"] += lambda_on < 1.0 and epsilon > 0.0
+    assert all(seen.values()), seen
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_round1_template_matches_evaluate_everyone_oracle(k):
+    # seeded networks whose round 0 woke nobody take round 1's targets and
+    # keys from the plan (`Plan.round1`); they must still match the oracle
+    # round for round.  At pi_nu > 0 only master seeds under which no cell
+    # outside the seed wakes are run.
+    import random
+    from dataclasses import replace
+
+    from nucleate.rng import uniform
+    from support import random_agent_model
+
+    rng = random.Random(10012 + k)
+    side = 6 if k == 2 else 4
+    vertices = list(Mesh(k, side).vertices())
+    seen = {"pi_nu 0": 0, "pi_nu > 0": 0, "ids": 0, "no ids": 0, "detach": 0,
+            "no detach": 0, "inert seed": 0, "unforced": 0, "skipped": 0}
+    for trial in range(24):
+        model = random_agent_model(rng, k=k, message_rules=("ping", "relay", "tally"))
+        cells = rng.sample(vertices, rng.randint(1, 3))
+        model = replace(model, seed={v: rng.choice(model.type_names) for v in cells},
+                        pi_nu=rng.choice((0.0, 0.01, 0.03)), use_ids=rng.random() < 0.5)
+        master = rng.getrandbits(64)
+        while any(uniform(master, v, 0) < model.pi_nu for v in vertices if v not in cells):
+            master = rng.getrandbits(64)
+        fast = _match_evaluate_everyone_oracle(model, side, master, seen, ("template", trial))
+        assert not fast._woke, trial
+        seen["pi_nu 0"] += model.pi_nu == 0
+        seen["pi_nu > 0"] += model.pi_nu > 0
+        seen["no ids"] += not model.use_ids
+        seen["detach"] += model.kinetics.detach
+        seen["no detach"] += not model.kinetics.detach
+        seen["inert seed"] += any(name in model.law.inert for name in model.seed.values())
     assert all(seen.values()), seen
 
 
@@ -927,6 +972,12 @@ def _round0_view(net):
             dict(net.post_ids), list(net.trace), net.next_id)
 
 
+def _round1_view(plan):
+    """The plan's round-1 targets and keys, as plain copies."""
+    targets, keys = plan.round1
+    return list(targets), [list(key) for key in keys]
+
+
 def _random_seeded_model(rng, k, side, use_ids):
     from dataclasses import replace
 
@@ -963,8 +1014,9 @@ def test_round0_template_matches_a_fresh_setup(k, use_ids):
 @pytest.mark.parametrize("k", [2, 3])
 @pytest.mark.parametrize("use_ids", [False, True])
 def test_running_a_network_leaves_the_template_alone(k, use_ids):
-    # the template's dicts are shared: rounds that detach, re-post or
-    # enter cells in one network must not show in the next one's round 0
+    # the template's dicts and the round-1 list are shared: rounds that
+    # detach, re-post or enter cells in one network must not show in the
+    # next one's round 0 or in the plan's round-1 targets and keys
     import random
 
     rng = random.Random(2500 + 10 * k + use_ids)
@@ -975,10 +1027,12 @@ def test_running_a_network_leaves_the_template_alone(k, use_ids):
         first = MeshNetwork(model, side, master_seed=master)
         first.init_round0()
         start = _round0_view(first)
+        start1 = _round1_view(first._plan)
         first.run(6)
         again = MeshNetwork(model, side, master_seed=master)
         again.init_round0()
         assert _round0_view(again) == start, trial
+        assert _round1_view(again._plan) == start1, trial
 
 
 def test_seed_outside_mesh_raises_in_init_round0_every_time():
