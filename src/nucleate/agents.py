@@ -590,8 +590,7 @@ class Plan:
         near = {w for v in states for w in self.rows[v]}
         near.discard(None)
         targets = tuple(sorted(v for v in near if states.get(v) not in inert))
-        read = post_ids.get
-        return targets, tuple(tuple(map(read, self.rows[v])) for v in targets)
+        return targets, tuple(tuple(map(post_ids.get, self.rows[v])) for v in targets)
 
 
 def pick(cdf: tuple, u: float) -> Optional[str]:
