@@ -86,6 +86,8 @@ def _emit(doc: dict, args, ascii_text: str = "") -> None:
 
 
 def cmd_assemble(args) -> int:
+    if args.expect_valid and not args.check_coloring:
+        raise ValueError("--expect-valid needs --check-coloring")
     system, doc = formats.load_tile_system(args.model)
     _require_2d_ppm(args, system.k)
     _print_diagnostics(formats.tile_system_warnings(system))
@@ -174,10 +176,14 @@ def cmd_meshsim(args) -> int:
 
 def cmd_experiment(args) -> int:
     if args.model is not None:
+        for flag, value in (("--rule", args.rule), ("--pi-nu", args.pi_nu)):
+            if value is not None:
+                raise ValueError(f"{flag} applies only without --model")
         model, doc = formats.load_agent_model(args.model)
         model_hash = formats.content_hash(doc)
     else:
-        named = nucleation_family(args.pi_nu, args.rule)
+        named = nucleation_family(0.1 if args.pi_nu is None else args.pi_nu,
+                                  args.rule or "checkerboard-local")
         model = named.system
         model_hash = formats.content_hash(formats.agent_model_document(
             model, named.identifier))
@@ -250,7 +256,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-stages", type=_at_least(0, "max-stages"), default=None)
     p.add_argument("--check-coloring", action="store_true")
     p.add_argument("--check-determinism", action="store_true")
-    p.add_argument("--expect-valid", action="store_true")
+    p.add_argument("--expect-valid", action="store_true",
+                   help="exit 1 on an invalid coloring; needs --check-coloring")
     p.add_argument("--ppm", action="store_true", help="also write a pixmap snapshot")
     p.set_defaults(func=cmd_assemble)
 
@@ -265,9 +272,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("experiment", help="success-probability campaign across sizes")
     common(p, model=False, fmt=("csv", "json"))
     p.add_argument("--model", default=None, help="agent model file (JSON)")
-    p.add_argument("--rule", choices=NUCLEATION_RULE_IDS, default="checkerboard-local",
-                   help="shipped rule family (used when --model is absent)")
-    p.add_argument("--pi-nu", type=float, default=0.1)
+    p.add_argument("--rule", choices=NUCLEATION_RULE_IDS, default=None,
+                   help="shipped rule family, without --model (default checkerboard-local)")
+    p.add_argument("--pi-nu", type=float, default=None,
+                   help="its nucleation probability, without --model (default 0.1)")
     p.add_argument("--sizes", type=_sizes, default=(8, 16, 32, 64))
     p.add_argument("--rounds", type=_at_least(0, "rounds"), default=10)
     p.add_argument("--trials", type=_at_least(1, "trials"), default=200)

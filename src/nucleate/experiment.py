@@ -6,6 +6,12 @@ fully covered and weakly colored".  Solving later than the budget counts as
 failure: the question under test is what a constant round budget can do as
 the surface grows.  Reported uncertainty is a 95% Wilson interval.
 
+A campaign's results are written to results.csv and results.json, and read
+back, from one schema: `_RUN_KEYS` names the run-level keys of
+results.json and `_SIZE_KEYS` the per-size columns of both files, with the
+dataclass field each one holds.  A new per-size field is one `SizeOutcome`
+field and one `_SIZE_KEYS` entry.
+
 The fidelity driver compares, on a small mesh, the one-round outcome
 distribution of the processor network against the one-step distribution of
 the synchronous model dynamics, and both against the exact per-location
@@ -129,68 +135,48 @@ def run_experiment(spec: ExperimentSpec, model_hash: str = "") -> ExperimentResu
                             spec.trials, tuple(outcomes))
 
 
-CSV_COLUMNS = ("n", "trials", "successes", "p_hat", "ci_lo", "ci_hi")
+#: The results schema, run level: each key of results.json and the
+#: ExperimentResult field it holds, in document order.
+_RUN_KEYS = (("model", "model_hash"), ("seed", "master_seed"),
+             ("rounds", "rounds"), ("trials", "trials"))
+#: The results schema, per size: each column of results.csv and of a
+#: results.json outcome, the SizeOutcome field it holds and its CSV type, in
+#: column order.  A column whose type is None is written to results.json
+#: only.
+_SIZE_KEYS = (("n", "size", int), ("trials", "trials", int),
+              ("successes", "successes", int), ("p_hat", "p_hat", float),
+              ("ci_lo", "ci_lo", float), ("ci_hi", "ci_hi", float),
+              ("mean_rounds_to_valid", "mean_rounds_to_valid", None))
+CSV_COLUMNS = tuple(column for column, _, kind in _SIZE_KEYS if kind)
 
 
 def experiment_csv(result: ExperimentResult) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(CSV_COLUMNS)
-    for o in result.outcomes:
-        writer.writerow([o.size, o.trials, o.successes,
-                         repr(o.p_hat), repr(o.ci_lo), repr(o.ci_hi)])
+    writer.writerows([getattr(o, field) for _, field, kind in _SIZE_KEYS if kind]
+                     for o in result.outcomes)
     return buf.getvalue()
 
 
 def parse_experiment_csv(text: str) -> list[dict]:
-    rows = []
-    for row in csv.DictReader(io.StringIO(text)):
-        rows.append({
-            "n": int(row["n"]),
-            "trials": int(row["trials"]),
-            "successes": int(row["successes"]),
-            "p_hat": float(row["p_hat"]),
-            "ci_lo": float(row["ci_lo"]),
-            "ci_hi": float(row["ci_hi"]),
-        })
-    return rows
+    return [{column: kind(row[column]) for column, _, kind in _SIZE_KEYS if kind}
+            for row in csv.DictReader(io.StringIO(text))]
 
 
 def experiment_json(result: ExperimentResult) -> str:
-    doc = {
-        "model": result.model_hash,
-        "seed": result.master_seed,
-        "rounds": result.rounds,
-        "trials": result.trials,
-        "outcomes": [
-            {
-                "n": o.size,
-                "trials": o.trials,
-                "successes": o.successes,
-                "p_hat": o.p_hat,
-                "ci_lo": o.ci_lo,
-                "ci_hi": o.ci_hi,
-                "mean_rounds_to_valid": o.mean_rounds_to_valid,
-            }
-            for o in result.outcomes
-        ],
-    }
+    doc = {key: getattr(result, field) for key, field in _RUN_KEYS}
+    doc["outcomes"] = [{column: getattr(o, field) for column, field, _ in _SIZE_KEYS}
+                       for o in result.outcomes]
     return json.dumps(doc, indent=2) + "\n"
 
 
 def load_experiment_json(text: str) -> ExperimentResult:
     doc = json.loads(text)
-    return ExperimentResult(
-        model_hash=doc["model"],
-        master_seed=doc["seed"],
-        rounds=doc["rounds"],
-        trials=doc["trials"],
-        outcomes=tuple(
-            SizeOutcome(o["n"], o["trials"], o["successes"], o["p_hat"],
-                        o["ci_lo"], o["ci_hi"], o["mean_rounds_to_valid"])
-            for o in doc["outcomes"]
-        ),
-    )
+    outcomes = tuple(SizeOutcome(**{field: o[column] for column, field, _ in _SIZE_KEYS})
+                     for o in doc["outcomes"])
+    return ExperimentResult(**{field: doc[key] for key, field in _RUN_KEYS},
+                            outcomes=outcomes)
 
 
 # -- fidelity ----------------------------------------------------------

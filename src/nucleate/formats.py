@@ -385,18 +385,13 @@ def color_char(color: Optional[int]) -> str:
 def ascii_snapshot(colors: Mapping[Point, int], window: Mesh) -> str:
     """Character grid of a colored surface; for k=3, one z-layer per block."""
     n = window.side
+
+    def grid(*z) -> str:
+        return "\n".join("".join([color_char(colors.get((x, y) + z)) for x in range(n)])
+                         for y in reversed(range(n)))
     if window.k == 2:
-        rows = []
-        for y in reversed(range(n)):
-            rows.append("".join(color_char(colors.get((x, y))) for x in range(n)))
-        return "\n".join(rows) + "\n"
-    blocks = []
-    for z in range(n):
-        rows = [f"z={z}"]
-        for y in reversed(range(n)):
-            rows.append("".join(color_char(colors.get((x, y, z))) for x in range(n)))
-        blocks.append("\n".join(rows))
-    return "\n\n".join(blocks) + "\n"
+        return grid() + "\n"
+    return "\n\n".join(f"z={z}\n" + grid(z) for z in range(n)) + "\n"
 
 
 _PALETTE = [

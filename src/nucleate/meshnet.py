@@ -122,12 +122,9 @@ class InputBuffers(Mapping):
         """The processors that heard a pair: the neighbors of every
         processor that posted at the start of the last round."""
         net = self._net
-        before = dict(net.post_ids)
-        for v, pid in net._posted.items():
-            if pid is None:
-                del before[v]
-            else:
-                before[v] = pid
+        posted = net._posted
+        before = [v for v in net.post_ids if v not in posted]
+        before += [v for v, pid in posted.items() if pid is not None]
         heard = set(chain.from_iterable(map(net._plan.rows.__getitem__, before)))
         heard.discard(None)
         return heard

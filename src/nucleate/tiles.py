@@ -32,10 +32,6 @@ class Glue:
             raise ValueError(f"glue strength must be nonnegative, got {self.strength}")
 
 
-#: The distinguished null glue; it never contributes binding.
-EMPTY_GLUE = Glue("", 0)
-
-
 def glues_bind(a: Glue, b: Glue) -> int:
     """Strength with which two abutting glues bind (0 on any mismatch)."""
     if a == b and a.strength > 0:

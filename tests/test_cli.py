@@ -11,9 +11,14 @@ import pytest
 import nucleate
 import support  # noqa: F401  registers the relay rule the pinned relay model runs
 from nucleate.cli import main
-from nucleate.formats import parse_mesh_trace, tile_system_document
+from nucleate.formats import (
+    agent_model_document,
+    content_hash,
+    parse_mesh_trace,
+    tile_system_document,
+)
 from nucleate.experiment import parse_experiment_csv
-from nucleate.systems import shipped_model_path
+from nucleate.systems import nucleation_family, shipped_model_path
 from nucleate.tiles import Configuration, TileAssemblySystem, tile
 
 TSTAR = str(shipped_model_path("tstar"))
@@ -177,6 +182,20 @@ def test_assemble_reports_temperature_zero_as_one_warning_line(tmp_path, capsys)
         "warning: [temperature-zero] temperature 0: every empty location is a frontier\n")
 
 
+def test_expect_valid_without_check_coloring_is_a_usage_error(tmp_path, capsys):
+    # one tile type on a 3x3 window: a monochrome surface, so the coloring is invalid
+    t = tile("t", 1, *[("g", 1)] * 4)
+    model = tmp_path / "mono.json"
+    model.write_text(json.dumps(tile_system_document(
+        TileAssemblySystem({"t": t}, Configuration({(0, 0): "t"}), 1))))
+    out = tmp_path / "out"
+    argv = ["assemble", "--model", str(model), "--size", "3", "--expect-valid"]
+    assert main([*argv, "--out", str(out)]) == 2
+    assert capsys.readouterr() == ("", "error: --expect-valid needs --check-coloring\n")
+    assert not out.exists()
+    assert main([*argv, "--check-coloring"]) == 1
+
+
 def test_assemble_wrong_model_kind():
     assert main(["assemble", "--model", FIDELITY, "--size", "4"]) == 2
 
@@ -201,6 +220,9 @@ MESHSIM_FIDELITY_16 = (
 #: sha256 of results.json from a checkerboard-local campaign at pi_nu 0.1,
 #: sizes 8,16,32, 10 rounds, 12 trials, seed 0.
 CAMPAIGN_RESULTS = "9878b2bf43456446da858ae9cc9d8e5748f4cd937f0b267e648ae830115b4ac4"
+#: sha256 of results.csv from the same campaign, as written while each
+#: column was spelled out by hand.
+CAMPAIGN_RESULTS_CSV = "41d6f9f9b256b79d940e6da3471e71c434b95f5dbabe932857ab483011213e49"
 
 
 def _sha256(path) -> str:
@@ -328,6 +350,7 @@ def test_campaign_bytes_are_pinned(tmp_path, capsys):
     capsys.readouterr()
     assert code == 0
     assert _sha256(tmp_path / "results.json") == CAMPAIGN_RESULTS
+    assert _sha256(tmp_path / "results.csv") == CAMPAIGN_RESULTS_CSV
 
 
 def test_meshsim_outputs_are_reproducible(tmp_path, capsys):
@@ -446,6 +469,39 @@ def test_experiment_cli_model_file(capsys):
     report = json.loads(capsys.readouterr().out)
     assert code == 0
     assert report["trials"] == 5
+
+
+@pytest.mark.parametrize("flag", [["--rule", "checkerboard-local"], ["--pi-nu", "0.9"],
+                                  ["--pi-nu", "0"]])
+def test_family_flags_with_a_model_file_are_usage_errors(tmp_path, capsys, flag):
+    out = tmp_path / "out"
+    code = main(["experiment", "--model", LOCAL, *flag, "--sizes", "2", "--rounds", "3",
+                 "--trials", "5", "--out", str(out)])
+    assert code == 2
+    assert capsys.readouterr() == ("", f"error: {flag[0]} applies only without --model\n")
+    assert not out.exists()
+
+
+def test_family_defaults_are_checkerboard_local_at_one_tenth(tmp_path, capsys):
+    dirs = [tmp_path / "default", tmp_path / "explicit"]
+    main(["experiment", "--sizes", "8", "--rounds", "1", "--trials", "1", "--out", str(dirs[0])])
+    main(["experiment", "--rule", "checkerboard-local", "--pi-nu", "0.1", "--sizes", "8",
+          "--rounds", "1", "--trials", "1", "--out", str(dirs[1])])
+    capsys.readouterr()
+    for name in ("results.csv", "results.json"):
+        assert (dirs[0] / name).read_bytes() == (dirs[1] / name).read_bytes()
+    assert json.loads((dirs[0] / "results.json").read_text())["model"] == CAMPAIGN_MODEL_HASH
+
+
+def test_family_at_pi_nu_zero_is_not_the_default(capsys):
+    named = nucleation_family(0.0, "checkerboard-local")
+    expected = content_hash(agent_model_document(named.system, named.identifier))
+    code = main(["experiment", "--pi-nu", "0", "--sizes", "4", "--rounds", "2",
+                 "--trials", "3", "--format", "json"])
+    doc = json.loads(capsys.readouterr().out)
+    assert code == 0
+    assert doc["model"] == expected != CAMPAIGN_MODEL_HASH
+    assert doc["outcomes"][0]["successes"] == 0
 
 
 #: One agent whose `ping` rule posts "p" although the model declares no

@@ -1,7 +1,11 @@
+import json
+
 import pytest
 
 from nucleate.experiment import (
+    ExperimentResult,
     ExperimentSpec,
+    SizeOutcome,
     exact_round_law,
     experiment_csv,
     experiment_json,
@@ -82,6 +86,20 @@ def test_results_roundtrip_exactly():
         assert row["ci_lo"] == outcome.ci_lo
         assert row["ci_hi"] == outcome.ci_hi
     assert load_experiment_json(experiment_json(result)) == result
+
+
+
+def test_results_roundtrip_a_null_and_a_float_mean_round():
+    outcomes = (SizeOutcome(4, 3, 2, 2 / 3, 0.2076, 0.9385, 7 / 3),
+                SizeOutcome(8, 3, 0, 0.0, 0.0, 0.5615, None))
+    result = ExperimentResult("sha256:test", 5, 9, 3, outcomes)
+    text = experiment_json(result)
+    assert [o["mean_rounds_to_valid"] for o in json.loads(text)["outcomes"]] == [7 / 3, None]
+    assert load_experiment_json(text) == result
+    rows = parse_experiment_csv(experiment_csv(result))
+    assert rows == [{"n": o.size, "trials": o.trials, "successes": o.successes,
+                     "p_hat": o.p_hat, "ci_lo": o.ci_lo, "ci_hi": o.ci_hi} for o in outcomes]
+    assert [type(v) for v in rows[1].values()] == [int, int, int, float, float, float]
 
 
 # -- fidelity ----------------------------------------------------------

@@ -1,7 +1,8 @@
 """Every name a nucleate module imports is used there, re-exported by the
 package, or kept as a binding that the benchmark's tracer wraps by name;
-every top-level function and class of the package is referenced somewhere
-besides its own definition, or registered by a decorator."""
+every top-level function, class and assigned name of the package is
+referenced somewhere besides its own definition, or registered by a
+decorator, or is a dunder name."""
 
 import ast
 from collections import defaultdict
@@ -62,14 +63,24 @@ def test_the_check_sees_a_dead_import():
 
 
 def definitions(tree: ast.Module) -> list:
-    """Top-level functions and classes, except those a registering decorator
-    such as ``@register_rule(...)`` records."""
+    """(name, node) of each top-level function and class, except those a
+    registering decorator such as ``@register_rule(...)`` records, and of
+    each name a top-level assignment binds, except dunder names such as
+    ``__all__``."""
     def registered(node) -> bool:
         return any(isinstance(d, ast.Call) and getattr(d.func, "id", None) in REGISTRARS
                    for d in node.decorator_list)
-    return [node for node in tree.body
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-            and not registered(node)]
+    found = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            if not registered(node):
+                found.append((node.name, node))
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            found += [(t.id, node) for target in targets for t in ast.walk(target)
+                      if isinstance(t, ast.Name) and isinstance(t.ctx, ast.Store)
+                      and not (t.id.startswith("__") and t.id.endswith("__"))]
+    return found
 
 
 def references(tree: ast.Module) -> dict:
@@ -98,11 +109,11 @@ def dead_definitions(trees: dict, defining) -> list:
     refs = {module: references(tree) for module, tree in trees.items()}
     dead = []
     for module in defining:
-        for node in definitions(trees[module]):
+        for name, node in definitions(trees[module]):
             own = range(node.lineno, node.end_lineno + 1)
             if not any(line not in own or other != module
-                       for other, found in refs.items() for line in found.get(node.name, ())):
-                dead.append(f"{module}.{node.name}")
+                       for other, found in refs.items() for line in found.get(name, ())):
+                dead.append(f"{module}.{name}")
     return dead
 
 
@@ -124,3 +135,16 @@ def test_the_check_sees_a_dead_definition():
         "used()\n"),
              "n": ast.parse("import m\nm.used()\n")}
     assert dead_definitions(trees, ["m"]) == ["m._dead", "m.Ghost"]
+
+
+def test_the_check_sees_a_dead_assigned_name():
+    trees = {"m": ast.parse(
+        "__all__ = ['EXPORTED']\n"
+        "EXPORTED = 1\n"
+        "_DEAD, USED = 2, 3\n"
+        "LIMIT: int = 4\n"
+        "LOOP = lambda: LOOP()\n"
+        "m.ATTRIBUTE = 5\n"
+        "print(USED)\n"),
+             "n": ast.parse("import m\nprint(m.LIMIT)\n")}
+    assert dead_definitions(trees, ["m"]) == ["m._DEAD", "m.LOOP"]
