@@ -348,10 +348,9 @@ class TransitionLaw:
 
     def __init__(self, model: AgentModel):
         self.model = model
-        #: side -> plan(side), which `model_step` reads directly
+        #: side -> plan(side)
         self.plans: dict = {}
-        #: (occupant, glues, messages) -> lookup(...), which `model_step`
-        #: reads directly
+        #: (occupant, glues, messages) -> lookup(...)
         self.lookups: dict = {}
         self._post_ids: dict = {}
         #: post id -> the pairs tuple it stands for
@@ -535,7 +534,7 @@ class TransitionLaw:
 
 
 class Plan:
-    """What every mesh network and every `model_step` of one model on one
+    """What every mesh network and every model step of one model on one
     mesh side share; no master seed changes any of it: the mesh, its rng
     keys and neighbor rows, and, built on first use, the neighbor triples,
     the round-0 template (`round0`) and the round-1 list (`round1`), which
@@ -701,43 +700,64 @@ def model_step(state: SurfaceState, model: AgentModel, seed: int) -> SurfaceStat
     not forced; the others idle, since an attachment needs a bond partner
     and an isolated occupant hears no messages.  An evaluated occupant
     re-posts for this round's inputs, the others keep their posts, and a
-    detached cell's posts are dropped.
+    detached cell's posts are dropped.  It is `stepper(state, model)`
+    applied to `seed`.
+    """
+    return stepper(state, model)(seed)
+
+
+def stepper(state: SurfaceState, model: AgentModel) -> Callable[[int], SurfaceState]:
+    """step(seed) -> `model_step(state, model, seed)`, for any seed.
+
+    The step's plan is built here, once: every location with an occupied
+    neighbor, in sorted order, with its occupant, its inputs from the
+    pre-round state and its law entry.  A location whose law is forced to
+    keep its state, and whose state has no rule to re-post, does nothing
+    in any round, so the plan leaves it out.  step(seed) only draws the
+    unforced laws, picks and applies; it builds new mappings and never
+    writes to `state`'s, so one stepper serves every seed of a start state.
     """
     window = state.window
     law = model.law
-    plan = law.plans.get(window.side) or law.plan(window.side)
-    lookups = law.lookups
+    plan = law.plan(window.side)
     table = plan.table
     ruled = law.ruled
     use_ids = model.use_ids
     r = state.stage + 1
-    draw = drawer(seed, plan.keys, r)
+    keys = plan.keys
     before, heard = state.occupancy, state.out_messages
-    occupancy = dict(before)
-    posts = dict(heard)
-    ids = dict(state.ids)
-    next_id = state.next_id
-    active = {w for v in before for _, w, _ in table[v]}
-    for v in sorted(active):
+    cells = []
+    for v in sorted({w for u in before for _, w, _ in table[u]}):
         glues, msgs = _inputs(before, heard, plan, table[v])
         old = before.get(v)
-        new, cdf = lookups.get((old, glues, msgs)) or law.lookup(old, glues, msgs)
-        if cdf is not None:
-            new = pick(cdf, draw(v))
-        if new is None:
-            if old is not None:
-                del occupancy[v]
-                ids.pop(v, None)
-                posts.pop(v, None)
-            continue
-        if old is None:
-            occupancy[v] = new
-            if use_ids:
-                ids[v] = next_id
-                next_id += 1
-        if new in ruled:
-            posts[v] = law.rule_output(new, glues, msgs, ids.get(v)).messages
-    return SurfaceState(occupancy, window, posts, ids, r, next_id)
+        new, cdf = law.lookup(old, glues, msgs)
+        if cdf is not None or new != old or new in ruled:
+            cells.append((v, old, new, cdf, glues, msgs))
+
+    def step(seed: int) -> SurfaceState:
+        draw = drawer(seed, keys, r)
+        occupancy = dict(before)
+        posts = dict(heard)
+        ids = dict(state.ids)
+        next_id = state.next_id
+        for v, old, new, cdf, glues, msgs in cells:
+            if cdf is not None:
+                new = pick(cdf, draw(v))
+            if new is None:
+                if old is not None:
+                    del occupancy[v]
+                    ids.pop(v, None)
+                    posts.pop(v, None)
+                continue
+            if old is None:
+                occupancy[v] = new
+                if use_ids:
+                    ids[v] = next_id
+                    next_id += 1
+            if new in ruled:
+                posts[v] = law.rule_output(new, glues, msgs, ids.get(v)).messages
+        return SurfaceState(occupancy, window, posts, ids, r, next_id)
+    return step
 
 
 def embed_tile_system(system: TileAssemblySystem) -> AgentModel:

@@ -64,8 +64,11 @@ def _print_diagnostics(diagnostics) -> None:
         print(f"{d.severity}: [{d.code}] {d.message}", file=sys.stderr)
 
 
-def _require_2d_ppm(args, k: int) -> None:
-    """Reject --ppm on a 3-dimensional surface before any work is done."""
+def _check_ppm(args, k: int) -> None:
+    """Reject --ppm without --out, or on a 3-dimensional surface, before
+    any work is done."""
+    if args.ppm and args.out is None:
+        raise ValueError("--ppm needs --out")
     if args.ppm and k != 2:
         raise ValueError("pixmap snapshots are 2-dimensional only")
 
@@ -89,7 +92,7 @@ def cmd_assemble(args) -> int:
     if args.expect_valid and not args.check_coloring:
         raise ValueError("--expect-valid needs --check-coloring")
     system, doc = formats.load_tile_system(args.model)
-    _require_2d_ppm(args, system.k)
+    _check_ppm(args, system.k)
     _print_diagnostics(formats.tile_system_warnings(system))
     model_hash = formats.content_hash(doc)
     window = Mesh(system.k, args.size)
@@ -111,7 +114,7 @@ def cmd_assemble(args) -> int:
     }
     _write(args.out, "trace.txt", trace)
     _write(args.out, "snapshot.txt", snapshot)
-    if args.ppm and args.out is not None:
+    if args.ppm:
         formats.write_ppm(Path(args.out) / "snapshot.ppm", colors, window)
 
     failed = False
@@ -141,7 +144,7 @@ def cmd_assemble(args) -> int:
 
 def cmd_meshsim(args) -> int:
     model, doc = formats.load_agent_model(args.model)
-    _require_2d_ppm(args, model.k)
+    _check_ppm(args, model.k)
     model_hash = formats.content_hash(doc)
     net = MeshNetwork(model, args.size, master_seed=args.seed)
     net.init_round0()
@@ -166,7 +169,7 @@ def cmd_meshsim(args) -> int:
     _write(args.out, "coloring.json", json.dumps(
         formats.coloring_document(colors, net.mesh, model.colors), indent=2))
     _write(args.out, "result.json", json.dumps(report, indent=2))
-    if args.ppm and args.out is not None:
+    if args.ppm:
         formats.write_ppm(Path(args.out) / "snapshot.ppm", colors, net.mesh)
     _emit(report, args, snapshot)
     if args.expect_valid and not check.valid:

@@ -29,6 +29,7 @@ import random
 from functools import lru_cache
 from hashlib import blake2b
 from itertools import count
+from math import ceil
 from typing import Callable, Iterator
 
 from .lattice import neighbor_rows
@@ -93,20 +94,25 @@ def wakeups(master: int, keys: dict, pi_nu: float) -> list:
     """(v, derive_seed(master, v, 0, 1)) for each vertex v of `keys`, in
     its order, with uniform(master, v, 0) < pi_nu.
 
-    The test is exact: uniform is (h >> 11) / 2^53, and scaling both sides
-    by the power of two 2^53 rounds neither."""
+    The test is exact and reads the digest bytes: uniform is (h >> 11) /
+    2^53, so it lies below pi_nu exactly when the 64-bit h lies below
+    ceil(pi_nu * 2^53) << 11 (scaling by a power of two rounds nothing),
+    and 8 big-endian bytes compare as their ints do.  A limit of 2^64 or
+    more (pi_nu = 1) is 9 bytes of 0xff, above every digest.  Only a woken
+    cell hashes its (master, v, 0, 1) key."""
     if pi_nu <= 0:
         return []
     prefix = _prefix(b"(%d, " % master)
-    limit = pi_nu * 2 ** 53
+    top = ceil(pi_nu * 2 ** 53) << 11
+    limit = top.to_bytes(8, "big") if top < 1 << 64 else b"\xff" * 9
     woken = []
     for v, key in keys.items():
-        cell = prefix.copy()
-        cell.update(key)
-        wake = cell.copy()
+        wake = prefix.copy()
+        wake.update(key)
         wake.update(b", 0)")
-        if int.from_bytes(wake.digest(), "big") >> 11 < limit:
-            cell.update(b", 0, 1)")
+        if wake.digest() < limit:
+            cell = prefix.copy()
+            cell.update(key + b", 0, 1)")
             woken.append((v, int.from_bytes(cell.digest(), "big")))
     return woken
 

@@ -20,6 +20,7 @@ from nucleate.agents import (
     nucleate,
     pick,
     register_rule,
+    stepper,
     surface_inputs,
     validate_model,
 )
@@ -461,6 +462,41 @@ def test_dynamics_leave_their_input_state_alone(k):
         seen["ids"] += len(state.ids) > 1
         seen["posts"] += bool(state.out_messages)
     assert all(seen.values()), seen
+
+
+def test_a_reused_step_equals_a_fresh_model_step():
+    # one stepper applied to many seeds, in any order, is model_step at
+    # each seed: its plan is built once and no step leaves a trace on it
+    # or on the state it was built from
+    rng = random.Random(2525)
+    dropped = 0
+    kinds = set()
+    for trial in range(24):
+        k = 2 if trial % 2 else 3
+        side = 4 if k == 2 else 3
+        model = random_agent_model(rng, k=k, message_rules=("ping", "relay", "tally"))
+        cells = rng.sample(list(Mesh(k, side).vertices()), rng.randint(1, 3))
+        model = replace(model, seed={v: rng.choice(model.type_names) for v in cells},
+                        pi_nu=rng.choice((0.1, 0.3)), use_ids=trial % 4 < 2)
+        state = nucleate(initial_state(model, Mesh(k, side)), model, rng.getrandbits(64))
+        kept = _mappings(state)
+        step = stepper(state, model)
+        seeds = [rng.getrandbits(64) for _ in range(30)]
+        rng.shuffle(seeds)
+        for seed in seeds:
+            # equal as tuples: occupancy, window, posts, ids, stage, next_id
+            assert step(seed) == model_step(state, model, seed), (trial, seed)
+        assert _mappings(state) == kept, trial
+        kinds.add((model.use_ids, model.kinetics.detach))
+        # cells the plan leaves out: forced to keep a state that has no rule
+        law = model.law
+        active = {w for v in state.occupancy for _, w, _ in neighbor_table(state.window)[v]}
+        for v in active:
+            old = state.occupancy.get(v)
+            new, cdf = law.lookup(old, *surface_inputs(state, model, v))
+            dropped += cdf is None and new == old and new not in law.ruled
+    assert len(kinds) == 4, kinds  # ids on and off, detachment on and off
+    assert dropped, "no start state had a cell the step plan leaves out"
 
 
 def test_surface_state_defaults_are_read_only():

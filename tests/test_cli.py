@@ -169,6 +169,14 @@ def test_ppm_on_a_3d_surface_is_rejected_before_any_work(tmp_path, capsys, comma
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["assemble", "meshsim"])
+def test_ppm_without_out_is_a_usage_error(tmp_path, capsys, command):
+    # a pixmap has nowhere to go without --out; it is refused, not dropped
+    model = FIDELITY if command == "meshsim" else TSTAR
+    assert main([command, "--model", model, "--size", "3", "--ppm"]) == 2
+    assert capsys.readouterr() == ("", "error: --ppm needs --out\n")
+
+
 def test_assemble_reports_temperature_zero_as_one_warning_line(tmp_path, capsys):
     doc = json.loads(shipped_model_path("tstar").read_text())
     doc["temperature"] = 0

@@ -52,7 +52,11 @@ def test_drawer_equals_uniform(seed, k, side, r):
 
 @settings(max_examples=60, deadline=None)
 @given(SEEDS, st.sampled_from([2, 3]), st.integers(1, 6),
-       st.floats(0.0, 1.0, allow_nan=False))
+       st.one_of(st.floats(0.0, 1.0, allow_nan=False),
+                 # pi_nu = 1, and values whose scaled threshold pi_nu * 2^53
+                 # is an integer, where the byte limit has no rounding slack
+                 st.sampled_from([1.0, 0.5, 0.375, 2.0 ** -53]),
+                 st.integers(0, 2 ** 53).map(lambda m: m * 2.0 ** -53)))
 def test_wakeups_equal_uniform_and_derive_seed(seed, k, side, pi_nu):
     expected = [(v, derive_seed(seed, v, 0, 1)) for v in Mesh(k, side).vertices()
                 if uniform(seed, v, 0) < pi_nu]
