@@ -31,7 +31,7 @@ seed changes on an n^k mesh is computed once per side and kept on the law
 """
 
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import cached_property
 from types import MappingProxyType
 from typing import Callable, Mapping, NamedTuple, Optional, Sequence
 
@@ -47,15 +47,11 @@ from .tiles import TileAssemblySystem
 
 def neighbor_table(window: Mesh) -> dict:
     """window vertex -> tuple of (direction index, neighbor, opposite index)
-    for the in-window neighbors, in canonical direction order."""
-    return _neighbor_table(window.k, window.side)
-
-
-@lru_cache(maxsize=32)
-def _neighbor_table(k: int, side: int) -> dict:
-    # derived from the rows on first use, so it shares their vertex tuples
+    for the in-window neighbors, in canonical direction order.  Built from
+    `neighbor_rows` on every call, so it shares their vertex tuples; the
+    dynamics read the rows themselves."""
     return {v: tuple([(i, w, OPPOSITE[i]) for i, w in enumerate(row) if w is not None])
-            for v, row in neighbor_rows(k, side).items()}
+            for v, row in neighbor_rows(window.k, window.side).items()}
 
 
 MAX_SYMBOL_LENGTH = 8
@@ -341,17 +337,14 @@ class TransitionLaw:
     the rounds read directly; on a miss they read `slot`, `lookup` and
     `posts`, which stay the definitions.  `keyed_post` is the one source of
     a round's posts, with or without an id, and returns their post id;
-    `pairs_of` turns it back into pairs.  `lookups` is the one memo of
-    `distribution`.  `plan(side)` is what the dynamics share on one mesh
-    side.
+    `pairs_of` turns it back into pairs.  `plan(side)` is what the
+    dynamics share on one mesh side.
     """
 
     def __init__(self, model: AgentModel):
         self.model = model
         #: side -> plan(side)
         self.plans: dict = {}
-        #: (occupant, glues, messages) -> lookup(...)
-        self.lookups: dict = {}
         self._post_ids: dict = {}
         #: post id -> the pairs tuple it stands for
         self.pairs_of: list = []
@@ -462,8 +455,7 @@ class TransitionLaw:
 
     def distribution(self, occupant: Optional[str], glues, messages) -> dict:
         """Exact next-occupant distribution for one cell; keys are agent
-        names plus None for empty.  Not memoized: `lookup` memoizes what
-        the dynamics read of it."""
+        names plus None for empty."""
         glues, messages = tuple(glues), tuple(messages)
         kin = self.model.kinetics
         if occupant is not None:
@@ -496,22 +488,17 @@ class TransitionLaw:
         """(outcome, None) when the law at this input is forced (a single
         outcome), else (None, cdf) for `pick` to draw from: the running
         sums of the distribution in its order, as (sum, outcome) pairs.
-        Memoized per input; glues and messages must be tuples."""
-        key = (occupant, glues, messages)
-        entry = self.lookups.get(key)
-        if entry is None:
-            dist = self.distribution(occupant, glues, messages)
-            if len(dist) == 1:
-                entry = (next(iter(dist)), None)
-            else:
-                acc = 0.0
-                cdf = []
-                for outcome, p in dist.items():
-                    acc += p
-                    cdf.append((acc, outcome))
-                entry = (None, tuple(cdf))
-            self.lookups[key] = entry
-        return entry
+        Not memoized: the mesh rounds keep their entries in `steps`, and a
+        model step in its plan (`stepper`)."""
+        dist = self.distribution(occupant, glues, messages)
+        if len(dist) == 1:
+            return next(iter(dist)), None
+        acc = 0.0
+        cdf = []
+        for outcome, p in dist.items():
+            acc += p
+            cdf.append((acc, outcome))
+        return None, tuple(cdf)
 
     def sample(self, occupant: Optional[str], glues, messages,
                u: Optional[float]) -> Optional[str]:
@@ -536,10 +523,11 @@ class TransitionLaw:
 class Plan:
     """What every mesh network and every model step of one model on one
     mesh side share; no master seed changes any of it: the mesh, its rng
-    keys and neighbor rows, and, built on first use, the neighbor triples,
-    the round-0 template (`round0`) and the round-1 list (`round1`), which
-    a network reads when its round 0 woke nobody.  Shared, so callers copy
-    before they add."""
+    keys and neighbor rows, and, built on first use, the round-0 template
+    (`round0`) and the round-1 list (`round1`), which a network reads when
+    its round 0 woke nobody.  The rng keys are built here, once per plan,
+    so they are freed with the model.  Shared, so callers copy before they
+    add."""
 
     def __init__(self, law: TransitionLaw, side: int):
         model = law.model
@@ -547,15 +535,6 @@ class Plan:
         self.mesh = Mesh(model.k, side)
         self.keys = window_keys(model.k, side)  # the cells' rng key bytes
         self.rows = neighbor_rows(model.k, side)
-        self.glues = {name: t.glues for name, t in model.types.items()}
-        self.d = model.d
-
-    @cached_property
-    def table(self) -> dict:
-        """`_neighbor_table(k, side)`: v -> its (i, w, OPPOSITE[i]) triples.
-        Built on first use, so the mesh rounds, which read `rows`, never
-        build it."""
-        return _neighbor_table(self.mesh.k, self.mesh.side)
 
     @cached_property
     def round0(self) -> tuple:
@@ -572,7 +551,7 @@ class Plan:
                 raise ValueError(f"seed location {v} lies outside the mesh")
             states[v] = model.seed[v]
         ids = {v: i for i, v in enumerate(states)} if model.use_ids else {}
-        nobody = (None,) * self.d  # the key of a processor that hears nothing
+        nobody = (None,) * model.d  # the key of a processor that hears nothing
         post_ids = {v: self.law.keyed_post(name, nobody, ids.get(v))
                     for v, name in states.items()}
         return states, ids, post_ids
@@ -631,20 +610,21 @@ def surface_inputs(state: SurfaceState, model: AgentModel, v: Point):
     """(glues, messages) seen by location v: per canonical direction, the
     facing glue label and outgoing message of the occupied neighbor, or
     None for empty and off-window directions."""
-    plan = model.law.plan(state.window.side)
-    return _inputs(state.occupancy, state.out_messages, plan, plan.table[v])
+    row = model.law.plan(state.window.side).rows[v]
+    return _inputs(state.occupancy, state.out_messages, model.types, row)
 
 
-def _inputs(occupancy: Mapping, out_messages: Mapping, plan: Plan, neighbors: tuple):
-    """(glues, messages) heard by the location whose neighbor-table entry
-    is given, from these occupants and their posts."""
-    glues = [None] * plan.d
-    msgs = [None] * plan.d
-    glues_of = plan.glues
-    for i, w, j in neighbors:
-        occ = occupancy.get(w)
+def _inputs(occupancy: Mapping, out_messages: Mapping, types: Mapping, row: tuple):
+    """(glues, messages) heard by the location whose neighbor row is
+    given, from these occupants (of `types`) and their posts: on side i,
+    what the neighbor there shows on its side OPPOSITE[i]."""
+    glues = [None] * len(row)
+    msgs = [None] * len(row)
+    for i, w in enumerate(row):
+        occ = occupancy.get(w)  # None off the window: no cell is keyed None
         if occ is not None:
-            glues[i] = glues_of[occ][j]
+            j = OPPOSITE[i]
+            glues[i] = types[occ].glues[j]
             out = out_messages.get(w)
             if out:
                 msgs[i] = out[j]
@@ -720,15 +700,17 @@ def stepper(state: SurfaceState, model: AgentModel) -> Callable[[int], SurfaceSt
     window = state.window
     law = model.law
     plan = law.plan(window.side)
-    table = plan.table
+    rows = plan.rows
     ruled = law.ruled
     use_ids = model.use_ids
     r = state.stage + 1
     keys = plan.keys
     before, heard = state.occupancy, state.out_messages
+    near = {w for u in before for w in rows[u]}
+    near.discard(None)
     cells = []
-    for v in sorted({w for u in before for _, w, _ in table[u]}):
-        glues, msgs = _inputs(before, heard, plan, table[v])
+    for v in sorted(near):
+        glues, msgs = _inputs(before, heard, model.types, rows[v])
         old = before.get(v)
         new, cdf = law.lookup(old, glues, msgs)
         if cdf is not None or new != old or new in ruled:

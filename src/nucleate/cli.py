@@ -251,7 +251,8 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--model", required=True, help="model definition file (JSON)")
         p.add_argument("--seed", type=int, default=0, help="64-bit master seed")
         p.add_argument("--out", default=None, help="directory for output artifacts")
-        p.add_argument("--format", choices=fmt, default=fmt[0])
+        if fmt:
+            p.add_argument("--format", choices=fmt, default=fmt[0])
 
     p = sub.add_parser("assemble", help="run tile assembly on an n x n window")
     common(p)
@@ -285,7 +286,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_experiment)
 
     p = sub.add_parser("fidelity", help="mesh-vs-model one-round distribution check")
-    common(p, fmt=("json",))
+    common(p, fmt=())  # one output form, so no --format
     p.add_argument("--size", type=_at_least(1, "size"), required=True)
     p.add_argument("--samples", type=_at_least(1, "samples"), default=100_000)
     p.set_defaults(func=cmd_fidelity)

@@ -246,7 +246,8 @@ def exact_round_law(model: AgentModel, side: int) -> dict:
             if t.rule is not None:
                 intent = message_rule(t.rule)(current, tuple(facing),
                                               (None,) * model.d, None).detach
-            if kin.detach and (total < model.temperature or intent):
+            # detachment at p_off = 0 never happens: the law stays forced
+            if kin.detach and kin.p_off > 0 and (total < model.temperature or intent):
                 law[v] = {current: 1.0 - kin.p_off, None: kin.p_off}
             else:
                 law[v] = {current: 1.0}

@@ -14,8 +14,9 @@ off the window.  The mesh rounds gather post ids along it; the tile engine,
 the local-determinism check and the colouring checks walk it, skipping
 None, with no per-neighbour `Mesh.contains` test.  A windowless tile run
 reads `around` instead, through the same loop (`neighbor_reader`).  The
-rng's cached key bytes (`rng.window_keys`) are keyed by the table's own
-vertex tuples.
+rng's key bytes (`rng.window_keys`) are keyed by the table's own vertex
+tuples.  It is the package's one module-level cache: whatever a model
+derives from the rows lives on the model's plan (`agents.Plan`).
 """
 
 import operator

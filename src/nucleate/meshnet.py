@@ -28,10 +28,11 @@ window's own vertex tuples.  A round first reads every evaluated
 processor's key, the tuple of post ids along its row, before any update;
 its law entry and its id-free post id are then memo hits keyed by that key
 (`TransitionLaw.step`, `keyed_post`).  The model dynamics
-(`agents.model_step`) keep their own delivery over `neighbor_table`, so
-the two codings check each other; their step plan (`agents.stepper`)
-reads it once per start state, and fidelity builds that plan once for
-all its model samples.
+(`agents.model_step`) read the same rows but keep their own delivery,
+from occupant glues and posts rather than post ids, so the two codings
+check each other; their step plan (`agents.stepper`) delivers once per
+start state, and fidelity builds that plan once for all its model
+samples.
 
 Every network of one model on one side reads one plan
 (`TransitionLaw.plan`, kept on the model's law `AgentModel.law`): the mesh,

@@ -15,9 +15,9 @@ hashes the same bytes, bit for bit, at a fraction of the cost:
   (and path), so the kernel hashes them once into a `blake2b` state and
   each draw copies that *prefix state* and hashes only its own tail;
 * `wakeups` gives the round-0 nucleation draws and `drawer` the draws of
-  later rounds, each built from a window's cached vertex bytes
-  (`window_keys`, keyed by the vertex tuples of `lattice.neighbor_rows`)
-  instead of calling `repr` per draw;
+  later rounds, each reading a window's vertex bytes (`window_keys`,
+  built once per model and side and keyed by the vertex tuples of
+  `lattice.neighbor_rows`) instead of calling `repr` per draw;
 * `seed_stream(master, *path)` yields `derive_seed(master, *path, i)` for
   i = 0, 1, ..., the per-trial and per-sample seeds of `experiment`.
 
@@ -26,7 +26,6 @@ it by name.
 """
 
 import random
-from functools import lru_cache
 from hashlib import blake2b
 from itertools import count
 from math import ceil
@@ -80,13 +79,13 @@ def _prefix(head: bytes) -> blake2b:
     return h
 
 
-@lru_cache(maxsize=32)
 def window_keys(k: int, side: int) -> dict:
     """vertex -> repr(vertex).encode() for every vertex of {0..side-1}^k,
     in row-major vertex order: the part of a cell's hash key that no round
     or seed changes.  Keyed by the vertex tuples of
     `lattice.neighbor_rows(k, side)`, so a row's neighbours look their keys
-    up by identity.  Cached and shared, so callers must not mutate it."""
+    up by identity.  Built on every call; `agents.Plan` builds one per
+    model and mesh side."""
     return {v: repr(v).encode() for v in neighbor_rows(k, side)}
 
 

@@ -394,12 +394,13 @@ class EvaluateEveryoneNetwork(MeshNetwork):
     def init_round0(self):
         super().init_round0()
         self.pairs = self.outputs
+        self.table = neighbor_table(self.mesh)
 
     def run_round(self, probe=None):
         self.round += 1
         r = self.round
         d = self.model.d
-        table = neighbor_table(self.mesh)
+        table = self.table
         states = self.states
 
         outputs = self.pairs

@@ -411,6 +411,17 @@ def test_fidelity_guard_rejects_big_windows(capsys):
     assert captured.err == "error: fidelity windows are capped at 3x3; got 4\n"
 
 
+def test_fidelity_has_no_format_flag(tmp_path, capsys):
+    # fidelity prints one JSON form only, so --format is an unknown flag
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as err:
+        main(["fidelity", "--model", FIDELITY, "--size", "2", "--samples", "10",
+              "--format", "json", "--out", str(out)])
+    assert err.value.code == 2
+    assert "unrecognized arguments: --format json" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_fidelity_small_sample_run(capsys):
     code = main(["fidelity", "--model", FIDELITY, "--size", "2",
                  "--samples", "2000", "--seed", "5"])

@@ -9,6 +9,7 @@ from nucleate.experiment import (
     exact_round_law,
     experiment_csv,
     experiment_json,
+    fidelity_document,
     load_experiment_json,
     parse_experiment_csv,
     product_law,
@@ -187,6 +188,27 @@ def test_exact_round_law_has_no_empty_residue_at_full_attachment():
     report = run_fidelity(model, 2, 2000, master_seed=1)
     assert report.support_exact == 9
     assert report.supports_equal
+
+
+def test_exact_round_law_lists_no_detachment_at_zero_p_off():
+    # detachment on at p_off = 0 never detaches: an unstable occupant's law
+    # is forced, as the shared law has it, with no zero-mass empty outcome
+    from nucleate.agents import AgentModel, AgentType, BindingRules, Kinetics
+
+    model = AgentModel(
+        types={"a": AgentType("a", ("g",) * 4, color=1)},
+        rules=BindingRules({("g", "g"): 1}),
+        temperature=2,
+        seed={(0, 0): "a", (1, 0): "a"},  # one bond each: below temperature 2
+        kinetics=Kinetics(lambda_on=0.5, detach=True, p_off=0.0),
+    )
+    law = exact_round_law(model, 2)
+    assert law[(0, 0)] == law[(1, 0)] == {"a": 1.0}
+    assert model.law.distribution("a", ("g", None, None, None), (None,) * 4) == {"a": 1.0}
+    report = run_fidelity(model, 2, 200, master_seed=3)
+    assert report.supports_equal
+    assert all("EMPTY" not in dist or dist["EMPTY"] > 0
+               for dist in fidelity_document(report)["per_cell_law"].values())
 
 
 def test_mesh_and_model_agree_on_one_seed():

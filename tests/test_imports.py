@@ -148,3 +148,37 @@ def test_the_check_sees_a_dead_assigned_name():
         "print(USED)\n"),
              "n": ast.parse("import m\nprint(m.LIMIT)\n")}
     assert dead_definitions(trees, ["m"]) == ["m._DEAD", "m.LOOP"]
+
+
+#: decorators that keep results in a cache at module level, for the life of the process
+CACHES = {"lru_cache", "cache"}
+
+
+def module_caches(trees: dict) -> set:
+    """`module.name` of each function in `trees` (module -> parsed source)
+    decorated with ``lru_cache`` or ``cache``, called or not, bare or as a
+    ``functools`` attribute."""
+    def caching(decorator) -> bool:
+        target = decorator.func if isinstance(decorator, ast.Call) else decorator
+        return getattr(target, "id", getattr(target, "attr", None)) in CACHES
+    return {f"{module}.{node.name}" for module, tree in trees.items()
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and any(map(caching, node.decorator_list))}
+
+
+def test_neighbor_rows_are_the_only_module_cache():
+    # whatever a model derives from the rows lives on its plan and is freed
+    # with the model; a module-level cache would outlive it
+    package = {f"nucleate.{path.stem}": ast.parse(path.read_text())
+               for path in sorted(SRC.glob("*.py"))}
+    assert module_caches(package) == {"nucleate.lattice.neighbor_rows"}
+
+
+def test_the_check_sees_every_cache_spelling():
+    trees = {"m": ast.parse(
+        "@lru_cache(maxsize=32)\ndef a():\n    pass\n"
+        "@functools.cache\ndef b():\n    pass\n"
+        "@cached_property\ndef c(self):\n    pass\n"
+        "class K:\n    @cache\n    def d(self):\n        pass\n")}
+    assert module_caches(trees) == {"m.a", "m.b", "m.d"}

@@ -346,26 +346,6 @@ def test_probe_reads_exactly_the_evaluated_neighborhoods(k, static):
     assert neighbor_reads > 0
 
 
-def test_mesh_rounds_never_build_the_neighbor_triples():
-    # construction, round 0 and two rounds, in both regimes, on fresh
-    # models (so nothing comes from a cached set-up) leave the triple
-    # table's cache untouched: the mesh reads only the neighbor rows
-    import random
-
-    import nucleate.agents as agents
-
-    rng = random.Random(1515)
-    for k in (2, 3):
-        for static in (True, False):
-            model = _regime_model(rng, k, static)
-            before = agents._neighbor_table.cache_info()
-            net = MeshNetwork(model, 6 if k == 2 else 4, master_seed=k)
-            net.init_round0()
-            net.run(2)
-            assert _is_static(model) == static
-            assert agents._neighbor_table.cache_info() == before, (k, static)
-
-
 def test_ping_messages_are_relayed():
     types = {"t": AgentType("t", ("g",) * 4, color=1, rule="ping")}
     model = AgentModel(
