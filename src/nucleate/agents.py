@@ -364,9 +364,7 @@ class TransitionLaw:
         self.inert = frozenset() if self._detaching else frozenset(self.fixed_posts)
 
     def bond_total(self, type_name: str, glues: Sequence[Optional[str]]) -> int:
-        t = self.model.types[type_name]
-        rules = self.model.rules
-        return sum(rules.bond(t.glues[i], g) for i, g in enumerate(glues))
+        return sum(map(self.model.rules.bond, self.model.types[type_name].glues, glues))
 
     def candidates(self, glues: Sequence[Optional[str]]) -> tuple[str, ...]:
         """Agent types whose bond total against these glues meets the temperature."""

@@ -74,11 +74,10 @@ def _check_ppm(args, k: int) -> None:
 
 
 def _surface_report(coloring: col.Coloring, mode: str = col.FULL):
-    """(weak-coloring check, its report document); the plus search runs on
-    2-dimensional meshes only."""
+    """(weak-coloring check, its report document); the document lists plus
+    centers on 2-dimensional meshes only."""
     check = col.check_weak_coloring(coloring, mode=mode)
-    plus = col.find_monochromatic_plus(coloring) if coloring.mesh.k == 2 else None
-    return check, col.report_document(check, plus)
+    return check, col.report_document(check)
 
 
 def _emit(doc: dict, args, ascii_text: str = "") -> None:

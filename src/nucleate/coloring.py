@@ -1,19 +1,22 @@
 """Weak c-coloring verification on k-dimensional meshes.
 
 A coloring weakly colors a mesh when every non-isolated vertex has at least
-one neighbor of a different color.  The checker reports violating vertices,
-and a 2D diagnostic locates monochromatic "+" patterns: an interior vertex
-whose four neighbors all share its color, which is exactly a weak-coloring
-violation at a fully-surrounded vertex.
+one neighbor of a different color.  The check reports the violating
+vertices and, on a 2D mesh, the centers of monochromatic "+" patterns: an
+interior vertex whose four neighbors all share its color, which is exactly
+a weak-coloring violation at a fully-surrounded vertex.  One pass finds
+both: the plus centers are the violations whose neighbors are all colored
+(`WeakColoringReport.plus_centers`), and `find_monochromatic_plus` reads
+them off the check.
 
-Both checks walk each vertex's row of `lattice.neighbor_rows`, the one
-neighbour table of the mesh, and skip its None slots off the mesh; no
+The check walks each vertex's row of `lattice.neighbor_rows`, the one
+neighbour table of the mesh, and skips its None slots off the mesh; no
 neighbour is tested for mesh membership, and no key off the mesh is read
 from the assignment.
 """
 
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Mapping, Optional
 
 from .lattice import Mesh, Point, neighbor_rows
 
@@ -47,10 +50,16 @@ class Coloring:
 
 @dataclass(frozen=True)
 class WeakColoringReport:
+    """One check's verdict.  `plus_centers` lists, on a 2D mesh, the
+    violations at interior vertices whose four neighbors are all colored
+    (the same in either mode), in the order of `violations`; it is None on
+    any other mesh."""
+
     valid: bool
     coverage_complete: bool
     violations: tuple
     mode: str
+    plus_centers: Optional[tuple] = None
 
     @property
     def violation_count(self) -> int:
@@ -70,7 +79,8 @@ def check_weak_coloring(col: Coloring, mode: str = FULL) -> WeakColoringReport:
     A vertex with no colored neighbor counts as a violation in full mode
     (the surface around it should have been tiled) and is exempt in induced
     mode (it is isolated in the induced sub-mesh).  Mesh-isolated vertices
-    are always exempt.
+    are always exempt.  On a 2D mesh the same pass also lists the plus
+    centers among the violations.
     """
     if mode not in (FULL, INDUCED):
         raise ValueError(f"unknown mode {mode!r}")
@@ -93,43 +103,34 @@ def check_weak_coloring(col: Coloring, mode: str = FULL) -> WeakColoringReport:
                 violations.append(v)
         elif colored.count(color) == len(colored):
             violations.append(v)
+    plus = None
+    if col.mesh.k == 2:
+        # an interior violation with every neighbour colored is a plus
+        plus = tuple(v for v in violations
+                     if None not in rows[v] and None not in map(get, rows[v]))
     coverage = len(col.assignment) == col.mesh.size
     valid = not violations and (coverage or mode == INDUCED)
-    return WeakColoringReport(valid, coverage, tuple(violations), mode)
+    return WeakColoringReport(valid, coverage, tuple(violations), mode, plus)
 
 
 def find_monochromatic_plus(col: Coloring) -> list[Point]:
     """Centers of single-color plus shapes: self and all four neighbors equal.
 
-    Defined for 2-dimensional meshes only; centers must be interior vertices.
+    Defined for 2-dimensional meshes only; centers must be interior
+    vertices.  Read off the check (`WeakColoringReport.plus_centers`).
     """
     if col.mesh.k != 2:
         raise ValueError("monochromatic-plus search is defined for 2-dimensional meshes")
-    centers = []
-    rows = neighbor_rows(2, col.mesh.side)
-    colors = col.assignment
-    get = colors.get
-    for v in _in_order(colors, rows):
-        row = rows[v]
-        if None in row:
-            continue  # not interior
-        color = colors[v]
-        # an interior vertex has all four neighbors inside the mesh; the
-        # first one of another color settles it
-        for w in row:
-            if get(w) != color:
-                break
-        else:
-            centers.append(v)
-    return centers
+    return list(check_weak_coloring(col).plus_centers)
 
 
 #: the most violations a report document lists, to keep files small
 REPORT_CAP = 100
 
 
-def report_document(report: WeakColoringReport, plus_centers=None) -> dict:
-    """JSON-ready report; the violation list is capped at REPORT_CAP."""
+def report_document(report: WeakColoringReport) -> dict:
+    """JSON-ready report; the violation list is capped at REPORT_CAP.  A
+    report from a 2D mesh also lists every plus center (`plus_centers`)."""
     doc = {
         "valid": report.valid,
         "coverage": report.coverage_complete,
@@ -137,6 +138,6 @@ def report_document(report: WeakColoringReport, plus_centers=None) -> dict:
         "violation_count": report.violation_count,
         "violations": [list(v) for v in report.violations[:REPORT_CAP]],
     }
-    if plus_centers is not None:
-        doc["plus_centers"] = [list(v) for v in plus_centers]
+    if report.plus_centers is not None:
+        doc["plus_centers"] = [list(v) for v in report.plus_centers]
     return doc

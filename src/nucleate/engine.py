@@ -183,8 +183,6 @@ def _replay(seq: AssemblySequence, attachable: AttachableTypes):
     for a in seq.additions:
         if a.tile not in tiles:
             raise ValueError(f"addition at {a.location} names undefined tile {a.tile!r}")
-        if a.location in cells:
-            raise ValueError(f"addition at {a.location} targets an occupied cell")
         row = row_of(a.location)
         if row is None:
             raise ValueError(f"addition at {a.location} lies outside the window")

@@ -43,10 +43,11 @@ changes any of it, so `init_round0` copies the template in and then
 wakes, enters and posts the nucleated cells; the template is built by the
 first `init_round0` that needs it, so a seed outside the mesh or a seed
 rule that breaks its bounds still raises there, not at construction.
-When round 0 woke nobody, the network holds just the template, so round 1
-takes its sorted targets and their keys from the plan's round-1 list
-(`Plan.round1`) instead of gathering them; every other round gathers its
-own.
+Round 0 wakes only cells off the seed, so it woke nobody exactly when the
+network holds as many cells as the template; then it holds just the
+template, and round 1 takes its sorted targets and their keys from the
+plan's round-1 list (`Plan.round1`) instead of gathering them; every other
+round gathers its own.
 
 Rounds are event-driven: a processor is re-evaluated only when a neighbor's
 posts changed last round (it entered, detached, or its rule posted different
@@ -57,12 +58,13 @@ state and, since rules are memoryless and an occupant keeps its id, post the
 same pairs; the skip changes no state, trace, id or buffer.  An inert
 occupant (`TransitionLaw.inert`: no rule, in a model where no occupant can
 detach) can neither detach nor change its posts, so it is never evaluated,
-nor kept pending once it enters.  A processor's input buffers (`inputs`, a
-live `InputBuffers` view of the network, and `processor(v).inputs`) are
-read from the post ids as they stood at the start of the last round,
-whether or not that round evaluated it.  Looking up one processor reads
-its row of 2k neighbors only; the view's `len` and iteration scan every
-poster.
+nor kept pending once it enters: a round reads each cell's type from
+`states` and drops the inert ones from its targets and its pending set.
+A processor's input buffers (`inputs`, a live `InputBuffers` view of the
+network, and `processor(v).inputs`) are read from the post ids as they
+stood at the start of the last round, whether or not that round
+evaluated it.  Looking up one processor reads its row of 2k neighbors
+only; the view's `len` and iteration scan every poster.
 """
 
 from collections.abc import Mapping
@@ -190,8 +192,6 @@ class MeshNetwork:
         #: v -> v's post id at the start of the last round (None: no
         #: posts), for each v whose posts changed in it
         self._posted: dict = {}
-        #: the inert occupants, which no round evaluates
-        self._inert_cells: set = set()
 
     # -- round 0 -------------------------------------------------------
 
@@ -211,7 +211,6 @@ class MeshNetwork:
         self.next_id = len(seed_ids)
         self.post_ids.update(seed_post_ids)
         woken = nucleation_sites(model, self._plan.keys, self.master_seed, states)
-        self._woke = bool(woken)  # if not, round 1 reads the plan's round-1 list
         if woken:
             nobody = (None,) * model.d  # the key of a processor that hears nothing
             for v, name in woken:
@@ -221,9 +220,6 @@ class MeshNetwork:
             self.trace.extend([TraceEvent(0, v, None, name)
                                for v, name in sorted(states.items())])
         self._posted = dict.fromkeys(states)
-        inert = self.law.inert
-        if inert:
-            self._inert_cells = {v for v, name in states.items() if name in inert}
 
     def _enter(self, v: Point, name: str) -> None:
         self.states[v] = name
@@ -251,13 +247,17 @@ class MeshNetwork:
         law = self.law
         ruled, inert = law.ruled, law.inert
         post_ids = self.post_ids
-        if r == 1 and not self._woke:
-            targets, keys = self._plan.round1  # round 0 left just the template
+        if r == 1 and len(states) == len(self._plan.round0[0]):
+            # round 0 woke nobody (it wakes only cells off the seed), so
+            # the network holds just the template
+            targets, keys = self._plan.round1
         else:
             targets = self._pending
             targets.update(chain.from_iterable(map(rows.__getitem__, self._posted)))
             targets.discard(None)
-            targets = sorted(targets.difference(self._inert_cells))
+            if inert:
+                targets = [v for v in targets if states.get(v) not in inert]
+            targets = sorted(targets)
             read = post_ids.get
             keys = [tuple(map(read, rows[v])) for v in targets]
 
@@ -265,7 +265,6 @@ class MeshNetwork:
         draw = drawer(self.master_seed, self._plan.keys, r)
         ids_on = self.model.use_ids
         nobody = (None,) * self.model.d
-        inert_cells = self._inert_cells
         pending = set()
         posted = {}
         for v, key in zip(targets, keys):
@@ -277,9 +276,7 @@ class MeshNetwork:
             new, cdf = steps.get((old, key)) or law.step(old, key)
             if cdf is not None:
                 new = pick(cdf, draw(v))
-            if new in inert:
-                inert_cells.add(v)  # it entered, never to change again
-            elif cdf is not None or new != old:
+            if (cdf is not None or new != old) and new not in inert:
                 pending.add(v)  # its state or its next draw may differ
             if new != old:
                 if self.trace is not None:

@@ -146,14 +146,6 @@ def _edge(u: Point, v: Point) -> Pair:
     return (u, v) if u <= v else (v, u)
 
 
-def resolve(cfg: Configuration, tiles: Mapping[str, TileType], v: Point) -> TileType:
-    name = cfg.get(v)
-    try:
-        return tiles[name]
-    except KeyError:
-        raise KeyError(f"configuration references undefined tile type {name!r} at {v}")
-
-
 def build_binding_graph(cfg: Configuration, tiles: Mapping[str, TileType]) -> BindingGraph:
     """Weighted bond graph of a configuration.
 
@@ -161,18 +153,20 @@ def build_binding_graph(cfg: Configuration, tiles: Mapping[str, TileType]) -> Bi
     glues are equal with positive strength; its weight is that strength.
     """
     positive = [d.index for d in directions(cfg.k) if d.name in ("north", "east", "up")]
-    edges: dict[Pair, int] = {}
+    types = {}
     for v, name in cfg.items():
-        t = tiles.get(name)
+        t = types[v] = tiles.get(name)
         if t is None:
             raise KeyError(f"configuration references undefined tile type {name!r} at {v}")
+    edges: dict[Pair, int] = {}
+    for v, t in types.items():
         nbrs = around(v)
         # scan the positive half of the directions so each pair is seen once
         for i in positive:
             w = nbrs[i]
-            if w not in cfg:
+            other = types.get(w)
+            if other is None:
                 continue
-            other = resolve(cfg, tiles, w)
             s = glues_bind(t.glue(i), other.glue(OPPOSITE[i]))
             if s > 0:
                 edges[_edge(v, w)] = s

@@ -10,7 +10,7 @@ import math
 import random
 
 from nucleate.agents import (AgentModel, AgentType, BindingRules, Kinetics, RuleOutput,
-                             neighbor_table, register_rule)
+                             neighbor_table, pick, register_rule)
 from nucleate.lattice import OPPOSITE, add, directions
 from nucleate.meshnet import MeshNetwork, TraceEvent
 from nucleate.rng import uniform
@@ -382,11 +382,11 @@ def reachable_by_sequential_model(model, window) -> set:
 class EvaluateEveryoneNetwork(MeshNetwork):
     """A mesh whose rounds skip no processor: every occupant delivers its
     posts, and every processor that hears a pair samples its law through
-    the public `forced` and `sample`, unless it is an occupant that can
-    neither detach nor change its posts.  The oracle for the event-driven
-    round, which must match it round for round.  It keeps its own posts as
-    pairs in `pairs`, and `delivered` holds the input buffers of the last
-    round.  After each round it rebuilds `post_ids` from `pairs`, and
+    the public `lookup` (one call per cell, read for both the forced test
+    and the draw), unless it is an occupant that can neither detach nor
+    change its posts.  The oracle for the event-driven round, which must
+    match it round for round.  It keeps its own posts as pairs in `pairs`,
+    and `delivered` holds the input buffers of the last round.  After each round it rebuilds `post_ids` from `pairs`, and
     `_posted` from every poster's post id at the start of the round, so
     the inherited views (`inputs`, `outputs`, `processor`) show its
     rounds."""
@@ -431,10 +431,9 @@ class EvaluateEveryoneNetwork(MeshNetwork):
             slot = delivered[v]
             glues = tuple(p[0] if p is not None else None for p in slot)
             msgs = tuple(p[1] if p is not None else None for p in slot)
-            if law.forced(old, glues, msgs):
-                new = law.sample(old, glues, msgs, None)
-            else:
-                new = law.sample(old, glues, msgs, uniform(seed, v, r))
+            new, cdf = law.lookup(old, glues, msgs)
+            if cdf is not None:
+                new = pick(cdf, uniform(seed, v, r))
             if new != old:
                 if self.trace is not None:
                     self.trace.append(TraceEvent(r, v, old, new))

@@ -392,6 +392,39 @@ def test_check_command_on_meshsim_coloring(tmp_path, capsys):
                            "plus_centers"}
 
 
+@pytest.mark.parametrize("mode", ["full", "induced"])
+def test_check_reports_the_literal_plus_centers(tmp_path, capsys, mode):
+    # the check's own pass lists the plus centers: on random 2-D colorings
+    # with holes they must be the literal ones, and a 3-D report lists none
+    import random
+
+    from nucleate.coloring import Coloring
+    from nucleate.formats import coloring_document
+    from nucleate.lattice import Mesh
+    from support import literal_plus_centers
+
+    rng = random.Random(2701 + (mode == "induced"))
+    path = tmp_path / "coloring.json"
+    found = 0
+    for k, side in ((2, 1), (2, 3), (2, 5), (2, 8), (3, 3)):
+        mesh = Mesh(k, side)
+        for _ in range(12):
+            c = rng.randint(1, 2)
+            fill = rng.choice([0.5, 0.8, 0.95])
+            colors = {v: rng.randint(1, c) for v in mesh.vertices() if rng.random() < fill}
+            path.write_text(json.dumps(coloring_document(colors, mesh, c)))
+            main(["check", "--coloring", str(path), "--mode", mode])
+            report = json.loads(capsys.readouterr().out)
+            assert report["mode"] == mode
+            if k == 3:
+                assert "plus_centers" not in report
+                continue
+            expected = literal_plus_centers(Coloring(colors, mesh, c))
+            assert report["plus_centers"] == [list(v) for v in expected]
+            found += len(expected)
+    assert found > 0
+
+
 def test_check_expect_valid_fails_on_bad_coloring(tmp_path, capsys):
     doc = {"k": 2, "side": 2, "c": 2,
            "colors": {"0,0": 1, "1,0": 1, "0,1": 1, "1,1": 1}}

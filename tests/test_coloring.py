@@ -170,6 +170,8 @@ def test_checks_match_the_neighbors_oracle_on_random_partial_colorings(k, side):
             report = check_weak_coloring(col, mode)
             assert (report.valid, report.coverage_complete, report.violations) == \
                 literal_weak_coloring(col, mode)
+            assert report.plus_centers == (
+                tuple(literal_plus_centers(col)) if k == 2 else None)
         if k == 2:
             assert find_monochromatic_plus(col) == literal_plus_centers(col)
         else:
@@ -180,8 +182,10 @@ def test_checks_match_the_neighbors_oracle_on_random_partial_colorings(k, side):
 def test_report_document_caps_violations():
     col = grid_coloring(20, lambda v: 1)
     report = check_weak_coloring(col)
-    doc = report_document(report, plus_centers=[(1, 1)])
+    doc = report_document(report)
     assert doc["violation_count"] == 400
     assert len(doc["violations"]) == 100
-    assert doc["plus_centers"] == [[1, 1]]
+    # the plus centers are the 18 x 18 interior vertices, listed uncapped
+    assert doc["plus_centers"] == [list(v) for v in literal_plus_centers(col)]
+    assert len(doc["plus_centers"]) == 18 * 18
     assert not doc["valid"]

@@ -141,7 +141,8 @@ def test_detach_frequency_matches_p_off():
 def test_detachment_at_p_off_zero_is_not_live():
     # detachment switched on at p_off 0 can never happen: its law is forced,
     # so the run matches its detach-off twin draw for draw, no occupant is
-    # kept pending, and the occupants of types without a rule are inert
+    # kept pending, and the occupants of types without a rule are inert, so
+    # no round evaluates one
     from dataclasses import replace
 
     from nucleate.systems import nucleation_family
@@ -154,13 +155,17 @@ def test_detachment_at_p_off_zero_is_not_live():
     off, on = (MeshNetwork(m, 32, master_seed=3) for m in (model, twin))
     for net in (off, on):
         net.init_round0()
+    readers = 0
     for r in range(1, 10):
+        occupied = set(on.states)
+        probe = AccessProbe()
         off.run_round()
-        on.run_round()
+        on.run_round(probe=probe)
         assert on.trace == off.trace and on.states == off.states, r
         assert on._pending == off._pending == set(), r
-        assert on._inert_cells == set(on.states), r
-    assert on.trace[-1].round > 1  # the rounds attached cells
+        assert {reader for reader, _ in probe.reads}.isdisjoint(occupied), r
+        readers += len(probe.reads)
+    assert readers and on.trace[-1].round > 1  # the rounds evaluated and attached cells
 
 
 def test_identical_seeds_give_identical_traces():
@@ -331,7 +336,8 @@ def test_probe_reads_exactly_the_evaluated_neighborhoods(k, static):
         net = MeshNetwork(model, side, master_seed=rng.getrandbits(64))
         net.init_round0()
         assert _is_static(net.model) == static
-        assert net._woke == (trial < 12 and net.states != model.seed), trial
+        woke = net.states != model.seed
+        assert trial < 12 or not woke, trial
         mesh = net.mesh
         for r in range(1, 9):
             posting = set(net.post_ids)
@@ -342,6 +348,8 @@ def test_probe_reads_exactly_the_evaluated_neighborhoods(k, static):
             net.run_round(probe=probe)
             assert set(probe.reads) == expected, (trial, r)
             assert len(probe.reads) == len(expected), (trial, r)
+            if r == 1 and not woke:  # round 1 evaluates the plan's targets
+                assert evaluated == set(net._plan.round1[0]), trial
             neighbor_reads += len(expected) - len(evaluated)
     assert neighbor_reads > 0
 
@@ -839,8 +847,14 @@ def test_round1_template_matches_evaluate_everyone_oracle(k):
         master = rng.getrandbits(64)
         while any(uniform(master, v, 0) < model.pi_nu for v in vertices if v not in cells):
             master = rng.getrandbits(64)
-        fast = _match_evaluate_everyone_oracle(model, side, master, seen, ("template", trial))
-        assert not fast._woke, trial
+        net = MeshNetwork(model, side, master_seed=master)
+        net.init_round0()
+        assert net.states == model.seed, trial  # round 0 woke nobody
+        probe = AccessProbe()
+        net.run_round(probe=probe)
+        # round 1 evaluates exactly the plan's round-1 targets
+        assert {reader for reader, _ in probe.reads} == set(net._plan.round1[0]), trial
+        _match_evaluate_everyone_oracle(model, side, master, seen, ("template", trial))
         seen["pi_nu 0"] += model.pi_nu == 0
         seen["pi_nu > 0"] += model.pi_nu > 0
         seen["no ids"] += not model.use_ids

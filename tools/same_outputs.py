@@ -1,0 +1,115 @@
+"""Check that two source trees give byte-identical benchmark outputs.
+
+    python3 tools/same_outputs.py PARENT_TREE CHANGE_TREE [--seeds 0-4]
+
+For each tree, each workload in that tree's ``perfbench/workloads.py`` and
+each seed, a fresh Python process with the tree's ``src`` on PYTHONPATH
+runs the workload's ``prepare`` and then its one ``nucleate`` CLI call
+(``argv``), as the benchmark's worker does.  The CLI's exit code, its
+standard output and every file under the work directory (generated
+inputs and artifacts, by relative path) go into one sha256.  Both trees
+use the same work directory path, so a path an output records does not
+differ between them.  The workloads file is only imported, never edited.
+
+Prints one line per (workload, seed) with both digests and ``same``,
+``DIFFERS`` or, when either CLI call exits non-zero, ``FAILED``; exits 1
+when any line is not ``same`` or the trees list different workloads,
+else 0.  Seeds are given as ``A-B`` (inclusive), ``A,B,...``
+or one number.
+"""
+
+import argparse
+import hashlib
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+#: run in the child: argv is (tree, workload, seed, work dir); with no
+#: workload it prints the tree's workload names, one a line
+CHILD = r"""
+import contextlib, sys
+from pathlib import Path
+tree = Path(sys.argv[1])
+sys.path.insert(0, str(tree / "perfbench"))
+from workloads import WORKLOADS
+if len(sys.argv) == 2:
+    print(*WORKLOADS, sep="\n")
+    sys.exit(0)
+import nucleate.cli as cli
+workload, seed, work = WORKLOADS[sys.argv[2]], int(sys.argv[3]), Path(sys.argv[4])
+workload.prepare(work)
+argv = workload.argv(tree, work, work / "out", seed)
+with open(work / "stdout.txt", "w", encoding="utf-8") as fh, contextlib.redirect_stdout(fh):
+    code = cli.main(argv)
+sys.exit(code)
+"""
+
+
+def parse_seeds(text: str) -> list[int]:
+    first, dash, last = text.partition("-")
+    if dash:
+        return list(range(int(first), int(last) + 1))
+    return [int(s) for s in text.split(",")]
+
+
+def _child(tree: Path, *args: str) -> subprocess.CompletedProcess:
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"))
+    env.pop("NUCLEATE_THREADS", None)  # one thread, as the benchmark runs it
+    return subprocess.run([sys.executable, "-c", CHILD, str(tree), *args], cwd=tree,
+                          env=env, capture_output=True, text=True)
+
+
+def workload_names(tree: Path) -> list[str]:
+    proc = _child(tree)
+    if proc.returncode != 0:
+        raise SystemExit(f"{tree}: cannot read perfbench/workloads.py\n{proc.stderr}")
+    return proc.stdout.split()
+
+
+def digest(tree: Path, workload: str, seed: int, work: Path) -> tuple[str, int]:
+    """(sha256 of one run's exit code and every file under `work`, the
+    exit code)."""
+    shutil.rmtree(work, ignore_errors=True)
+    work.mkdir(parents=True)
+    proc = _child(tree, workload, str(seed), str(work))
+    if proc.stderr:
+        print(proc.stderr, end="", file=sys.stderr)
+    h = hashlib.sha256(f"exit {proc.returncode}\n".encode())
+    for path in sorted(work.rglob("*")):
+        if path.is_file():
+            h.update(str(path.relative_to(work)).encode() + b"\0")
+            h.update(path.read_bytes())
+    return h.hexdigest(), proc.returncode
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.partition("\n\n")[0])
+    parser.add_argument("parent", type=Path)
+    parser.add_argument("change", type=Path)
+    parser.add_argument("--seeds", type=parse_seeds, default=parse_seeds("0-4"))
+    args = parser.parse_args(argv)
+    trees = (args.parent.resolve(), args.change.resolve())
+    names = [workload_names(tree) for tree in trees]
+    if names[0] != names[1]:
+        print(f"workloads differ: {names[0]} vs {names[1]}")
+        return 1
+    bad = 0
+    with tempfile.TemporaryDirectory() as tmp:
+        work = Path(tmp) / "work"
+        for name in names[0]:
+            for seed in args.seeds:
+                (a, code_a), (b, code_b) = (digest(tree, name, seed, work)
+                                            for tree in trees)
+                verdict = ("FAILED" if code_a or code_b
+                           else "same" if a == b else "DIFFERS")
+                bad += verdict != "same"
+                print(f"{name:<12} seed {seed:<4} {a[:16]} {b[:16]} {verdict}",
+                      flush=True)
+    return 1 if bad else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
