@@ -97,7 +97,8 @@ def cmd_assemble(args) -> int:
     window = Mesh(system.k, args.size)
     result = engine.run(system, window, master_seed=args.seed,
                         max_stages=args.max_stages)
-    colors = {v: system.tiles[name].color for v, name in result.configuration.items()}
+    color_of = {name: t.color for name, t in system.tiles.items()}
+    colors = {v: color_of[name] for v, name in result.configuration.items()}
     snapshot = formats.ascii_snapshot(colors, window)
     trace = formats.assembly_trace_text(result.sequence, model_hash, args.seed)
 
@@ -119,8 +120,7 @@ def cmd_assemble(args) -> int:
     failed = False
     if args.check_coloring:
         check, report["coloring"] = _surface_report(col.Coloring(colors, window, system.colors))
-        _write(args.out, "coloring.json", json.dumps(
-            formats.coloring_document(colors, window, system.colors), indent=2))
+        _write(args.out, "coloring.json", formats.coloring_text(colors, window, system.colors))
         _write(args.out, "coloring_report.json", json.dumps(report["coloring"], indent=2))
         if args.expect_valid and not check.valid:
             failed = True
@@ -165,8 +165,7 @@ def cmd_meshsim(args) -> int:
     }
     _write(args.out, "trace.txt", trace)
     _write(args.out, "snapshot.txt", snapshot)
-    _write(args.out, "coloring.json", json.dumps(
-        formats.coloring_document(colors, net.mesh, model.colors), indent=2))
+    _write(args.out, "coloring.json", formats.coloring_text(colors, net.mesh, model.colors))
     _write(args.out, "result.json", json.dumps(report, indent=2))
     if args.ppm:
         formats.write_ppm(Path(args.out) / "snapshot.ppm", colors, net.mesh)

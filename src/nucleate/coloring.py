@@ -18,7 +18,7 @@ from the assignment.
 from dataclasses import dataclass
 from typing import Mapping, Optional
 
-from .lattice import Mesh, Point, neighbor_rows
+from .lattice import Mesh, Point, neighbor_rows, sorted_vertices
 
 #: Check every mesh vertex; uncolored vertices break coverage.
 FULL = "full"
@@ -66,13 +66,6 @@ class WeakColoringReport:
         return len(self.violations)
 
 
-def _in_order(assignment: Mapping[Point, int], rows: dict):
-    """The colored vertices in sorted order.  Every key of a `Coloring` is
-    a mesh vertex, so a coloring as large as the mesh colors every vertex,
-    and the rows already list them in sorted order."""
-    return rows if len(assignment) == len(rows) else sorted(assignment)
-
-
 def check_weak_coloring(col: Coloring, mode: str = FULL) -> WeakColoringReport:
     """Find every colored vertex all of whose visible neighbors match it.
 
@@ -89,7 +82,7 @@ def check_weak_coloring(col: Coloring, mode: str = FULL) -> WeakColoringReport:
     rows = neighbor_rows(col.mesh.k, col.mesh.side)
     full = mode == FULL
     violations = []
-    for v in _in_order(assignment, rows):
+    for v in sorted_vertices(assignment, rows):
         color = assignment[v]
         nbrs = rows[v]
         if None in nbrs:

@@ -4,6 +4,13 @@ Model files are strict JSON -- unknown keys are rejected at every level, so
 a typo fails loudly instead of silently changing a run.  Every CLI artifact
 carries the master seed and the model's content hash (sha256 over the
 canonical JSON encoding), which together reproduce any run byte for byte.
+
+The coloring.json artifact is written by `coloring_text`, whose bytes are
+those of ``json.dumps(coloring_document(...), indent=2)``: one `%` format
+per vertex, in the order of the window's neighbour rows when every vertex
+is colored (`lattice.sorted_vertices`), instead of the pure-Python
+encoder that ``indent`` selects.  Snapshots look each cell's character up
+in a table of the colors present.
 """
 
 import hashlib
@@ -22,7 +29,7 @@ from .agents import (
     validate_model,
 )
 from .engine import Addition, AssemblySequence
-from .lattice import Mesh, Point, directions
+from .lattice import Mesh, Point, directions, neighbor_rows, sorted_vertices
 from .meshnet import TraceEvent
 from .tiles import Configuration, Glue, TileAssemblySystem, TileType
 
@@ -383,11 +390,14 @@ def color_char(color: Optional[int]) -> str:
 
 
 def ascii_snapshot(colors: Mapping[Point, int], window: Mesh) -> str:
-    """Character grid of a colored surface; for k=3, one z-layer per block."""
+    """Character grid of a colored surface; for k=3, one z-layer per block.
+    Each distinct color goes through `color_char` once."""
     n = window.side
+    char = {color: color_char(color) for color in {None, *colors.values()}}
+    get = colors.get
 
     def grid(*z) -> str:
-        return "\n".join("".join([color_char(colors.get((x, y) + z)) for x in range(n)])
+        return "\n".join("".join([char[get((x, y) + z)] for x in range(n)])
                          for y in reversed(range(n)))
     if window.k == 2:
         return grid() + "\n"
@@ -522,6 +532,20 @@ def coloring_document(colors: Mapping[Point, int], window: Mesh, c: int) -> dict
         "c": c,
         "colors": {_point_token(v): colors[v] for v in sorted(colors)},
     }
+
+
+def coloring_text(colors: Mapping[Point, int], window: Mesh, c: int) -> str:
+    """The bytes of ``json.dumps(coloring_document(colors, window, c),
+    indent=2)``, written with one `%` format per vertex; every key of
+    `colors` must be a vertex of `window`."""
+    head = '{\n  "k": %d,\n  "side": %d,\n  "c": %d,\n  "colors": ' % (
+        window.k, window.side, c)
+    if not colors:
+        return head + "{}\n}"
+    line = '    "%d,%d": %d' if window.k == 2 else '    "%d,%d,%d": %d'
+    order = sorted_vertices(colors, neighbor_rows(window.k, window.side))
+    return (head + "{\n" + ",\n".join([line % (*v, colors[v]) for v in order])
+            + "\n  }\n}")
 
 
 def _vertex(token: str, mesh: Mesh, path: str) -> Point:

@@ -161,6 +161,14 @@ def neighbor_rows(k: int, side: int) -> dict:
     return dict(zip(vertices, zip(*columns)))
 
 
+def sorted_vertices(points: Collection[Point], rows: dict):
+    """`points`, every one a vertex of the mesh of `rows` (a `neighbor_rows`
+    table), in sorted order: as many points as rows are every vertex, and
+    the rows already list them in sorted order, so only a partial set is
+    sorted.  The colouring check and the coloring.json writer both walk it."""
+    return rows if len(points) == len(rows) else sorted(points)
+
+
 def neighbor_reader(window: Optional[Mesh]) -> Callable[[Point], Optional[tuple]]:
     """v -> v's 2k neighbors in canonical direction order.  With a window,
     v's `neighbor_rows` row, whose slots off the window are None (and None

@@ -181,6 +181,32 @@ def test_local_determinism_fails_on_shared_glue():
     assert competitor in ("t0", "t1")
 
 
+def test_condition_2_tells_apart_patterns_that_differ_only_in_what_grew_off():
+    # a chain A T B on each side of the seed S, one glue label per bond, at
+    # tau 1.  Both T tiles end with A to the west and B to the east, but the
+    # east chain grew away from S, eastward, so its B grew off T, and the
+    # west chain grew westward, so its A grew off T.  Deleting T with what
+    # grew off it leaves A beside the east T and B beside the west T, and
+    # only B offers the rival R a glue: the west T fails condition 2,
+    # though the east T, checked first, has no rival
+    tiles = {
+        "S": tile("S", 1, ("s", 1), E, ("p", 1), E),
+        "A": tile("A", 2, ("p", 1), E, ("q", 1), E),
+        "T": tile("T", 1, ("q", 1), E, ("r", 1), E),
+        "B": tile("B", 2, ("r", 1), E, ("s", 1), E),
+        "R": tile("R", 2, E, E, ("r", 1), E),
+    }
+    system = TileAssemblySystem(tiles, Configuration({(4, 0): "S"}), 1)
+    order = [((5, 0), "A"), ((6, 0), "T"), ((7, 0), "B"),
+             ((3, 0), "B"), ((2, 0), "T"), ((1, 0), "A")]
+    seq = AssemblySequence(system, None, tuple(
+        Addition(stage, v, name) for stage, (v, name) in enumerate(order, 1)))
+    report = check_local_determinism(seq)
+    assert (report.passed, report.failed_condition, report.witness) == (
+        False, 2, ((2, 0), "R"))
+    assert brute_local_determinism(seq) == (False, 2, ((2, 0), "R"))
+
+
 def test_local_determinism_fails_on_overbinding():
     # L-shaped seed; the tile at (1, 0) binds with west 2 + south 1 = 3 > tau
     tiles = {

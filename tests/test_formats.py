@@ -1,4 +1,5 @@
 import json
+import random
 
 import pytest
 
@@ -10,6 +11,7 @@ from nucleate.formats import (
     assembly_trace_text,
     canonical_json,
     coloring_document,
+    coloring_text,
     content_hash,
     detect_kind,
     lint_document,
@@ -286,6 +288,8 @@ def test_ascii_snapshot_layout():
     colors = {(0, 0): 1, (1, 0): 2, (1, 1): 1}
     text = ascii_snapshot(colors, Mesh(2, 2))
     assert text == ".1\n12\n"  # north row first, '.' for empty
+    # colors from 10 on are letters, wrapping after 26
+    assert ascii_snapshot({(0, 0): 10, (1, 0): 36, (1, 1): 35}, Mesh(2, 2)) == ".z\naa\n"
 
 
 def test_ascii_snapshot_3d_layers():
@@ -366,6 +370,24 @@ def test_coloring_document_roundtrip():
     col = load_coloring(doc)
     assert col.assignment == colors
     assert col.mesh == mesh and col.c == 2
+
+
+@pytest.mark.parametrize("k", [2, 3])
+@pytest.mark.parametrize("side", range(1, 7))
+def test_coloring_text_is_the_indented_document(k, side, tmp_path):
+    # empty, partial and full colorings, with colors up to 40
+    mesh = Mesh(k, side)
+    rng = random.Random(10 * k + side)
+    path = tmp_path / "coloring.json"
+    for fill in (0.0, 0.3, 0.7, 1.0):
+        for c in (1, 3, 40):
+            colors = {v: rng.randint(1, c) for v in mesh.vertices() if rng.random() < fill}
+            text = coloring_text(colors, mesh, c)
+            assert text == json.dumps(coloring_document(colors, mesh, c), indent=2)
+            path.write_text(text, encoding="utf-8")
+            col = load_coloring(path)
+            assert col.assignment == colors
+            assert col.mesh == mesh and col.c == c
 
 
 @pytest.mark.parametrize("colors, code", [

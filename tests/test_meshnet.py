@@ -697,9 +697,11 @@ def _match_evaluate_everyone_oracle(model, side: int, master: int, seen: dict,
     """Run `model` for 12 rounds on the event-driven mesh and on the oracle
     that delivers to, and samples, every processor hearing a pair; round by
     round the two must agree on states, trace, ids, posts and delivered
-    inputs.  Counts in `seen` the rounds where the mesh skipped a processor
-    the oracle evaluated, and those that left an unforced cell pending.
-    Returns the event-driven network."""
+    inputs.  A processor's own view is read for the processors that heard
+    no pair each round, and for every processor in the last round.  Counts
+    in `seen` the rounds where the mesh skipped a processor the oracle
+    evaluated, and those that left an unforced cell pending.  Returns the
+    event-driven network."""
     from support import EvaluateEveryoneNetwork
 
     fast = MeshNetwork(model, side, master_seed=master)
@@ -716,9 +718,12 @@ def _match_evaluate_everyone_oracle(model, side: int, master: int, seen: dict,
         assert fast.trace == oracle.trace, (tag, r)
         assert fast.ids == oracle.ids, (tag, r)
         assert fast.outputs == oracle.pairs, (tag, r)
-        assert fast.inputs == oracle.delivered, (tag, r)
+        delivered = oracle.delivered
+        assert fast.inputs == delivered, (tag, r)
+        # the comparison above covers every processor that heard a pair
         for v in fast.mesh.vertices():
-            assert fast.processor(v).inputs == oracle.delivered.get(v, silent), (tag, r, v)
+            if r == 12 or v not in delivered:
+                assert fast.processor(v).inputs == delivered.get(v, silent), (tag, r, v)
         seen["skipped"] += evaluated < len(oracle.delivered)
         seen["unforced"] += bool(fast._pending - set(fast._posted))
     assert probe.violations(fast.mesh) == []

@@ -11,15 +11,19 @@ inputs and artifacts, by relative path) go into one sha256.  Both trees
 use the same work directory path, so a path an output records does not
 differ between them.  The workloads file is only imported, never edited.
 
-Prints one line per (workload, seed) with both digests and ``same``,
-``DIFFERS`` or, when either CLI call exits non-zero, ``FAILED``; exits 1
-when any line is not ``same`` or the trees list different workloads,
-else 0.  Seeds are given as ``A-B`` (inclusive), ``A,B,...``
+The fixed calls of ``EXTRA_CALLS``, defined here, then run and are hashed
+the same way, for each seed: they reach writer inputs the workloads miss.
+
+Prints one line per (workload or extra call, seed) with both digests and
+``same``, ``DIFFERS`` or, when either CLI call exits non-zero, ``FAILED``;
+exits 1 when any line is not ``same`` or the trees list different
+workloads, else 0.  Seeds are given as ``A-B`` (inclusive), ``A,B,...``
 or one number.
 """
 
 import argparse
 import hashlib
+import json
 import os
 import shutil
 import subprocess
@@ -27,10 +31,13 @@ import sys
 import tempfile
 from pathlib import Path
 
-#: run in the child: argv is (tree, workload, seed, work dir); with no
-#: workload it prints the tree's workload names, one a line
+#: run in the child: argv is (tree, name, seed, work dir[, calls]).  A
+#: workload name runs that workload's prepare and CLI call; any other name
+#: runs `calls`, a JSON list of CLI argument lists, in order, stopping at
+#: and exiting with the first non-zero code.  With no name it prints the
+#: tree's workload names, one a line.
 CHILD = r"""
-import contextlib, sys
+import contextlib, json, sys
 from pathlib import Path
 tree = Path(sys.argv[1])
 sys.path.insert(0, str(tree / "perfbench"))
@@ -39,13 +46,35 @@ if len(sys.argv) == 2:
     print(*WORKLOADS, sep="\n")
     sys.exit(0)
 import nucleate.cli as cli
-workload, seed, work = WORKLOADS[sys.argv[2]], int(sys.argv[3]), Path(sys.argv[4])
-workload.prepare(work)
-argv = workload.argv(tree, work, work / "out", seed)
+name, seed, work = sys.argv[2], int(sys.argv[3]), Path(sys.argv[4])
+if name in WORKLOADS:
+    WORKLOADS[name].prepare(work)
+    calls = [WORKLOADS[name].argv(tree, work, work / "out", seed)]
+else:
+    calls = json.loads(sys.argv[5])
+code = 0
 with open(work / "stdout.txt", "w", encoding="utf-8") as fh, contextlib.redirect_stdout(fh):
-    code = cli.main(argv)
+    for argv in calls:
+        code = code or cli.main(argv)
 sys.exit(code)
 """
+
+#: name -> the CLI calls it runs, in order, in one work directory.  Model
+#: paths are relative to the tree; "{out}" is the work directory's out/ and
+#: "{seed}" the seed.  They cover writer inputs the workloads miss: a
+#: partial 2-D colouring (meshsim), a `check` of that file, and tstar
+#: grown on windows of one and four cells.
+PARTIAL_2D = ["meshsim", "--model", "src/nucleate/data/checkerboard_local.json",
+              "--size", "16", "--rounds", "5", "--seed", "{seed}", "--out", "{out}"]
+TSTAR = ["assemble", "--model", "src/nucleate/data/tstar.json", "--check-coloring",
+         "--check-determinism", "--seed", "{seed}", "--out", "{out}"]
+EXTRA_CALLS = {
+    "meshsim-2d-16": [PARTIAL_2D],
+    "check-2d-16": [PARTIAL_2D, ["check", "--coloring", "{out}/coloring.json",
+                                 "--out", "{out}/check"]],
+    "assemble-1": [TSTAR + ["--size", "1"]],
+    "assemble-2": [TSTAR + ["--size", "2"]],
+}
 
 
 def parse_seeds(text: str) -> list[int]:
@@ -69,12 +98,19 @@ def workload_names(tree: Path) -> list[str]:
     return proc.stdout.split()
 
 
-def digest(tree: Path, workload: str, seed: int, work: Path) -> tuple[str, int]:
+def extra_calls(name: str, seed: int, work: Path) -> str:
+    """`EXTRA_CALLS[name]` for one seed and work directory, as JSON."""
+    fill = {"out": str(work / "out"), "seed": str(seed)}
+    return json.dumps([[arg.format(**fill) for arg in argv] for argv in EXTRA_CALLS[name]])
+
+
+def digest(tree: Path, name: str, seed: int, work: Path) -> tuple[str, int]:
     """(sha256 of one run's exit code and every file under `work`, the
-    exit code)."""
+    exit code).  `name` is a workload or a key of `EXTRA_CALLS`."""
     shutil.rmtree(work, ignore_errors=True)
     work.mkdir(parents=True)
-    proc = _child(tree, workload, str(seed), str(work))
+    calls = () if name not in EXTRA_CALLS else (extra_calls(name, seed, work),)
+    proc = _child(tree, name, str(seed), str(work), *calls)
     if proc.stderr:
         print(proc.stderr, end="", file=sys.stderr)
     h = hashlib.sha256(f"exit {proc.returncode}\n".encode())
@@ -99,14 +135,14 @@ def main(argv=None) -> int:
     bad = 0
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp) / "work"
-        for name in names[0]:
+        for name in names[0] + list(EXTRA_CALLS):
             for seed in args.seeds:
                 (a, code_a), (b, code_b) = (digest(tree, name, seed, work)
                                             for tree in trees)
                 verdict = ("FAILED" if code_a or code_b
                            else "same" if a == b else "DIFFERS")
                 bad += verdict != "same"
-                print(f"{name:<12} seed {seed:<4} {a[:16]} {b[:16]} {verdict}",
+                print(f"{name:<14} seed {seed:<4} {a[:16]} {b[:16]} {verdict}",
                       flush=True)
     return 1 if bad else 0
 
