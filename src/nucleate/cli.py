@@ -6,8 +6,10 @@ simulation), experiment (success-probability campaigns), fidelity
 lint-model (schema and validity diagnostics).
 
 Exit codes: 0 success, 1 a requested property check failed, 2 usage or
-validation error.  Every artifact embeds the master seed and the model's
-content hash, which reproduce the run byte for byte.
+validation error.  Artifacts are built and written only under --out.
+result.json, results.json, fidelity.json and the trace.txt header embed
+the master seed and the model's content hash, which reproduce the run
+byte for byte.
 """
 
 import argparse
@@ -80,11 +82,26 @@ def _surface_report(coloring: col.Coloring, mode: str = col.FULL):
     return check, col.report_document(check)
 
 
-def _emit(doc: dict, args, ascii_text: str = "") -> None:
-    if args.format == "ascii" and ascii_text:
-        print(ascii_text, end="")
+def _finish_surface(args, report: dict, colors, window: Mesh, c, trace_text, traced) -> None:
+    """End assemble or meshsim: under --out write trace.txt (built by
+    `trace_text` from `traced`), snapshot.txt, coloring.json (only when `c`
+    is given), result.json and, with --ppm, snapshot.ppm; then print the
+    snapshot (--format ascii) or the report.  Each text is built only when
+    it is written or printed."""
+    snapshot = None
+    if args.out is not None:
+        _write(args.out, "trace.txt", trace_text(traced, report["model"], args.seed))
+        snapshot = formats.ascii_snapshot(colors, window)
+        _write(args.out, "snapshot.txt", snapshot)
+        if c is not None:
+            _write(args.out, "coloring.json", formats.coloring_text(colors, window, c))
+        _write(args.out, "result.json", json.dumps(report, indent=2))
+        if args.ppm:
+            formats.write_ppm(Path(args.out) / "snapshot.ppm", colors, window)
+    if args.format == "ascii":
+        print(snapshot or formats.ascii_snapshot(colors, window), end="")
     else:
-        print(json.dumps(doc, indent=2))
+        print(json.dumps(report, indent=2))
 
 
 def cmd_assemble(args) -> int:
@@ -93,18 +110,14 @@ def cmd_assemble(args) -> int:
     system, doc = formats.load_tile_system(args.model)
     _check_ppm(args, system.k)
     _print_diagnostics(formats.tile_system_warnings(system))
-    model_hash = formats.content_hash(doc)
     window = Mesh(system.k, args.size)
     result = engine.run(system, window, master_seed=args.seed,
                         max_stages=args.max_stages)
     color_of = {name: t.color for name, t in system.tiles.items()}
     colors = {v: color_of[name] for v, name in result.configuration.items()}
-    snapshot = formats.ascii_snapshot(colors, window)
-    trace = formats.assembly_trace_text(result.sequence, model_hash, args.seed)
-
     report = {
         "command": "assemble",
-        "model": model_hash,
+        "model": formats.content_hash(doc),
         "seed": args.seed,
         "size": args.size,
         "temperature": system.temperature,
@@ -112,15 +125,10 @@ def cmd_assemble(args) -> int:
         "stages": result.stages,
         "tiles": len(result.configuration),
     }
-    _write(args.out, "trace.txt", trace)
-    _write(args.out, "snapshot.txt", snapshot)
-    if args.ppm:
-        formats.write_ppm(Path(args.out) / "snapshot.ppm", colors, window)
 
     failed = False
     if args.check_coloring:
         check, report["coloring"] = _surface_report(col.Coloring(colors, window, system.colors))
-        _write(args.out, "coloring.json", formats.coloring_text(colors, window, system.colors))
         _write(args.out, "coloring_report.json", json.dumps(report["coloring"], indent=2))
         if args.expect_valid and not check.valid:
             failed = True
@@ -136,40 +144,32 @@ def cmd_assemble(args) -> int:
         if not verdict.passed:
             failed = True
 
-    _write(args.out, "result.json", json.dumps(report, indent=2))
-    _emit(report, args, snapshot)
+    _finish_surface(args, report, colors, window,
+                    system.colors if args.check_coloring else None,
+                    formats.assembly_trace_text, result.sequence)
     return CHECK_FAILED if failed else OK
 
 
 def cmd_meshsim(args) -> int:
     model, doc = formats.load_agent_model(args.model)
     _check_ppm(args, model.k)
-    model_hash = formats.content_hash(doc)
     net = MeshNetwork(model, args.size, master_seed=args.seed)
     net.init_round0()
     events = net.run(args.rounds)
     coloring = net.coloring()
     check, coloring_report = _surface_report(coloring)
 
-    colors = coloring.assignment
-    snapshot = formats.ascii_snapshot(colors, net.mesh)
-    trace = formats.mesh_trace_text(events, model_hash, args.seed)
     report = {
         "command": "meshsim",
-        "model": model_hash,
+        "model": formats.content_hash(doc),
         "seed": args.seed,
         "size": args.size,
         "rounds": args.rounds,
         "occupied": len(net.states),
         "coloring": coloring_report,
     }
-    _write(args.out, "trace.txt", trace)
-    _write(args.out, "snapshot.txt", snapshot)
-    _write(args.out, "coloring.json", formats.coloring_text(colors, net.mesh, model.colors))
-    _write(args.out, "result.json", json.dumps(report, indent=2))
-    if args.ppm:
-        formats.write_ppm(Path(args.out) / "snapshot.ppm", colors, net.mesh)
-    _emit(report, args, snapshot)
+    _finish_surface(args, report, coloring.assignment, net.mesh, model.colors,
+                    formats.mesh_trace_text, events)
     if args.expect_valid and not check.valid:
         return CHECK_FAILED
     return OK

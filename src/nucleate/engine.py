@@ -9,10 +9,13 @@ The local-determinism checker verifies the three conditions that guarantee
 a unique terminal assembly: every tile binds with total input strength
 exactly equal to the temperature; no competing tile type can claim an
 occupied location once the tile there and the neighbors that grew off it
-are deleted; and the final frontier is empty.  Condition 2 is answered
-once per neighbourhood pattern (the tile, its neighbours' final names and
-their input-side masks): a large assembly of a small tile set repeats a
-handful of patterns, tstar's 16,383 additions at 128 x 128 only 22.
+are deleted; and the final frontier is empty.  It replays the sequence
+once: that pass refuses a malformed or under-bound addition, reads
+condition 1 off each bond total and records the input sides that
+condition 2 reads.  Condition 2 is answered once per neighbourhood
+pattern (the tile, its neighbours' final names and their input-side
+masks): a large assembly of a small tile set repeats a handful of
+patterns, tstar's 16,383 additions at 128 x 128 only 22.
 
 Every neighbour loop here reads one row per cell from
 `lattice.neighbor_reader`: the window's `neighbor_rows` entry, whose None
@@ -167,40 +170,6 @@ class DeterminismReport:
     message: str = ""
 
 
-def _replay(seq: AssemblySequence, attachable: AttachableTypes):
-    """Validate and replay a sequence; yields per-addition binding data.
-
-    Returns (cells, input_sides, in_strength) where input_sides[location]
-    is a bitmask over direction indices -- bit i is set when side i
-    contributed positive strength as the tile bound there -- and
-    in_strength[location] their total.
-    """
-    system = seq.system
-    tiles = system.tiles
-    cells = system.seed.cells()
-    get = cells.get
-    row_of = neighbor_reader(seq.window)
-    bond = attachable.bond
-    input_sides: dict[Point, int] = {}
-    in_strength: dict[Point, int] = {}
-    for a in seq.additions:
-        if a.tile not in tiles:
-            raise ValueError(f"addition at {a.location} names undefined tile {a.tile!r}")
-        row = row_of(a.location)
-        if row is None:
-            raise ValueError(f"addition at {a.location} lies outside the window")
-        total, sides = bond(a.tile, tuple(map(get, row)))
-        if total < system.temperature:
-            raise ValueError(
-                f"stage {a.stage}: {a.tile!r} at {a.location} binds with strength "
-                f"{total} < temperature {system.temperature}"
-            )
-        cells[a.location] = a.tile
-        input_sides[a.location] = sides
-        in_strength[a.location] = total
-    return cells, input_sides, in_strength
-
-
 #: a condition-2 pattern not yet answered (None is an answer: no rival)
 _UNSEEN = object()
 
@@ -215,23 +184,46 @@ def check_local_determinism(seq: AssemblySequence) -> DeterminismReport:
     pattern -- its tile, its neighbours' final names and their input-side
     masks -- so it is computed once per pattern; the additions are still
     walked in order, so a failure names the first failing addition.
+
+    A malformed sequence raises ValueError: an undefined tile, an addition
+    off the window, or one bound below the temperature, wherever it lies,
+    even after an addition that already fails condition 1.
     """
     system = seq.system
     tiles = system.tiles
-    attachable = AttachableTypes(tiles, system.temperature)
-    cells, input_sides, in_strength = _replay(seq, attachable)
-
+    temperature = system.temperature
+    attachable = AttachableTypes(tiles, temperature)
+    bond = attachable.bond
+    cells = system.seed.cells()
+    get = cells.get
+    row_of = neighbor_reader(seq.window)
+    # bit i of input_sides[v] is set when side i bound as the tile at v attached
+    input_sides: dict[Point, int] = {}
+    overbound = None
     for a in seq.additions:
-        if in_strength[a.location] != system.temperature:
-            return DeterminismReport(
+        if a.tile not in tiles:
+            raise ValueError(f"addition at {a.location} names undefined tile {a.tile!r}")
+        row = row_of(a.location)
+        if row is None:
+            raise ValueError(f"addition at {a.location} lies outside the window")
+        total, sides = bond(a.tile, tuple(map(get, row)))
+        if total < temperature:
+            raise ValueError(
+                f"stage {a.stage}: {a.tile!r} at {a.location} binds with strength "
+                f"{total} < temperature {temperature}"
+            )
+        if total > temperature and overbound is None:
+            overbound = DeterminismReport(
                 False, 1, (a.location, a.tile),
                 f"{a.tile!r} at {a.location} bound with strength "
-                f"{in_strength[a.location]} != temperature {system.temperature}",
+                f"{total} != temperature {temperature}",
             )
+        cells[a.location] = a.tile
+        input_sides[a.location] = sides
+    if overbound is not None:
+        return overbound
 
-    get = cells.get
     grown = input_sides.get
-    row_of = neighbor_reader(seq.window)
     # (tile, neighbour names, neighbour input sides) -> rival name or None
     rivals: dict = {}
     for a in seq.additions:
@@ -254,7 +246,7 @@ def check_local_determinism(seq: AssemblySequence) -> DeterminismReport:
     # a full window has no empty cell, so no frontier
     if seq.window is None or len(cells) < seq.window.size:
         leftover = attachments(Configuration(cells, seq.window, system.k), tiles,
-                               system.temperature)
+                               temperature)
         if leftover:
             v = sorted(leftover)[0]
             return DeterminismReport(False, 3, (v, leftover[v]),

@@ -1,9 +1,11 @@
 """File formats: model definition documents, traces, snapshots, reports.
 
 Model files are strict JSON -- unknown keys are rejected at every level, so
-a typo fails loudly instead of silently changing a run.  Every CLI artifact
-carries the master seed and the model's content hash (sha256 over the
-canonical JSON encoding), which together reproduce any run byte for byte.
+a typo fails loudly instead of silently changing a run.  The CLI writes
+artifacts only under --out.  Of them result.json, results.json,
+fidelity.json and the trace.txt header carry the master seed and the
+model's content hash (sha256 over the canonical JSON encoding), which
+together reproduce any run byte for byte.
 
 The coloring.json artifact is written by `coloring_text`, whose bytes are
 those of ``json.dumps(coloring_document(...), indent=2)``: one `%` format

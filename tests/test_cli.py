@@ -60,6 +60,47 @@ def test_assemble_end_to_end(tmp_path, capsys):
     assert snapshot.splitlines()[-1].startswith("12121212")
 
 
+#: the text builders of `assemble` and `meshsim` artifacts and snapshots
+SURFACE_BUILDERS = ("assembly_trace_text", "mesh_trace_text", "coloring_text",
+                    "ascii_snapshot")
+
+
+@pytest.mark.parametrize("argv, written", [
+    (["assemble", "--model", TSTAR, "--size", "8", "--check-coloring",
+      "--check-determinism"], ("assembly_trace_text", "coloring_text")),
+    (["assemble", "--model", TSTAR, "--size", "8"], ("assembly_trace_text",)),
+    (["meshsim", "--model", LOCAL, "--size", "6", "--rounds", "3"],
+     ("mesh_trace_text", "coloring_text")),
+])
+def test_surface_commands_build_only_what_they_write_or_print(tmp_path, capsys, monkeypatch,
+                                                              argv, written):
+    calls = dict.fromkeys(SURFACE_BUILDERS, 0)
+
+    def counted(name, build):
+        def wrapper(*args):
+            calls[name] += 1
+            return build(*args)
+        return wrapper
+
+    for name in SURFACE_BUILDERS:
+        monkeypatch.setattr(nucleate.formats, name, counted(name, getattr(nucleate.formats, name)))
+
+    def run(*extra):
+        calls.update(dict.fromkeys(calls, 0))
+        assert main(argv + ["--seed", "2", *extra]) == 0
+        built = {name for name, n in calls.items() if n}
+        assert all(calls[name] == 1 for name in built), calls
+        return capsys.readouterr().out, built
+
+    for fmt, printed in (("ascii", {"ascii_snapshot"}), ("json", set())):
+        out, built = run("--format", fmt)
+        assert built == printed
+        out_dir = tmp_path / fmt
+        assert run("--format", fmt, "--out", str(out_dir)) == (
+            out, {"ascii_snapshot", *written})
+        assert (out_dir / "coloring.json").exists() == ("coloring_text" in written)
+
+
 #: sha256 of trace.txt per seed and of determinism.json (the same passing
 #: report for every seed) from `assemble` on tstar 32x32, as the engine wrote
 #: them before its pair list became incremental; existing seeds must keep

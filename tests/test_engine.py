@@ -8,6 +8,7 @@ from scipy import stats
 from nucleate.engine import (
     Addition,
     AssemblySequence,
+    DeterminismReport,
     check_local_determinism,
     run,
     step,
@@ -223,6 +224,21 @@ def test_local_determinism_fails_on_overbinding():
     assert not report.passed
     assert report.failed_condition == 1
     assert report.witness == ((1, 0), "t")
+    # at tau 1 with one glue everywhere, (0, 1) and then (-1, 1) bind on
+    # two sides: the report names the first; and an addition bound below
+    # tau still refuses the sequence after an over-bound one
+    g = ("g", 1)
+    flat = TileAssemblySystem({name: tile(name, 1, g, g, g, g) for name in "St"},
+                              Configuration({(0, 0): "S"}), 1)
+    order = [(1, 0), (1, 1), (0, 1), (-1, 0), (-1, 1)]
+    over = AssemblySequence(flat, None, tuple(
+        Addition(stage, v, "t") for stage, v in enumerate(order, 1)))
+    assert check_local_determinism(over) == DeterminismReport(
+        False, 1, ((0, 1), "t"), "'t' at (0, 1) bound with strength 2 != temperature 1")
+    under = AssemblySequence(flat, None, over.additions[:3] + (Addition(4, (5, 5), "t"),))
+    with pytest.raises(ValueError, match=r"^stage 4: 't' at \(5, 5\) binds with strength 0 "
+                                         r"< temperature 1$"):
+        check_local_determinism(under)
 
 
 def test_local_determinism_flags_nonterminal_result():

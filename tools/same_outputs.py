@@ -12,7 +12,8 @@ use the same work directory path, so a path an output records does not
 differ between them.  The workloads file is only imported, never edited.
 
 The fixed calls of ``EXTRA_CALLS``, defined here, then run and are hashed
-the same way, for each seed: they reach writer inputs the workloads miss.
+the same way, for each seed: they reach writer inputs the workloads miss,
+and what assemble and meshsim print when no --out is given.
 
 Prints one line per (workload or extra call, seed) with both digests and
 ``same``, ``DIFFERS`` or, when either CLI call exits non-zero, ``FAILED``;
@@ -63,17 +64,23 @@ sys.exit(code)
 #: paths are relative to the tree; "{out}" is the work directory's out/ and
 #: "{seed}" the seed.  They cover writer inputs the workloads miss: a
 #: partial 2-D colouring (meshsim), a `check` of that file, and tstar
-#: grown on windows of one and four cells.
+#: grown on windows of one and four cells; and the standard output of
+#: meshsim and assemble without --out, in both formats.
 PARTIAL_2D = ["meshsim", "--model", "src/nucleate/data/checkerboard_local.json",
-              "--size", "16", "--rounds", "5", "--seed", "{seed}", "--out", "{out}"]
+              "--size", "16", "--rounds", "5", "--seed", "{seed}"]
 TSTAR = ["assemble", "--model", "src/nucleate/data/tstar.json", "--check-coloring",
-         "--check-determinism", "--seed", "{seed}", "--out", "{out}"]
+         "--check-determinism", "--seed", "{seed}"]
+OUT = ["--out", "{out}"]
 EXTRA_CALLS = {
-    "meshsim-2d-16": [PARTIAL_2D],
-    "check-2d-16": [PARTIAL_2D, ["check", "--coloring", "{out}/coloring.json",
-                                 "--out", "{out}/check"]],
-    "assemble-1": [TSTAR + ["--size", "1"]],
-    "assemble-2": [TSTAR + ["--size", "2"]],
+    "meshsim-2d-16": [PARTIAL_2D + OUT],
+    "check-2d-16": [PARTIAL_2D + OUT, ["check", "--coloring", "{out}/coloring.json",
+                                       "--out", "{out}/check"]],
+    "assemble-1": [TSTAR + OUT + ["--size", "1"]],
+    "assemble-2": [TSTAR + OUT + ["--size", "2"]],
+    "meshsim-print": [PARTIAL_2D],
+    "meshsim-json": [PARTIAL_2D + ["--format", "json"]],
+    "assemble-print": [TSTAR + ["--size", "16"]],
+    "assemble-json": [TSTAR + ["--size", "16", "--format", "json"]],
 }
 
 
@@ -86,7 +93,6 @@ def parse_seeds(text: str) -> list[int]:
 
 def _child(tree: Path, *args: str) -> subprocess.CompletedProcess:
     env = dict(os.environ, PYTHONPATH=str(tree / "src"))
-    env.pop("NUCLEATE_THREADS", None)  # one thread, as the benchmark runs it
     return subprocess.run([sys.executable, "-c", CHILD, str(tree), *args], cwd=tree,
                           env=env, capture_output=True, text=True)
 
