@@ -153,7 +153,10 @@ def cmd_assemble(args) -> int:
 def cmd_meshsim(args) -> int:
     model, doc = formats.load_agent_model(args.model)
     _check_ppm(args, model.k)
-    net = MeshNetwork(model, args.size, master_seed=args.seed)
+    # only trace.txt reads the trace, so a run without --out records none
+    # (and its rounds need not sort their targets)
+    net = MeshNetwork(model, args.size, master_seed=args.seed,
+                      record_trace=args.out is not None)
     net.init_round0()
     events = net.run(args.rounds)
     coloring = net.coloring()

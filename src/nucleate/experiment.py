@@ -103,12 +103,16 @@ def _run_trial(model: AgentModel, size: int, seed: int,
                rounds: int) -> tuple[bool, Optional[int]]:
     net = MeshNetwork(model, size, master_seed=seed, record_trace=False)
     net.init_round0()
-    first_valid = 0 if surface_success(net) else None
+    valid = surface_success(net)
+    first_valid = 0 if valid else None
     for r in range(1, rounds + 1):
         net.run_round()
-        if first_valid is None and surface_success(net):
-            first_valid = r
-    return surface_success(net), first_valid
+        if first_valid is None:
+            valid = surface_success(net)
+            first_valid = r if valid else None
+    if first_valid is not None and first_valid < rounds:
+        valid = surface_success(net)  # rounds after the first valid one ran
+    return valid, first_valid
 
 
 def run_experiment(spec: ExperimentSpec, model_hash: str = "") -> ExperimentResult:

@@ -16,7 +16,9 @@ which checks every rule output against the model's declared bounds; the
 network builds no pairs itself.
 Per-processor randomness is derived from (master seed, coordinates, round),
 and each update reads only its own inputs and state, so a round's outcome
-does not depend on the order in which processors are evaluated.
+does not depend on the order in which processors are evaluated.  A round
+therefore sorts its targets only when a trace or ids record that order,
+and otherwise walks them as gathered (see `run_round`).
 
 A processor hears its neighbors through post ids.  The law interns every
 posted pairs tuple to a small int (`TransitionLaw.post_id`), the network
@@ -237,7 +239,19 @@ class MeshNetwork:
         keep their state and posts and draw nothing.  Each evaluated
         processor reads its neighbors' post ids before any of them is
         updated.  An occupant's law offers only itself or EMPTY, so a
-        processor that changes state either enters or detaches."""
+        processor that changes state either enters or detaches.
+
+        The targets are sorted only when the order is recorded: with a
+        trace, or under use_ids (ids are numbered in sorted location order
+        within a round).  Otherwise they are walked as gathered: an update
+        reads only its own pre-gathered key and state, and a draw depends
+        on (seed, v, r), never on the position in the loop.  Only the
+        insertion order of `states` and `post_ids` then differs, and every
+        reader that shows an order canonicalizes it: the colouring check
+        and `formats.coloring_text` go through `lattice.sorted_vertices`,
+        `formats.ascii_snapshot` walks the grid, and fidelity compares
+        frozensets.  A rule that raises mid-round may raise at a different
+        cell."""
         if not self._started:
             raise ValueError("call init_round0 first")
         self.round += 1
@@ -257,7 +271,8 @@ class MeshNetwork:
             targets.discard(None)
             if inert:
                 targets = [v for v in targets if states.get(v) not in inert]
-            targets = sorted(targets)
+            if self.trace is not None or self.model.use_ids:
+                targets = sorted(targets)
             read = post_ids.get
             keys = [tuple(map(read, rows[v])) for v in targets]
 

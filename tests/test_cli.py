@@ -18,6 +18,7 @@ from nucleate.formats import (
     tile_system_document,
 )
 from nucleate.experiment import parse_experiment_csv
+from nucleate.meshnet import TraceEvent
 from nucleate.systems import nucleation_family, shipped_model_path
 from nucleate.tiles import Configuration, TileAssemblySystem, tile
 
@@ -84,9 +85,14 @@ def test_surface_commands_build_only_what_they_write_or_print(tmp_path, capsys, 
 
     for name in SURFACE_BUILDERS:
         monkeypatch.setattr(nucleate.formats, name, counted(name, getattr(nucleate.formats, name)))
+    # meshsim records a trace event only when trace.txt is written
+    events = []
+    monkeypatch.setattr(nucleate.meshnet, "TraceEvent",
+                        lambda *fields: events.append(fields) or TraceEvent(*fields))
 
     def run(*extra):
         calls.update(dict.fromkeys(calls, 0))
+        events.clear()
         assert main(argv + ["--seed", "2", *extra]) == 0
         built = {name for name, n in calls.items() if n}
         assert all(calls[name] == 1 for name in built), calls
@@ -95,9 +101,11 @@ def test_surface_commands_build_only_what_they_write_or_print(tmp_path, capsys, 
     for fmt, printed in (("ascii", {"ascii_snapshot"}), ("json", set())):
         out, built = run("--format", fmt)
         assert built == printed
+        assert events == []
         out_dir = tmp_path / fmt
         assert run("--format", fmt, "--out", str(out_dir)) == (
             out, {"ascii_snapshot", *written})
+        assert bool(events) == ("mesh_trace_text" in written)
         assert (out_dir / "coloring.json").exists() == ("coloring_text" in written)
 
 

@@ -66,6 +66,28 @@ def test_no_nucleation_and_no_seed_never_succeeds():
     assert all(o.mean_rounds_to_valid is None for o in result.outcomes)
 
 
+def test_trial_checks_each_final_surface_once(monkeypatch):
+    # a trial keeps the verdict of the last surface it checked, and checks
+    # the final surface again only when rounds ran after the first valid one
+    import nucleate.experiment as experiment
+
+    checked = []
+    check = experiment.surface_success
+    monkeypatch.setattr(experiment, "surface_success",
+                        lambda net: checked.append(net.round) or check(net))
+    never = nucleation_family(0.0, "checkerboard-local").system
+    always = nucleation_family(1.0, "checkerboard-local").system
+    for model, rounds, result, seen in (
+            (never, 5, (False, None), [0, 1, 2, 3, 4, 5]),
+            (never, 0, (False, None), [0]),
+            (always, 0, (True, 0), [0]),
+            (always, 3, (True, 0), [0, 3])):
+        checked.clear()
+        size = 4 if model is never else 1
+        assert experiment._run_trial(model, size, 3, rounds) == result
+        assert checked == seen, (rounds, result)
+
+
 def test_rounds_to_valid_tracked():
     model = nucleation_family(1.0, "checkerboard-local").system
     spec = ExperimentSpec(model, (1,), 3, 5, master_seed=1)

@@ -632,7 +632,8 @@ def test_static_rounds_match_silent_twins_on_random_models():
     # every type runs the do-nothing `silence` rule, so that none of their
     # occupants is inert.  Round by round the two must agree on states,
     # trace, ids, posts and input buffers, though the static side
-    # re-evaluates fewer processors.
+    # re-evaluates fewer processors.  An untraced copy of the static side,
+    # which walks its targets unsorted unless ids are on, must agree too.
     import random
     from dataclasses import replace
 
@@ -665,8 +666,9 @@ def test_static_rounds_match_silent_twins_on_random_models():
         master = rng.getrandbits(64)
         fast = MeshNetwork(static_model, side, master_seed=master)
         slow = MeshNetwork(twin, side, master_seed=master)
-        fast.init_round0()
-        slow.init_round0()
+        untraced = MeshNetwork(static_model, side, master_seed=master, record_trace=False)
+        for net in (fast, slow, untraced):
+            net.init_round0()
         assert _is_static(static_model) and not _is_static(twin)
         table = neighbor_table(fast.mesh)
         probe = AccessProbe()
@@ -675,6 +677,8 @@ def test_static_rounds_match_silent_twins_on_random_models():
             evaluated = len(_next_evaluated(fast))
             fast.run_round(probe=probe)
             slow.run_round()
+            untraced.run_round()
+            _assert_same_rounds(untraced, fast, (trial, r))
             assert fast.states == slow.states, (trial, r)
             assert fast.trace == slow.trace, (trial, r)
             assert fast.ids == slow.ids, (trial, r)
@@ -692,28 +696,43 @@ def test_static_rounds_match_silent_twins_on_random_models():
     assert all(seen.values()), seen
 
 
+def _assert_same_rounds(untraced: MeshNetwork, traced: MeshNetwork, where) -> None:
+    """An untraced network agrees with its traced twin on states, ids,
+    posts and delivered inputs."""
+    assert untraced.trace is None
+    assert untraced.states == traced.states, where
+    assert untraced.ids == traced.ids, where
+    assert untraced.outputs == traced.outputs, where
+    assert dict(untraced.inputs) == dict(traced.inputs), where
+
+
 def _match_evaluate_everyone_oracle(model, side: int, master: int, seen: dict,
                                     tag) -> MeshNetwork:
     """Run `model` for 12 rounds on the event-driven mesh and on the oracle
     that delivers to, and samples, every processor hearing a pair; round by
     round the two must agree on states, trace, ids, posts and delivered
-    inputs.  A processor's own view is read for the processors that heard
-    no pair each round, and for every processor in the last round.  Counts
-    in `seen` the rounds where the mesh skipped a processor the oracle
-    evaluated, and those that left an unforced cell pending.  Returns the
-    event-driven network."""
+    inputs, and an untraced copy of the mesh, which walks its targets
+    unsorted unless ids are on, must agree with it.  A processor's own
+    view is read for the processors that heard no pair each round, and
+    for every processor in the last round.  Counts in `seen` the rounds
+    where the mesh skipped a processor the oracle evaluated, and those
+    that left an unforced cell pending.  Returns the event-driven
+    network."""
     from support import EvaluateEveryoneNetwork
 
     fast = MeshNetwork(model, side, master_seed=master)
     oracle = EvaluateEveryoneNetwork(model, side, master_seed=master)
-    fast.init_round0()
-    oracle.init_round0()
+    untraced = MeshNetwork(model, side, master_seed=master, record_trace=False)
+    for net in (fast, oracle, untraced):
+        net.init_round0()
     probe = AccessProbe()
     silent = (None,) * model.d
     for r in range(1, 13):
         evaluated = len(_next_evaluated(fast))
         fast.run_round(probe=probe)
         oracle.run_round()
+        untraced.run_round()
+        _assert_same_rounds(untraced, fast, (tag, r))
         assert fast.states == oracle.states, (tag, r)
         assert fast.trace == oracle.trace, (tag, r)
         assert fast.ids == oracle.ids, (tag, r)

@@ -64,13 +64,16 @@ sys.exit(code)
 #: paths are relative to the tree; "{out}" is the work directory's out/ and
 #: "{seed}" the seed.  They cover writer inputs the workloads miss: a
 #: partial 2-D colouring (meshsim), a `check` of that file, and tstar
-#: grown on windows of one and four cells; and the standard output of
-#: meshsim and assemble without --out, in both formats.
+#: grown on windows of one and four cells; the standard output of
+#: meshsim and assemble without --out, in both formats; and that of an
+#: untraced meshsim run in the general regime (fidelity2 detaches).
 PARTIAL_2D = ["meshsim", "--model", "src/nucleate/data/checkerboard_local.json",
               "--size", "16", "--rounds", "5", "--seed", "{seed}"]
 TSTAR = ["assemble", "--model", "src/nucleate/data/tstar.json", "--check-coloring",
          "--check-determinism", "--seed", "{seed}"]
 OUT = ["--out", "{out}"]
+GENERAL_2D = ["meshsim", "--model", "src/nucleate/data/fidelity2.json",
+              "--size", "16", "--rounds", "12", "--seed", "{seed}"]
 EXTRA_CALLS = {
     "meshsim-2d-16": [PARTIAL_2D + OUT],
     "check-2d-16": [PARTIAL_2D + OUT, ["check", "--coloring", "{out}/coloring.json",
@@ -81,6 +84,7 @@ EXTRA_CALLS = {
     "meshsim-json": [PARTIAL_2D + ["--format", "json"]],
     "assemble-print": [TSTAR + ["--size", "16"]],
     "assemble-json": [TSTAR + ["--size", "16", "--format", "json"]],
+    "meshsim-general-json": [GENERAL_2D + ["--format", "json"]],
 }
 
 
@@ -148,7 +152,7 @@ def main(argv=None) -> int:
                 verdict = ("FAILED" if code_a or code_b
                            else "same" if a == b else "DIFFERS")
                 bad += verdict != "same"
-                print(f"{name:<14} seed {seed:<4} {a[:16]} {b[:16]} {verdict}",
+                print(f"{name:<20} seed {seed:<4} {a[:16]} {b[:16]} {verdict}",
                       flush=True)
     return 1 if bad else 0
 
