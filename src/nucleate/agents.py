@@ -116,10 +116,6 @@ class AgentType:
             raise ValueError(f"agent {self.name!r} color must be >= 1")
 
     @property
-    def k(self) -> int:
-        return len(self.glues) // 2
-
-    @property
     def d(self) -> int:
         return len(self.glues)
 
@@ -602,14 +598,6 @@ def initial_state(model: AgentModel, window: Mesh) -> SurfaceState:
     ids = {v: i for i, v in enumerate(sorted(occupancy))} if model.use_ids else {}
     return SurfaceState(occupancy, window, _round0_posts(model, occupancy, ids), ids,
                         stage=0, next_id=len(ids))
-
-
-def surface_inputs(state: SurfaceState, model: AgentModel, v: Point):
-    """(glues, messages) seen by location v: per canonical direction, the
-    facing glue label and outgoing message of the occupied neighbor, or
-    None for empty and off-window directions."""
-    row = model.law.plan(state.window.side).rows[v]
-    return _inputs(state.occupancy, state.out_messages, model.types, row)
 
 
 def _inputs(occupancy: Mapping, out_messages: Mapping, types: Mapping, row: tuple):

@@ -198,7 +198,10 @@ def exact_round_law(model: AgentModel, side: int) -> dict:
     This is an independent evaluation path: it recomputes candidate sets
     and kinetics arithmetic from the model definition rather than calling
     the shared transition-law object.  Locations with no occupied neighbor
-    idle, mirroring the no-message branches of the round loop.
+    idle, mirroring the no-message branches of the round loop.  An
+    occupant's detach intent reads the messages its seeded neighbors
+    posted in round 0: each neighbor's rule hears silent inputs, with its
+    index in sorted seed order as its id under use_ids.
     """
     if model.pi_nu != 0:
         raise ValueError("exact one-round law needs a deterministic start; set pi_nu = 0")
@@ -206,18 +209,27 @@ def exact_round_law(model: AgentModel, side: int) -> dict:
     dirs = directions(model.k)
     kin = model.kinetics
     occupied = dict(model.seed)
+    silent = (None,) * model.d
+    seed_ids = {w: i for i, w in enumerate(sorted(occupied))} if model.use_ids else {}
+    posted = {w: message_rule(model.types[name].rule)(name, silent, silent,
+                                                      seed_ids.get(w)).messages
+              for w, name in occupied.items() if model.types[name].rule is not None}
     law: dict = {}
     for v in mesh.vertices():
         facing = []
+        heard = []
         has_neighbor = False
         for d in dirs:
             w = add(v, d.vector)
             occ = occupied.get(w) if mesh.contains(w) else None
             if occ is None:
                 facing.append(None)
+                heard.append(None)
             else:
                 has_neighbor = True
-                facing.append(model.types[occ].glues[OPPOSITE[d.index]])
+                j = OPPOSITE[d.index]
+                facing.append(model.types[occ].glues[j])
+                heard.append(posted[w][j] if w in posted else None)
         current = occupied.get(v)
         if not has_neighbor:
             law[v] = {current: 1.0}
@@ -248,8 +260,8 @@ def exact_round_law(model: AgentModel, side: int) -> dict:
             total = sum(model.rules.bond(t.glues[i], g) for i, g in enumerate(facing))
             intent = False
             if t.rule is not None:
-                intent = message_rule(t.rule)(current, tuple(facing),
-                                              (None,) * model.d, None).detach
+                intent = message_rule(t.rule)(current, tuple(facing), tuple(heard),
+                                              None).detach
             # detachment at p_off = 0 never happens: the law stays forced
             if kin.detach and kin.p_off > 0 and (total < model.temperature or intent):
                 law[v] = {current: 1.0 - kin.p_off, None: kin.p_off}

@@ -383,7 +383,9 @@ def lint_document(source: Union[str, Path, dict], strict: bool = False) -> list[
 
 
 def color_char(color: Optional[int]) -> str:
-    """One character per color; '.' marks an empty (or unset) cell."""
+    """The character of one color: '1'-'9' for colors 1-9, then letters
+    that repeat every 26 colors ('a' for 10, 36, 62, ...), so colors past
+    35 share characters; '.' marks an empty (or unset) cell."""
     if color is None:
         return "."
     if 1 <= color <= 9:
@@ -393,7 +395,8 @@ def color_char(color: Optional[int]) -> str:
 
 def ascii_snapshot(colors: Mapping[Point, int], window: Mesh) -> str:
     """Character grid of a colored surface; for k=3, one z-layer per block.
-    Each distinct color goes through `color_char` once."""
+    Each distinct color goes through `color_char` once, so two colors 26
+    apart past 9 print the same character."""
     n = window.side
     char = {color: color_char(color) for color in {None, *colors.values()}}
     get = colors.get

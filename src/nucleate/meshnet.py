@@ -5,7 +5,10 @@ and d output buffers (each one <glue, message> pair or empty), a COLOR
 variable, and a local state that is either an agent type or EMPTY.  Rounds
 are synchronized and two-phase: messages posted in round r-1 are delivered
 at the start of round r, then every processor computes against that
-snapshot, so no partial-round interleaving is representable.
+snapshot, so no partial-round interleaving is representable.  Each
+register is read in one place: the states in `states`, the input buffers
+in `inputs`, the output buffers in `outputs` and the colors in
+`coloring()`.
 
 Processors that hear nothing do nothing: an EMPTY processor stays EMPTY and
 an occupied one keeps re-posting its pairs.  Everything else samples the
@@ -23,18 +26,17 @@ and otherwise walks them as gathered (see `run_round`).
 A processor hears its neighbors through post ids.  The law interns every
 posted pairs tuple to a small int (`TransitionLaw.post_id`), the network
 keeps only each occupant's post id (`post_ids`; its output buffers,
-`outputs` and `processor(v).outputs`, are read from it through
-`TransitionLaw.pairs_of`), and `neighbor_rows` lists each processor's 2k
-neighbors in canonical direction order (None off the mesh) as the
-window's own vertex tuples.  A round first reads every evaluated
-processor's key, the tuple of post ids along its row, before any update;
-its law entry and its id-free post id are then memo hits keyed by that key
-(`TransitionLaw.step`, `keyed_post`).  The model dynamics
-(`agents.model_step`) read the same rows but keep their own delivery,
-from occupant glues and posts rather than post ids, so the two codings
-check each other; their step plan (`agents.stepper`) delivers once per
-start state, and fidelity builds that plan once for all its model
-samples.
+`outputs`, are read from it through `TransitionLaw.pairs_of`), and
+`neighbor_rows` lists each processor's 2k neighbors in canonical
+direction order (None off the mesh) as the window's own vertex tuples.
+A round first reads every evaluated processor's key, the tuple of post
+ids along its row, before any update; its law entry and its id-free post
+id are then memo hits keyed by that key (`TransitionLaw.step`,
+`keyed_post`).  The model dynamics (`agents.model_step`) read the same
+rows but keep their own delivery, from occupant glues and posts rather
+than post ids, so the two codings check each other; their step plan
+(`agents.stepper`) delivers once per start state, and fidelity builds
+that plan once for all its model samples.
 
 Every network of one model on one side reads one plan
 (`TransitionLaw.plan`, kept on the model's law `AgentModel.law`): the mesh,
@@ -63,14 +65,13 @@ detach) can neither detach nor change its posts, so it is never evaluated,
 nor kept pending once it enters: a round reads each cell's type from
 `states` and drops the inert ones from its targets and its pending set.
 A processor's input buffers (`inputs`, a live `InputBuffers` view of the
-network, and `processor(v).inputs`) are read from the post ids as they
-stood at the start of the last round, whether or not that round
-evaluated it.  Looking up one processor reads its row of 2k neighbors
-only; the view's `len` and iteration scan every poster.
+network) are read from the post ids as they stood at the start of the
+last round, whether or not that round evaluated it.  Looking up one
+processor reads its row of 2k neighbors only; the view's `len` and
+iteration scan every poster.
 """
 
 from collections.abc import Mapping
-from dataclasses import dataclass
 from itertools import chain
 from typing import NamedTuple, Optional
 
@@ -91,17 +92,6 @@ class TraceEvent(NamedTuple):
     coordinates: Point
     old: Optional[str]
     new: Optional[str]
-
-
-@dataclass(frozen=True)
-class ProcessorView:
-    """Snapshot of one processor's buffers and registers."""
-
-    coordinates: Point
-    state: Optional[str]  # agent type name, or None for EMPTY
-    color: Optional[int]
-    inputs: tuple
-    outputs: tuple
 
 
 class InputBuffers(Mapping):
@@ -336,19 +326,6 @@ class MeshNetwork:
         """Live view: v -> v's input buffers as the last round delivered
         them."""
         return InputBuffers(self)
-
-    def processor(self, v: Point) -> ProcessorView:
-        self.mesh.require(v)
-        silent = (None,) * self.model.d
-        state = self.states.get(v)
-        pid = self.post_ids.get(v)
-        return ProcessorView(
-            coordinates=v,
-            state=state,
-            color=None if state is None else self.model.types[state].color,
-            inputs=self.inputs.get(v, silent),
-            outputs=silent if pid is None else self.law.pairs_of[pid],
-        )
 
     def coloring(self) -> Coloring:
         """The simulated surface as a coloring: each occupant's type color."""

@@ -312,11 +312,48 @@ def reachable_by_engine(system, window) -> set:
     return seen
 
 
+def heard_inputs(model, table, v, occupancy, posts=None):
+    """(glues, messages) that v hears from `occupancy` (location -> type
+    name) and `posts` (location -> per-side messages; none by default),
+    read off v's `neighbor_table` row: on side i, what the occupant there
+    shows on its side j.  None when v has no occupied neighbor, so it
+    idles."""
+    glues = [None] * model.d
+    msgs = [None] * model.d
+    heard = False
+    for i, w, j in table[v]:
+        name = occupancy.get(w)
+        if name is not None:
+            heard = True
+            glues[i] = model.types[name].glues[j]
+            if posts and posts.get(w):
+                msgs[i] = posts[w][j]
+    return (tuple(glues), tuple(msgs)) if heard else None
+
+
+def graph_distances(table, sources) -> dict:
+    """Multi-source BFS over `neighbor_table` rows: vertex -> its graph
+    distance to the nearest of `sources`.  Vertices no source reaches
+    (every vertex, when there is no source) are absent."""
+    dist = dict.fromkeys(sources, 0)
+    frontier = list(dist)
+    while frontier:
+        nxt = []
+        for v in frontier:
+            for _, w, _ in table[v]:
+                if w not in dist:
+                    dist[w] = dist[v] + 1
+                    nxt.append(w)
+        frontier = nxt
+    return dist
+
+
 def synchronous_reachable(model, window, max_states: int = 100_000) -> set:
     """Every occupancy reachable by whole synchronous rounds: successors of
     a state are all combinations of per-cell outcomes with positive
-    probability (cells without an occupied neighbor idle)."""
-    from nucleate.agents import SurfaceState, TransitionLaw, surface_inputs, neighbor_table
+    probability (cells without an occupied neighbor idle).  No occupant
+    posts a message."""
+    from nucleate.agents import TransitionLaw
 
     law = TransitionLaw(model)
     table = neighbor_table(window)
@@ -326,13 +363,12 @@ def synchronous_reachable(model, window, max_states: int = 100_000) -> set:
     while pending:
         key = pending.pop()
         occupancy = dict(key)
-        state = SurfaceState(occupancy, window)
         active = []
         for v in window.vertices():
-            if not any(w in occupancy for _, w, _ in table[v]):
+            heard = heard_inputs(model, table, v, occupancy)
+            if heard is None:
                 continue
-            glues, msgs = surface_inputs(state, model, v)
-            outcomes = [t for t, p in law.distribution(occupancy.get(v), glues, msgs).items()
+            outcomes = [t for t, p in law.distribution(occupancy.get(v), *heard).items()
                         if p > 0]
             active.append((v, outcomes))
         for combo in itertools.product(*(outs for _, outs in active)):
@@ -355,7 +391,7 @@ def reachable_by_sequential_model(model, window) -> set:
     """Every occupancy reachable with positive probability by single-cell
     attachments of an irreversible, error-free model, one at a time as the
     tile engine grows (BFS)."""
-    from nucleate.agents import SurfaceState, TransitionLaw, neighbor_table, surface_inputs
+    from nucleate.agents import TransitionLaw
 
     law = TransitionLaw(model)
     table = neighbor_table(window)
@@ -364,12 +400,11 @@ def reachable_by_sequential_model(model, window) -> set:
     stack = [dict(start)]
     while stack:
         occupancy = stack.pop()
-        state = SurfaceState(occupancy, window)
         for v in window.vertices():
-            if v in occupancy or not any(w in occupancy for _, w, _ in table[v]):
+            heard = None if v in occupancy else heard_inputs(model, table, v, occupancy)
+            if heard is None:
                 continue
-            glues, _ = surface_inputs(state, model, v)
-            for name in law.candidates(glues):
+            for name in law.candidates(heard[0]):
                 nxt = dict(occupancy)
                 nxt[v] = name
                 key = tuple(sorted(nxt.items()))
@@ -386,10 +421,10 @@ class EvaluateEveryoneNetwork(MeshNetwork):
     and the draw), unless it is an occupant that can neither detach nor
     change its posts.  The oracle for the event-driven round, which must
     match it round for round.  It keeps its own posts as pairs in `pairs`,
-    and `delivered` holds the input buffers of the last round.  After each round it rebuilds `post_ids` from `pairs`, and
-    `_posted` from every poster's post id at the start of the round, so
-    the inherited views (`inputs`, `outputs`, `processor`) show its
-    rounds."""
+    and `delivered` holds the input buffers of the last round.  After each
+    round it rebuilds `post_ids` from `pairs`, and `_posted` from every
+    poster's post id at the start of the round, so the inherited views
+    (`inputs`, `outputs`) show its rounds."""
 
     def init_round0(self):
         super().init_round0()

@@ -1,5 +1,7 @@
+import itertools
 import math
 import random
+from collections import Counter
 from dataclasses import replace
 
 import pytest
@@ -21,15 +23,17 @@ from nucleate.agents import (
     pick,
     register_rule,
     stepper,
-    surface_inputs,
     validate_model,
 )
+from nucleate.coloring import Coloring, check_weak_coloring
 from nucleate.engine import run
 from nucleate.lattice import OPPOSITE, Mesh, add, around, directions, neighbor_rows
+from nucleate.meshnet import MeshNetwork
 from nucleate.rng import derive_seed, window_keys
 from nucleate.systems import checkerboard_tileset
 from nucleate.tiles import attachments
 from support import (
+    heard_inputs,
     random_agent_model,
     random_law_input,
     reachable_by_engine,
@@ -490,10 +494,12 @@ def test_a_reused_step_equals_a_fresh_model_step():
         kinds.add((model.use_ids, model.kinetics.detach))
         # cells the plan leaves out: forced to keep a state that has no rule
         law = model.law
-        active = {w for v in state.occupancy for _, w, _ in neighbor_table(state.window)[v]}
+        table = neighbor_table(state.window)
+        active = {w for v in state.occupancy for _, w, _ in table[v]}
         for v in active:
             old = state.occupancy.get(v)
-            new, cdf = law.lookup(old, *surface_inputs(state, model, v))
+            new, cdf = law.lookup(old, *heard_inputs(model, table, v, state.occupancy,
+                                                     state.out_messages))
             dropped += cdf is None and new == old and new not in law.ruled
     assert len(kinds) == 4, kinds  # ids on and off, detachment on and off
     assert dropped, "no start state had a cell the step plan leaves out"
@@ -537,6 +543,7 @@ def test_embedded_frontiers_match_tile_frontiers():
     model = embed_tile_system(system)
     law = TransitionLaw(model)
     window = Mesh(2, 4)
+    table = neighbor_table(window)
     rng = random.Random(17)
     for _ in range(100):
         budget = rng.randrange(0, window.size)
@@ -544,12 +551,12 @@ def test_embedded_frontiers_match_tile_frontiers():
                       max_stages=budget)
         cfg = partial.configuration
         tile_options = attachments(cfg, system.tiles, system.temperature)
-        state = SurfaceState(cfg.cells(), window)
+        cells = cfg.cells()
         for v in window.vertices():
             if v in cfg:
                 continue
-            glues, _ = surface_inputs(state, model, v)
-            agent_side = set(law.candidates(glues))
+            heard = heard_inputs(model, table, v, cells)
+            agent_side = set(law.candidates(heard[0])) if heard else set()
             tile_side = set(tile_options.get(v, ()))
             assert agent_side == tile_side, (v, agent_side, tile_side)
 
@@ -626,3 +633,67 @@ def test_kinetics_ranges():
         Kinetics(p_off=1.0)
     with pytest.raises(ValueError):
         Kinetics(epsilon=-0.1)
+
+
+def weak_local_model(k: int, seed=None) -> AgentModel:
+    """weak-local: checkerboard-local's two agents with c1-c2 at +1 and
+    same-colour bonds at 0, temperature 1, detaching at p_off 0.5.  An
+    occupant has bond total 0, and may detach, exactly when every
+    neighbour shares its colour."""
+    d = 2 * k
+    return AgentModel(
+        types={"dark": AgentType("dark", ("c1",) * d, color=1),
+               "light": AgentType("light", ("c2",) * d, color=2)},
+        rules=BindingRules({("c1", "c2"): 1, ("c1", "c1"): 0, ("c2", "c2"): 0}),
+        temperature=1,
+        seed=seed or {},
+        kinetics=Kinetics(lambda_on=1.0, detach=True, p_off=0.5),
+        k=k,
+    )
+
+
+@pytest.mark.parametrize("k, side, samples", [(2, 3, None), (2, 6, 300), (3, 4, 300)])
+def test_weak_local_absorbs_exactly_the_valid_weak_colourings(k, side, samples):
+    # on a full colouring, every occupant of weak-local is forced to stay
+    # iff the colouring is a valid weak colouring.  3x3 is checked on all
+    # 512 colourings; 6x6 and 4x4x4 on random ones, each a checkerboard
+    # with every cell flipped with probability q (q = 0.5 is uniform), so
+    # that both verdicts occur.
+    model = weak_local_model(k)
+    window = Mesh(k, side)
+    table = neighbor_table(window)
+    law = model.law
+    vertices = list(window.vertices())
+    names = ("dark", "light")
+    if samples is None:
+        fills = itertools.product(names, repeat=len(vertices))
+    else:
+        rng = random.Random(side)
+        flips = itertools.islice(itertools.cycle((0.5, 0.2, 0.05)), samples)
+        fills = ([names[(sum(v) + (rng.random() < q)) % 2] for v in vertices] for q in flips)
+    verdicts = Counter()
+    for fill in fills:
+        occupancy = dict(zip(vertices, fill))
+        colors = {v: model.types[name].color for v, name in occupancy.items()}
+        valid = check_weak_coloring(Coloring(colors, window, 2)).valid
+        stays = all(law.lookup(name, *heard_inputs(model, table, v, occupancy)) == (name, None)
+                    for v, name in occupancy.items())
+        assert valid == stays, occupancy
+        verdicts[valid] += 1
+    assert verdicts[True] and verdicts[False], verdicts
+
+
+def test_weak_local_lone_cell_is_exempt_but_unforced():
+    # the equivalence above needs side >= 2: a lone cell on 1x1 is exempt
+    # from the check, yet its law (no bond) is unforced; it hears nothing,
+    # so the mesh never evaluates it and it stays
+    model = weak_local_model(2, seed={(0, 0): "dark"})
+    window = Mesh(2, 1)
+    assert check_weak_coloring(Coloring({(0, 0): 1}, window, 2)).valid
+    assert heard_inputs(model, neighbor_table(window), (0, 0), model.seed) is None
+    silent = (None,) * 4
+    assert model.law.lookup("dark", silent, silent)[1] is not None
+    net = MeshNetwork(model, 1, master_seed=5)
+    net.init_round0()
+    net.run(4)
+    assert net.states == {(0, 0): "dark"}

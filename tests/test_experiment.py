@@ -257,3 +257,35 @@ def test_fidelity_sides_draw_from_disjoint_seeds():
     report = run_fidelity(fidelity_model().system, 3, 2000, master_seed=44)
     assert report.supports_equal
     assert report.tv_mesh_vs_model > 0
+
+
+@pytest.mark.parametrize("use_ids", [False, True])
+def test_exact_round_law_hears_the_seeds_round0_posts(use_ids):
+    # a plus of five tally seeds: the centre has four bonds, so it detaches
+    # only on intent, and tally asks to detach when it hears a "p".  In
+    # round 1 the centre hears its neighbours' round-0 posts: without ids
+    # each posts "p" (no glues heard); with ids 0, 1, 3 and 4 (sorted seed
+    # order) they post p, q, q, p.  Either way the centre may detach.
+    # Only the centre is random (lambda_on 1 fills the corners), so 4000
+    # samples put both distances to the exact law well under 0.05.
+    from nucleate.agents import AgentModel, AgentType, BindingRules, Kinetics
+    from support import tally_rule  # noqa: F401  (registers "tally")
+
+    plus = [(1, 1), (0, 1), (1, 0), (2, 1), (1, 2)]
+    model = AgentModel(
+        types={"a": AgentType("a", ("g",) * 4, color=1, rule="tally")},
+        rules=BindingRules({("g", "g"): 1}),
+        temperature=1,
+        seed=dict.fromkeys(plus, "a"),
+        kinetics=Kinetics(lambda_on=1.0, detach=True, p_off=0.5),
+        messages=("p", "q"),
+        use_ids=use_ids,
+    )
+    law = exact_round_law(model, 3)
+    assert law[(1, 1)] == {"a": 0.5, None: 0.5}
+    assert all(law[v] == {"a": 1.0} for v in plus[1:])
+    report = run_fidelity(model, 3, 4000, master_seed=1)
+    assert report.supports_equal and report.support_exact == 2
+    assert report.tv_mesh_vs_exact <= 0.05
+    assert report.tv_model_vs_exact <= 0.05
+    assert report.tv_mesh_vs_model <= 0.05

@@ -368,10 +368,9 @@ def test_ping_messages_are_relayed():
     net.init_round0()
     net.run_round()
     # (1,0) hears (0,0)'s posted pair on its west buffer: glue g, message p
-    view = net.processor((1, 0))
-    assert view.inputs[0] == ("g", "p")
-    assert view.outputs[0] == ("g", "p")
-    assert view.state == "t" and view.color == 1
+    assert net.inputs[(1, 0)][0] == ("g", "p")
+    assert net.outputs[(1, 0)][0] == ("g", "p")
+    assert net.states[(1, 0)] == "t" and net.coloring().assignment[(1, 0)] == 1
 
 
 @register_rule("loud")
@@ -443,13 +442,13 @@ def test_processor_views_track_anatomy():
     model = fidelity_model().system
     net = MeshNetwork(model, 3, master_seed=7)
     net.init_round0()
-    view = net.processor((0, 0))
-    assert view.state == "amber" and view.color == 1
-    assert len(view.inputs) == 4 and len(view.outputs) == 4
-    assert view.outputs[1] == ("g", None)  # posts its glue northward
-    empty = net.processor((2, 2))
-    assert empty.state is None and empty.color is None
-    assert empty.outputs == (None,) * 4
+    silent = (None,) * 4
+    assert net.states[(0, 0)] == "amber" and net.coloring().assignment[(0, 0)] == 1
+    assert net.inputs.get((0, 0), silent) == silent  # nothing delivered before round 1
+    assert len(net.outputs[(0, 0)]) == 4
+    assert net.outputs[(0, 0)][1] == ("g", None)  # posts its glue northward
+    assert net.states.get((2, 2)) is None and (2, 2) not in net.coloring().assignment
+    assert net.outputs.get((2, 2), silent) == silent
     # the posts are kept as post ids only; `outputs` is read from them
     law = net.law
     assert net.outputs == {v: law.pairs_of[pid] for v, pid in net.post_ids.items()}
@@ -460,8 +459,8 @@ def test_processor_views_track_anatomy():
 
 def test_processor_views_read_one_row_of_post_ids():
     # a lookup reads v's 2k neighbors' post ids, never the whole map: with
-    # every whole-map read of post_ids sealed, processor(v) and inputs[v]
-    # give what they gave before, for every vertex
+    # every whole-map read of post_ids sealed, inputs[v] gives what it
+    # gave before, for every vertex
     class Sealed(dict):
         def _sealed(self, *args):
             raise AssertionError("read the whole post_ids map")
@@ -474,11 +473,10 @@ def test_processor_views_read_one_row_of_post_ids():
 
     def views():
         inputs = net.inputs
-        return {v: (net.processor(v), inputs[v] if v in inputs else None)
-                for v in net.mesh.vertices()}
+        return {v: inputs[v] if v in inputs else None for v in net.mesh.vertices()}
 
     before = views()
-    assert sum(buffers is not None for _, buffers in before.values()) > 1
+    assert sum(buffers is not None for buffers in before.values()) > 1
     net.post_ids = Sealed(net.post_ids)
     assert views() == before
     with pytest.raises(KeyError):
@@ -620,9 +618,7 @@ def test_static_and_general_regimes_report_the_same_input_buffers():
         nets.append(net)
     static, general = nets
     assert len(static.states) == 9
-    for v in static.mesh.vertices():
-        assert static.processor(v).inputs == general.processor(v).inputs, v
-    assert static.processor((1, 1)).inputs == (("g", None),) * 4
+    assert static.inputs[(1, 1)] == (("g", None),) * 4
     assert static.inputs == general.inputs
     assert len(static.inputs) == 9
 
@@ -712,12 +708,12 @@ def _match_evaluate_everyone_oracle(model, side: int, master: int, seen: dict,
     that delivers to, and samples, every processor hearing a pair; round by
     round the two must agree on states, trace, ids, posts and delivered
     inputs, and an untraced copy of the mesh, which walks its targets
-    unsorted unless ids are on, must agree with it.  A processor's own
-    view is read for the processors that heard no pair each round, and
-    for every processor in the last round.  Counts in `seen` the rounds
-    where the mesh skipped a processor the oracle evaluated, and those
-    that left an unforced cell pending.  Returns the event-driven
-    network."""
+    unsorted unless ids are on, must agree with it.  The mesh's input
+    buffers are also looked up one processor at a time, for the
+    processors that heard no pair each round, and for every processor in
+    the last round.  Counts in `seen` the rounds where the mesh skipped a
+    processor the oracle evaluated, and those that left an unforced cell
+    pending.  Returns the event-driven network."""
     from support import EvaluateEveryoneNetwork
 
     fast = MeshNetwork(model, side, master_seed=master)
@@ -742,7 +738,7 @@ def _match_evaluate_everyone_oracle(model, side: int, master: int, seen: dict,
         # the comparison above covers every processor that heard a pair
         for v in fast.mesh.vertices():
             if r == 12 or v not in delivered:
-                assert fast.processor(v).inputs == delivered.get(v, silent), (tag, r, v)
+                assert fast.inputs.get(v, silent) == delivered.get(v, silent), (tag, r, v)
         seen["skipped"] += evaluated < len(oracle.delivered)
         seen["unforced"] += bool(fast._pending - set(fast._posted))
     assert probe.violations(fast.mesh) == []
@@ -765,8 +761,9 @@ def test_evaluate_everyone_views_show_its_rounds():
         oracle.run_round()
         assert dict(oracle.inputs) == oracle.delivered, r
         assert oracle.outputs == oracle.pairs, r
-        for v in fast.mesh.vertices():
-            assert oracle.processor(v) == fast.processor(v), (r, v)
+        assert oracle.states == fast.states, r
+        assert oracle.outputs == fast.outputs, r
+        assert dict(oracle.inputs) == dict(fast.inputs), r
 
 
 def test_general_rounds_match_evaluate_everyone_oracle():
@@ -903,11 +900,10 @@ def test_use_ids_rule_posts_per_id_messages():
     )
     net = MeshNetwork(model, 3, master_seed=0)
     net.init_round0()
-    assert net.processor((0, 0)).outputs == (("g", "e"),) * 4
-    assert net.processor((2, 2)).outputs == (("g", "o"),) * 4
+    assert net.outputs[(0, 0)] == (("g", "e"),) * 4
+    assert net.outputs[(2, 2)] == (("g", "o"),) * 4
     net.run_round()
-    for v, my_id in net.ids.items():
-        assert net.processor(v).outputs == (("g", "eo"[my_id % 2]),) * 4
+    assert net.outputs == {v: (("g", "eo"[my_id % 2]),) * 4 for v, my_id in net.ids.items()}
 
 
 def test_nucleation_is_local_to_each_cell():
@@ -1068,7 +1064,7 @@ def test_a_dropped_model_frees_its_law_and_plans():
     import weakref
     from dataclasses import replace
 
-    from nucleate.agents import surface_inputs, validate_model
+    from nucleate.agents import validate_model
 
     base = forced_growth_model(seed={(1, 1): "t"})
     ping = {"t": AgentType("t", ("g",) * 4, color=1, rule="ping")}
@@ -1084,9 +1080,55 @@ def test_a_dropped_model_frees_its_law_and_plans():
         assert _is_static(model) == (i % 3 == 0)
         state = nucleate(initial_state(model, Mesh(2, 4)), model, i)
         state = model_step(state, model, i)
-        surface_inputs(state, model, (1, 1))
         assert validate_model(model) == []
         refs += [weakref.ref(model), weakref.ref(net.law)]
         del model, net, state
     gc.collect()
     assert [r for r in refs if r() is not None] == []
+
+
+def test_occupants_stay_in_the_light_cone_of_round_0():
+    # the paper's locality lemma: a cell that hears nothing idles, so at
+    # round t every occupant lies within graph distance t of a round-0
+    # occupant (seed or nucleus), on the mesh and in the model dynamics
+    import random
+    from dataclasses import replace
+
+    from support import graph_distances, random_agent_model
+
+    rng = random.Random(2718)
+    seen = {"k2": 0, "k3": 0, "detach": 0, "no detach": 0, "relay": 0, "tally": 0,
+            "ids": 0, "no ids": 0, "seeds and nuclei": 0, "edge reached": 0,
+            "beyond": 0}
+    for trial in range(48):
+        k = 2 + trial % 2
+        side = 9 if k == 2 else 5
+        window = Mesh(k, side)
+        model = random_agent_model(rng, k=k, message_rules=("relay", "tally"))
+        cells = rng.sample(list(window.vertices()), rng.randint(0, 2))
+        model = replace(model, seed={v: rng.choice(model.type_names) for v in cells},
+                        pi_nu=rng.choice((0.0, 0.02, 0.05)), use_ids=trial % 4 < 2)
+        master = rng.getrandbits(64)
+        net = MeshNetwork(model, side, master_seed=master, record_trace=False)
+        net.init_round0()
+        state = nucleate(initial_state(model, window), model, master)
+        dist = {"mesh": graph_distances(neighbor_table(window), net.states),
+                "model": graph_distances(neighbor_table(window), state.occupancy)}
+        for t in range(9):
+            if t:
+                net.run_round()
+                state = model_step(state, model, master)
+            for side_name, occupied in (("mesh", net.states), ("model", state.occupancy)):
+                cone = dist[side_name]
+                outside = [v for v in occupied if cone.get(v, t + 1) > t]
+                assert outside == [], (trial, side_name, t, outside)
+                seen["edge reached"] += t > 0 and any(cone[v] == t for v in occupied)
+                seen["beyond"] += len(cone) > 0 and max(cone.values()) > t
+        seen[f"k{k}"] += 1
+        seen["detach" if model.kinetics.detach else "no detach"] += 1
+        rules = {t.rule for t in model.types.values()}
+        seen["relay"] += "relay" in rules
+        seen["tally"] += "tally" in rules
+        seen["ids" if model.use_ids else "no ids"] += 1
+        seen["seeds and nuclei"] += bool(model.seed) and model.pi_nu > 0
+    assert all(seen.values()), seen

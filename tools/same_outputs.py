@@ -65,8 +65,10 @@ sys.exit(code)
 #: "{seed}" the seed.  They cover writer inputs the workloads miss: a
 #: partial 2-D colouring (meshsim), a `check` of that file, and tstar
 #: grown on windows of one and four cells; the standard output of
-#: meshsim and assemble without --out, in both formats; and that of an
-#: untraced meshsim run in the general regime (fidelity2 detaches).
+#: meshsim and assemble without --out, in both formats; that of an
+#: untraced meshsim run in the general regime (fidelity2 detaches); a
+#: campaign read from a model file (`experiment --model`, whose results
+#: record the file's hash); and `lint-model` on each shipped model file.
 PARTIAL_2D = ["meshsim", "--model", "src/nucleate/data/checkerboard_local.json",
               "--size", "16", "--rounds", "5", "--seed", "{seed}"]
 TSTAR = ["assemble", "--model", "src/nucleate/data/tstar.json", "--check-coloring",
@@ -74,6 +76,8 @@ TSTAR = ["assemble", "--model", "src/nucleate/data/tstar.json", "--check-colorin
 OUT = ["--out", "{out}"]
 GENERAL_2D = ["meshsim", "--model", "src/nucleate/data/fidelity2.json",
               "--size", "16", "--rounds", "12", "--seed", "{seed}"]
+SHIPPED = ["src/nucleate/data/checkerboard_local.json", "src/nucleate/data/fidelity2.json",
+           "src/nucleate/data/tstar.json"]
 EXTRA_CALLS = {
     "meshsim-2d-16": [PARTIAL_2D + OUT],
     "check-2d-16": [PARTIAL_2D + OUT, ["check", "--coloring", "{out}/coloring.json",
@@ -85,6 +89,10 @@ EXTRA_CALLS = {
     "assemble-print": [TSTAR + ["--size", "16"]],
     "assemble-json": [TSTAR + ["--size", "16", "--format", "json"]],
     "meshsim-general-json": [GENERAL_2D + ["--format", "json"]],
+    "experiment-model": [["experiment", "--model", SHIPPED[0], "--sizes", "4,8",
+                          "--rounds", "3", "--trials", "5", "--seed", "{seed}",
+                          "--out", "{out}"]],
+    "lint-model": [["lint-model", "--model", path] for path in SHIPPED],
 }
 
 
