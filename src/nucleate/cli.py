@@ -97,7 +97,7 @@ def _finish_surface(args, report: dict, colors, window: Mesh, c, trace_text, tra
             _write(args.out, "coloring.json", formats.coloring_text(colors, window, c))
         _write(args.out, "result.json", json.dumps(report, indent=2))
         if args.ppm:
-            formats.write_ppm(Path(args.out) / "snapshot.ppm", colors, window)
+            _write(args.out, "snapshot.ppm", formats.ppm_text(colors, window))
     if args.format == "ascii":
         print(snapshot or formats.ascii_snapshot(colors, window), end="")
     else:

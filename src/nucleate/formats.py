@@ -7,17 +7,24 @@ fidelity.json and the trace.txt header carry the master seed and the
 model's content hash (sha256 over the canonical JSON encoding), which
 together reproduce any run byte for byte.
 
+Tile systems and agent models share one reader of the type list (`_types`:
+names, colors, one k, a constructor's refusal as `bad-tile`/`bad-agent`)
+and one seed codec (`_seed_cells`, `_seed_document`); each kind adds only
+its glue reader and constructor.  Temperature 0 is a `temperature-zero`
+warning diagnostic for both kinds (`tile_system_warnings`,
+`validate_model`), never a Python warning.
+
 The coloring.json artifact is written by `coloring_text`, whose bytes are
 those of ``json.dumps(coloring_document(...), indent=2)``: one `%` format
 per vertex, in the order of the window's neighbour rows when every vertex
 is colored (`lattice.sorted_vertices`), instead of the pure-Python
 encoder that ``indent`` selects.  Snapshots look each cell's character up
-in a table of the colors present.
+in a table of the colors present; a pixmap snapshot (`ppm_text`) draws
+each cell as a square of PPM_SCALE pixels on a side.
 """
 
 import hashlib
 import json
-import warnings
 from pathlib import Path
 from typing import Mapping, Optional, Union
 
@@ -122,31 +129,88 @@ def detect_kind(doc: dict) -> str:
     _fail("unknown-kind", "document has neither 'tiles' nor 'agents'")
 
 
-# -- tile systems ------------------------------------------------------
+# -- what tile systems and agent models share ---------------------------
 
 
-def _seed_entry(entry: dict, key: str, k: int, path: str) -> tuple[Point, str]:
-    axes = set(_AXES[:k])
-    _require_keys(entry, axes | {key}, set(), path)
-    point = tuple(_integer(entry[a], f"{path}.{a}") for a in _AXES[:k])
-    return point, _string(entry[key], f"{path}.{key}")
+def _types(doc: dict, key: str, noun: str, optional: set, read_glues, build) -> tuple:
+    """(k, name -> type) of the nonempty type list `doc[key]`.  Each entry
+    has a name, an optional color, the keys in `optional` and glues, which
+    `read_glues(glues, path)` turns into (k, glues); `build(name, glues,
+    color, entry, path)` makes the type, and a ValueError it raises other
+    than a FormatError is `bad-<noun>`."""
+    entries = doc[key]
+    if not isinstance(entries, list) or not entries:
+        _fail(f"bad-{key}", f"'{key}' must be a nonempty list", key)
+    k = None
+    types = {}
+    for i, entry in enumerate(entries):
+        path = f"{key}[{i}]"
+        _require_keys(entry, {"name", "glues"}, {"color"} | optional, path)
+        this_k, glues = read_glues(entry["glues"], path)
+        if k is None:
+            k = this_k
+        elif k != this_k:
+            _fail("mixed-dimensions", f"{key} mix 2- and 3-dimensional glue sets", path)
+        name = _string(entry["name"], f"{path}.name")
+        if name in types:
+            _fail(f"duplicate-{noun}", f"{noun} name {name!r} appears twice", path)
+        color = _integer(entry.get("color", 1), f"{path}.color")
+        try:
+            types[name] = build(name, glues, color, entry, path)
+        except FormatError:
+            raise
+        except ValueError as e:
+            _fail(f"bad-{noun}", f"{path}: {e}", path)
+    return k, types
 
 
-def _seed_cells(entries, key: str, k: int, known=None) -> dict:
+def _seed_cells(entries, key: str, k: int, known) -> dict:
     """Seed entries as a location -> name map; a location may appear once,
-    and names must be in `known` unless it is None."""
+    and every name must be in `known`."""
     if not isinstance(entries, list):
         _fail("bad-seed", "'seed' must be a list", "seed")
+    axes = _AXES[:k]
     cells = {}
     for i, entry in enumerate(entries):
         path = f"seed[{i}]"
-        v, name = _seed_entry(entry, key, k, path)
-        if known is not None and name not in known:
+        _require_keys(entry, {*axes, key}, set(), path)
+        v = tuple(_integer(entry[a], f"{path}.{a}") for a in axes)
+        name = _string(entry[key], f"{path}.{key}")
+        if name not in known:
             _fail("bad-seed-type", f"seed names unknown {key} {name!r}", path)
         if v in cells:
             _fail("duplicate-seed", f"seed location {v} appears twice", path)
         cells[v] = name
     return cells
+
+
+def _seed_document(cells, key: str, k: int) -> list:
+    """The seed list of a document, in location order."""
+    return [dict(zip(_AXES[:k], v)) | {key: name} for v, name in sorted(cells.items())]
+
+
+# -- tile systems ------------------------------------------------------
+
+
+def _tile_glues(glues_doc, path: str) -> tuple[int, tuple[Glue, ...]]:
+    """(k, glues) of a tile's side name -> {label, strength} object, in
+    direction order; 3-dimensional when a side is `down` or `up`."""
+    names = set(glues_doc) if isinstance(glues_doc, dict) else set()
+    k = 3 if names & {"down", "up"} else 2
+    dirs = directions(k)
+    _require_keys(glues_doc, {d.name for d in dirs}, set(), f"{path}.glues")
+    glues = []
+    for d in dirs:
+        gd = glues_doc[d.name]
+        gpath = f"{path}.glues.{d.name}"
+        _require_keys(gd, {"label", "strength"}, set(), gpath)
+        label = _string(gd["label"], f"{gpath}.label")
+        strength = _integer(gd["strength"], f"{gpath}.strength")
+        try:
+            glues.append(Glue(label, strength))
+        except ValueError as e:
+            _fail("bad-glue", f"{gpath}: {e}", gpath)
+    return k, tuple(glues)
 
 
 def load_tile_system(source: Union[str, Path, dict]) -> tuple[TileAssemblySystem, dict]:
@@ -155,63 +219,21 @@ def load_tile_system(source: Union[str, Path, dict]) -> tuple[TileAssemblySystem
     _require_keys(doc, {"tiles", "temperature", "seed"}, {"name"}, "")
     if "name" in doc:
         _string(doc["name"], "name")
-    tiles_doc = doc["tiles"]
-    if not isinstance(tiles_doc, list) or not tiles_doc:
-        _fail("bad-tiles", "'tiles' must be a nonempty list", "tiles")
-
-    k = None
-    tiles: dict[str, TileType] = {}
-    for i, td in enumerate(tiles_doc):
-        path = f"tiles[{i}]"
-        _require_keys(td, {"name", "glues"}, {"color"}, path)
-        glues_doc = td["glues"]
-        names = set(glues_doc) if isinstance(glues_doc, dict) else set()
-        this_k = 3 if names & {"down", "up"} else 2
-        dirs = directions(this_k)
-        _require_keys(glues_doc, {d.name for d in dirs}, set(), f"{path}.glues")
-        if k is None:
-            k = this_k
-        elif k != this_k:
-            _fail("mixed-dimensions", "tiles mix 2- and 3-dimensional glue sets", path)
-        glues = []
-        for d in dirs:
-            gd = glues_doc[d.name]
-            gpath = f"{path}.glues.{d.name}"
-            _require_keys(gd, {"label", "strength"}, set(), gpath)
-            label = _string(gd["label"], f"{gpath}.label")
-            strength = _integer(gd["strength"], f"{gpath}.strength")
-            try:
-                glues.append(Glue(label, strength))
-            except ValueError as e:
-                _fail("bad-glue", f"{gpath}: {e}", gpath)
-        name = _string(td["name"], f"{path}.name")
-        if name in tiles:
-            _fail("duplicate-tile", f"tile name {name!r} appears twice", path)
-        color = _integer(td.get("color", 1), f"{path}.color")
-        try:
-            tiles[name] = TileType(name, tuple(glues), color)
-        except ValueError as e:
-            _fail("bad-tile", f"{path}: {e}", path)
-
+    k, tiles = _types(doc, "tiles", "tile", set(), _tile_glues,
+                      lambda name, glues, color, *_: TileType(name, glues, color))
     seed_cells = _seed_cells(doc["seed"], "tile", k, tiles)
     temperature = _integer(doc["temperature"], "temperature")
-
     try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")  # temperature 0: see tile_system_warnings
-            system = TileAssemblySystem(
-                tiles=tiles,
-                seed=Configuration(seed_cells, k=k),
-                temperature=temperature,
-            )
+        system = TileAssemblySystem(tiles=tiles, seed=Configuration(seed_cells, k=k),
+                                    temperature=temperature)
     except ValueError as e:
         _fail("invalid-system", str(e))
     return system, doc
 
 
 def tile_system_warnings(system: TileAssemblySystem) -> list[Diagnostic]:
-    """The warning diagnostics of a loaded tile system: `temperature-zero`
-    at temperature 0, the warning the loader keeps quiet."""
+    """The warning diagnostics of a tile system: `temperature-zero` at
+    temperature 0, as `validate_model` reports it for agent models."""
     if system.temperature == 0:
         return [Diagnostic("warning", "temperature-zero",
                            "temperature 0: every empty location is a frontier", "temperature")]
@@ -233,10 +255,7 @@ def tile_system_document(system: TileAssemblySystem, name: Optional[str] = None)
             }
             for t in sorted(system.tiles.values(), key=lambda t: t.name)
         ],
-        "seed": [
-            dict(zip(_AXES[:system.k], v)) | {"tile": tname}
-            for v, tname in sorted(system.seed.items())
-        ],
+        "seed": _seed_document(system.seed, "tile", system.k),
     }
     if name is not None:
         doc["name"] = name
@@ -244,6 +263,21 @@ def tile_system_document(system: TileAssemblySystem, name: Optional[str] = None)
 
 
 # -- agent models ------------------------------------------------------
+
+
+def _agent_glues(glues, path: str) -> tuple[int, tuple[Optional[str], ...]]:
+    """(k, glues) of an agent's list of 2k labels, null for no glue."""
+    if not isinstance(glues, list) or len(glues) not in (4, 6):
+        _fail("bad-glues", f"{path}: 'glues' must list 4 or 6 labels (null for none)",
+              f"{path}.glues")
+    return len(glues) // 2, tuple(None if g is None else _string(g, f"{path}.glues[{j}]")
+                                  for j, g in enumerate(glues))
+
+
+def _agent(name: str, glues, color: int, entry: dict, path: str) -> AgentType:
+    """An agent type; its `rule` is optional, null for none."""
+    rule = entry.get("rule")
+    return AgentType(name, glues, color, None if rule is None else _string(rule, f"{path}.rule"))
 
 
 def load_agent_model(source: Union[str, Path, dict]) -> tuple[AgentModel, dict]:
@@ -257,36 +291,7 @@ def load_agent_model(source: Union[str, Path, dict]) -> tuple[AgentModel, dict]:
     )
     if "name" in doc:
         _string(doc["name"], "name")
-    agents_doc = doc["agents"]
-    if not isinstance(agents_doc, list) or not agents_doc:
-        _fail("bad-agents", "'agents' must be a nonempty list", "agents")
-
-    k = None
-    types: dict[str, AgentType] = {}
-    for i, ad in enumerate(agents_doc):
-        path = f"agents[{i}]"
-        _require_keys(ad, {"name", "glues"}, {"color", "rule"}, path)
-        glues = ad["glues"]
-        if not isinstance(glues, list) or len(glues) not in (4, 6):
-            _fail("bad-glues", f"{path}: 'glues' must list 4 or 6 labels (null for none)", path)
-        this_k = len(glues) // 2
-        if k is None:
-            k = this_k
-        elif k != this_k:
-            _fail("mixed-dimensions", "agents mix 2- and 3-dimensional glue sets", path)
-        name = _string(ad["name"], f"{path}.name")
-        if name in types:
-            _fail("duplicate-agent", f"agent name {name!r} appears twice", path)
-        glues = tuple(None if g is None else _string(g, f"{path}.glues[{j}]")
-                      for j, g in enumerate(glues))
-        color = _integer(ad.get("color", 1), f"{path}.color")
-        rule = ad.get("rule")
-        if rule is not None:
-            _string(rule, f"{path}.rule")
-        try:
-            types[name] = AgentType(name, glues, color, rule)
-        except ValueError as e:
-            _fail("bad-agent", f"{path}: {e}", path)
+    k, types = _types(doc, "agents", "agent", {"rule"}, _agent_glues, _agent)
 
     rules_doc = doc["rules"]
     if not isinstance(rules_doc, list):
@@ -301,7 +306,7 @@ def load_agent_model(source: Union[str, Path, dict]) -> tuple[AgentModel, dict]:
             _fail("duplicate-rule", f"rule ({a!r}, {b!r}) appears twice", path)
         rules[pair] = _integer(rd["strength"], f"{path}.strength")
 
-    seed_cells = _seed_cells(doc.get("seed", []), "agent", k)
+    seed_cells = _seed_cells(doc.get("seed", []), "agent", k, types)
 
     kin_doc = doc.get("kinetics", {})
     _require_keys(kin_doc, set(), {"lambda_on", "p_off", "epsilon", "detach"}, "kinetics")
@@ -347,10 +352,7 @@ def agent_model_document(model: AgentModel, name: Optional[str] = None) -> dict:
             for (a, b), s in sorted(model.rules.pairs().items())
         ],
         "temperature": model.temperature,
-        "seed": [
-            dict(zip(_AXES[:model.k], v)) | {"agent": n}
-            for v, n in sorted(model.seed.items())
-        ],
+        "seed": _seed_document(model.seed, "agent", model.k),
         "pi_nu": model.pi_nu,
         "kinetics": {
             "lambda_on": model.kinetics.lambda_on,
@@ -409,38 +411,27 @@ def ascii_snapshot(colors: Mapping[Point, int], window: Mesh) -> str:
     return "\n\n".join(f"z={z}\n" + grid(z) for z in range(n)) + "\n"
 
 
-_PALETTE = [
-    (230, 230, 230),  # background/empty
-    (31, 119, 180),
-    (255, 127, 14),
-    (44, 160, 44),
-    (214, 39, 40),
-    (148, 103, 189),
-    (140, 86, 75),
-    (227, 119, 194),
-    (127, 127, 127),
-    (188, 189, 34),
-]
+#: Pixel side of one cell in a pixmap snapshot.
+PPM_SCALE = 8
+#: "r g b" of an empty cell, then of colors 1, 2, ..., repeating after 9.
+_PALETTE = ["230 230 230", "31 119 180", "255 127 14", "44 160 44", "214 39 40",
+            "148 103 189", "140 86 75", "227 119 194", "127 127 127", "188 189 34"]
 
 
-def write_ppm(path: Union[str, Path], colors: Mapping[Point, int],
-              window: Mesh, scale: int = 8) -> None:
-    """Plain-text portable pixmap (P3) of a 2-dimensional surface."""
+def ppm_text(colors: Mapping[Point, int], window: Mesh) -> str:
+    """Plain-text portable pixmap (P3) of a 2-dimensional surface, north
+    row first, each cell PPM_SCALE pixels on a side."""
     if window.k != 2:
         raise ValueError("pixmap snapshots are 2-dimensional only")
     n = window.side
-    size = n * scale
+    size = n * PPM_SCALE
     lines = [f"P3 {size} {size} 255"]
-    for py in range(size):
-        y = n - 1 - py // scale
-        row = []
-        for px in range(size):
-            x = px // scale
-            c = colors.get((x, y))
-            rgb = _PALETTE[0] if c is None else _PALETTE[1 + (c - 1) % (len(_PALETTE) - 1)]
-            row.append(f"{rgb[0]} {rgb[1]} {rgb[2]}")
-        lines.append(" ".join(row))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    for y in reversed(range(n)):
+        cells = [colors.get((x, y)) for x in range(n)]
+        row = " ".join(" ".join([_PALETTE[0 if c is None else 1 + (c - 1) % 9]] * PPM_SCALE)
+                       for c in cells)
+        lines += [row] * PPM_SCALE
+    return "\n".join(lines) + "\n"
 
 
 # -- traces ------------------------------------------------------------

@@ -11,7 +11,6 @@ against a temperature threshold.
 
 import heapq
 import math
-import warnings
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Mapping, Optional
 
@@ -322,8 +321,6 @@ class TileAssemblySystem:
     def __post_init__(self):
         if self.temperature < 0:
             raise ValueError("temperature must be a nonnegative integer")
-        if self.temperature == 0:
-            warnings.warn("temperature 0: every empty location is a frontier", stacklevel=3)
         ks = {t.k for t in self.tiles.values()}
         if len(ks) > 1:
             raise ValueError("tile set mixes dimensions")

@@ -615,6 +615,11 @@ def test_validator_diagnostics():
         AgentModel(
             types={"a": AgentType("a", ("ga",) * 4, rule="no-such-rule")},
             rules=BindingRules({}), temperature=1)
+    # the loader refuses an unknown seed type first, at seed[i]; a model
+    # built directly is refused here
+    with pytest.raises(ModelValidationError) as err:
+        AgentModel(types=types, rules=BindingRules({}), temperature=1, seed={(0, 0): "ghost"})
+    assert [(d.code, d.path) for d in err.value.diagnostics] == [("bad-seed-type", "seed")]
 
 
 def test_strict_mode_warns_on_negative_strengths():

@@ -348,7 +348,6 @@ def _stepped(system, window, seed, budget):
     return picks, not attachments(cfg, system.tiles, system.temperature), several
 
 
-@pytest.mark.filterwarnings("ignore:temperature 0")
 @pytest.mark.parametrize("k, temperature, side, max_stages", [
     (2, 0, 4, None),
     (2, 1, 6, None),

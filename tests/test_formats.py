@@ -21,8 +21,8 @@ from nucleate.formats import (
     mesh_trace_text,
     parse_assembly_trace,
     parse_mesh_trace,
+    ppm_text,
     tile_system_document,
-    write_ppm,
 )
 from nucleate.lattice import Mesh
 from nucleate.meshnet import MeshNetwork, TraceEvent
@@ -251,6 +251,52 @@ def test_bad_seed_reference_rejected():
     assert any(d.code == "bad-seed-type" for d in err.value.diagnostics)
 
 
+#: A shipped model of each kind: (type list key, seed name key, a type's
+#: 3-dimensional glues).
+KINDS = {
+    "tstar": ("tiles", "tile", {d: {"label": "g", "strength": 1}
+                                for d in ("west", "north", "east", "south", "down", "up")}),
+    "fidelity2": ("agents", "agent", [None] * 6),
+}
+
+
+@pytest.mark.parametrize("model", KINDS)
+@pytest.mark.parametrize("fault, expected", [
+    (lambda doc, key, noun, glues: doc.update({key: {}}), ("bad-{key}", "{key}")),
+    (lambda doc, key, noun, glues: doc.update({key: []}), ("bad-{key}", "{key}")),
+    (lambda doc, key, noun, glues: doc[key][1].update(glues=glues),
+     ("mixed-dimensions", "{key}[1]")),
+    (lambda doc, key, noun, glues: doc[key][1].update(name=doc[key][0]["name"]),
+     ("duplicate-{noun}", "{key}[1]")),
+    (lambda doc, key, noun, glues: doc[key][0].update(name=5), ("bad-string", "{key}[0].name")),
+    (lambda doc, key, noun, glues: doc[key][0].update(color=0), ("bad-{noun}", "{key}[0]")),
+    (lambda doc, key, noun, glues: doc["seed"][0].update({noun: "phantom"}),
+     ("bad-seed-type", "seed[0]")),
+    (lambda doc, key, noun, glues: doc["seed"].append(dict(doc["seed"][0])),
+     ("duplicate-seed", "seed[1]")),
+], ids=["not-a-list", "empty", "mixed", "duplicate", "name", "color", "seed-type",
+        "seed-location"])
+def test_shared_faults_have_one_code_and_path_for_both_kinds(model, fault, expected):
+    key, noun, glues = KINDS[model]
+    doc = json.loads(shipped_model_path(model).read_text())
+    fault(doc, key, noun, glues)
+    load = load_tile_system if model == "tstar" else load_agent_model
+    with pytest.raises(FormatError) as err:
+        load(doc)
+    assert [(d.code, d.path) for d in err.value.diagnostics] == [
+        tuple(part.format(key=key, noun=noun) for part in expected)]
+
+
+def test_bad_agent_glues_name_the_glues_key():
+    doc = json.loads(shipped_model_path("fidelity2").read_text())
+    doc["agents"][1]["glues"] = ["g"] * 5
+    with pytest.raises(FormatError) as err:
+        load_agent_model(doc)
+    assert [(d.code, d.message, d.path) for d in err.value.diagnostics] == [
+        ("bad-glues", "agents[1]: 'glues' must list 4 or 6 labels (null for none)",
+         "agents[1].glues")]
+
+
 def test_detect_kind():
     assert detect_kind({"tiles": []}) == "tile-system"
     assert detect_kind({"agents": []}) == "agent-model"
@@ -298,13 +344,11 @@ def test_ascii_snapshot_3d_layers():
     assert "z=0" in text and "z=1" in text
 
 
-def test_ppm_snapshot(tmp_path):
+def test_ppm_snapshot():
     colors = {(0, 0): 1, (1, 1): 2}
-    path = tmp_path / "snap.ppm"
-    write_ppm(path, colors, Mesh(2, 2), scale=2)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "P3 4 4 255"
-    assert len(lines) == 5  # header + 4 pixel rows
+    lines = ppm_text(colors, Mesh(2, 2)).splitlines()
+    assert lines[0] == "P3 16 16 255"
+    assert len(lines) == 17  # header + 16 pixel rows
 
 
 def test_assembly_trace_roundtrip():

@@ -5,6 +5,7 @@ import warnings
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from nucleate.formats import tile_system_warnings
 from nucleate.lattice import Mesh, around
 from nucleate.tiles import (
     AttachableTypes,
@@ -266,18 +267,16 @@ def test_system_validation():
     disconnected = Configuration({(0, 0): "t", (2, 0): "t"})
     with pytest.raises(ValueError):
         TileAssemblySystem({"t": t}, disconnected, 1)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        TileAssemblySystem({"t": t}, Configuration({(0, 0): "t"}), 0)
-    assert any("temperature 0" in str(w.message) for w in caught)
 
 
-def test_temperature_zero_warning_blames_the_caller():
+def test_temperature_zero_is_a_diagnostic_not_a_python_warning():
     t = tile("t", 1, E, E, E, E)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        TileAssemblySystem({"t": t}, Configuration({(0, 0): "t"}), 0)
-    assert [w.filename for w in caught] == [__file__]
+        system = TileAssemblySystem({"t": t}, Configuration({(0, 0): "t"}), 0)
+    assert caught == []
+    assert [(d.severity, d.code, d.path) for d in tile_system_warnings(system)] == [
+        ("warning", "temperature-zero", "temperature")]
 
 
 def test_configuration_window_enforced():

@@ -63,8 +63,9 @@ sys.exit(code)
 #: name -> the CLI calls it runs, in order, in one work directory.  Model
 #: paths are relative to the tree; "{out}" is the work directory's out/ and
 #: "{seed}" the seed.  They cover writer inputs the workloads miss: a
-#: partial 2-D colouring (meshsim), a `check` of that file, and tstar
-#: grown on windows of one and four cells; the standard output of
+#: partial 2-D colouring (meshsim), a `check` of that file, tstar grown
+#: on windows of one and four cells, and its pixmap snapshot (--ppm) on
+#: a window of side 8; the standard output of
 #: meshsim and assemble without --out, in both formats; that of an
 #: untraced meshsim run in the general regime (fidelity2 detaches); a
 #: campaign read from a model file (`experiment --model`, whose results
@@ -84,6 +85,7 @@ EXTRA_CALLS = {
                                        "--out", "{out}/check"]],
     "assemble-1": [TSTAR + OUT + ["--size", "1"]],
     "assemble-2": [TSTAR + OUT + ["--size", "2"]],
+    "assemble-ppm": [TSTAR + OUT + ["--size", "8", "--ppm"]],
     "meshsim-print": [PARTIAL_2D],
     "meshsim-json": [PARTIAL_2D + ["--format", "json"]],
     "assemble-print": [TSTAR + ["--size", "16"]],
