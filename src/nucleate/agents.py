@@ -517,11 +517,13 @@ class TransitionLaw:
 class Plan:
     """What every mesh network and every model step of one model on one
     mesh side share; no master seed changes any of it: the mesh, its rng
-    keys and neighbor rows, and, built on first use, the round-0 template
-    (`round0`) and the round-1 list (`round1`), which a network reads when
-    its round 0 woke nobody.  The rng keys are built here, once per plan,
-    so they are freed with the model.  Shared, so callers copy before they
-    add."""
+    keys and neighbor rows, the key of a processor that hears nothing
+    (`nobody`), whether round 0 can wake a cell (`wakes`: pi_nu > 0) and
+    whether occupants carry ids (`use_ids`), and, built on first use, the
+    round-0 template (`round0`, of `seeded` cells) and the round-1 list
+    (`round1`), which a network reads when its round 0 woke nobody.  The
+    rng keys are built here, once per plan, so they are freed with the
+    model.  Shared, so callers copy before they add."""
 
     def __init__(self, law: TransitionLaw, side: int):
         model = law.model
@@ -529,6 +531,9 @@ class Plan:
         self.mesh = Mesh(model.k, side)
         self.keys = window_keys(model.k, side)  # the cells' rng key bytes
         self.rows = neighbor_rows(model.k, side)
+        self.nobody = (None,) * model.d
+        self.wakes = model.pi_nu > 0
+        self.use_ids = model.use_ids
 
     @cached_property
     def round0(self) -> tuple:
@@ -545,24 +550,34 @@ class Plan:
                 raise ValueError(f"seed location {v} lies outside the mesh")
             states[v] = model.seed[v]
         ids = {v: i for i, v in enumerate(states)} if model.use_ids else {}
-        nobody = (None,) * model.d  # the key of a processor that hears nothing
-        post_ids = {v: self.law.keyed_post(name, nobody, ids.get(v))
+        post_ids = {v: self.law.keyed_post(name, self.nobody, ids.get(v))
                     for v, name in states.items()}
         return states, ids, post_ids
 
     @cached_property
+    def seeded(self) -> int:
+        """The number of cells in the `round0` template."""
+        return len(self.round0[0])
+
+    @cached_property
     def round1(self) -> tuple:
-        """What round 1 evaluates when round 0 woke nobody, as two tuples:
-        (targets, keys).  The targets are the neighbors of every `round0`
-        seed cell, less None and the inert seed cells, in sorted order; a
-        target's key is the tuple of post ids along its row.  Every network
-        whose round 0 added no cell to the template reads it."""
+        """What round 1 evaluates when round 0 woke nobody, as three
+        tuples: (targets, keys, entries).  The targets are the neighbors of
+        every `round0` seed cell, less None and the inert seed cells, in
+        sorted order; a target's key is the tuple of post ids along its
+        row, and its entry is (occupant, new, cdf): its seed occupant (None
+        off the seed) and that occupant's law entry at the key,
+        `law.step(occupant, key)`.  Every network whose round 0 added no
+        cell to the template reads it, so its round 1 only draws."""
         states, _, post_ids = self.round0
-        inert = self.law.inert
+        law = self.law
         near = {w for v in states for w in self.rows[v]}
         near.discard(None)
-        targets = tuple(sorted(v for v in near if states.get(v) not in inert))
-        return targets, tuple(tuple(map(post_ids.get, self.rows[v])) for v in targets)
+        targets = tuple(sorted(v for v in near if states.get(v) not in law.inert))
+        keys = tuple(tuple(map(post_ids.get, self.rows[v])) for v in targets)
+        olds = map(states.get, targets)
+        return targets, keys, tuple((old, *law.step(old, key))
+                                    for old, key in zip(olds, keys))
 
 
 def pick(cdf: tuple, u: float) -> Optional[str]:
@@ -574,16 +589,20 @@ def pick(cdf: tuple, u: float) -> Optional[str]:
     return cdf[-1][1]
 
 
+_EMPTY = MappingProxyType({})
+
+
 class SurfaceState(NamedTuple):
     """Occupancy, per-side outgoing messages, and ids of agents on a window.
 
-    The dynamics never mutate a state's mappings; they build new ones.  The
-    defaults are one shared read-only empty mapping."""
+    The dynamics never mutate a state's mappings; they build new ones, or
+    share one that no dynamics can change.  The defaults are one shared
+    read-only empty mapping."""
 
     occupancy: Mapping[Point, str]
     window: Mesh
-    out_messages: Mapping[Point, tuple] = MappingProxyType({})
-    ids: Mapping[Point, int] = MappingProxyType({})
+    out_messages: Mapping[Point, tuple] = _EMPTY
+    ids: Mapping[Point, int] = _EMPTY
     stage: int = 0
     next_id: int = 0
 
@@ -680,8 +699,13 @@ def stepper(state: SurfaceState, model: AgentModel) -> Callable[[int], SurfaceSt
     pre-round state and its law entry.  A location whose law is forced to
     keep its state, and whose state has no rule to re-post, does nothing
     in any round, so the plan leaves it out.  step(seed) only draws the
-    unforced laws, picks and applies; it builds new mappings and never
-    writes to `state`'s, so one stepper serves every seed of a start state.
+    unforced laws (it builds no drawer when every law is forced), picks
+    and applies.  It never writes to `state`'s mappings: it builds a new
+    occupancy on every call, and new posts and ids only when the step can
+    change them (the model has a rule or the state has posts; use_ids or
+    the state has ids).  Posts or ids that no step changes stay empty, and
+    every step shares the read-only empty mapping of the `SurfaceState`
+    defaults.  So one stepper serves every seed of a start state.
     """
     window = state.window
     law = model.law
@@ -701,12 +725,15 @@ def stepper(state: SurfaceState, model: AgentModel) -> Callable[[int], SurfaceSt
         new, cdf = law.lookup(old, glues, msgs)
         if cdf is not None or new != old or new in ruled:
             cells.append((v, old, new, cdf, glues, msgs))
+    unforced = any(cell[3] is not None for cell in cells)
+    posting = bool(ruled or heard)  # else every step's posts are empty
+    numbering = bool(use_ids or state.ids)  # else every step's ids are empty
 
     def step(seed: int) -> SurfaceState:
-        draw = drawer(seed, keys, r)
+        draw = drawer(seed, keys, r) if unforced else None
         occupancy = dict(before)
-        posts = dict(heard)
-        ids = dict(state.ids)
+        posts = dict(heard) if posting else _EMPTY
+        ids = dict(state.ids) if numbering else _EMPTY
         next_id = state.next_id
         for v, old, new, cdf, glues, msgs in cells:
             if cdf is not None:
@@ -714,8 +741,10 @@ def stepper(state: SurfaceState, model: AgentModel) -> Callable[[int], SurfaceSt
             if new is None:
                 if old is not None:
                     del occupancy[v]
-                    ids.pop(v, None)
-                    posts.pop(v, None)
+                    if numbering:
+                        ids.pop(v, None)
+                    if posting:
+                        posts.pop(v, None)
                 continue
             if old is None:
                 occupancy[v] = new

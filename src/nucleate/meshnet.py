@@ -40,18 +40,23 @@ that plan once for all its model samples.
 
 Every network of one model on one side reads one plan
 (`TransitionLaw.plan`, kept on the model's law `AgentModel.law`): the mesh,
-its rows and rng keys, and the round-0 template (`Plan.round0`): the seed
-cells, validated and in sorted order, their ids under use_ids, and the
-post id of the pairs each posts from silent inputs.  No master seed
-changes any of it, so `init_round0` copies the template in and then
-wakes, enters and posts the nucleated cells; the template is built by the
-first `init_round0` that needs it, so a seed outside the mesh or a seed
-rule that breaks its bounds still raises there, not at construction.
-Round 0 wakes only cells off the seed, so it woke nobody exactly when the
-network holds as many cells as the template; then it holds just the
-template, and round 1 takes its sorted targets and their keys from the
-plan's round-1 list (`Plan.round1`) instead of gathering them; every other
-round gathers its own.
+its rows and rng keys, the key of a processor that hears nothing, whether
+round 0 can wake a cell (pi_nu > 0) and whether occupants carry ids, and
+the round-0 template (`Plan.round0`): the seed cells, validated and in
+sorted order, their ids under use_ids, and the post id of the pairs each
+posts from silent inputs.  No master seed changes any of it, so
+`init_round0` copies the template in and then wakes, enters and posts the
+nucleated cells, running no wake-up draw at pi_nu = 0; the template is
+built by the first `init_round0` that needs it, so a seed outside the mesh
+or a seed rule that breaks its bounds still raises there, not at
+construction.  Round 0 wakes only cells off the seed, so it woke nobody
+exactly when the network holds as many cells as the template; then it
+holds just the template, and round 1 takes its sorted targets, their keys,
+occupants and law entries from the plan's round-1 list (`Plan.round1`)
+instead of gathering and looking them up, so it only draws, picks and
+applies; every other round gathers its own.  A round builds its drawer at
+its first unforced law, so one whose laws are all forced hashes no
+master-seed prefix.
 
 Rounds are event-driven: a processor is re-evaluated only when a neighbor's
 posts changed last round (it entered, detached, or its rule posted different
@@ -72,7 +77,7 @@ iteration scan every poster.
 """
 
 from collections.abc import Mapping
-from itertools import chain
+from itertools import chain, repeat
 from typing import NamedTuple, Optional
 
 from .agents import AgentModel, nucleation_sites, pick
@@ -191,23 +196,23 @@ class MeshNetwork:
         """Place the seed assembly (ids in sorted location order; copied
         from the plan's `round0` template), then wake every other processor
         with probability pi_nu into a uniformly random non-EMPTY state
-        (`nucleation_sites`).  Every occupant posts from silent inputs."""
+        (`nucleation_sites`, never called at pi_nu = 0).  Every occupant
+        posts from silent inputs."""
         if self._started:
             raise ValueError("network already initialized")
         self._started = True
-        model = self.model
-        seeded, seed_ids, seed_post_ids = self._plan.round0
+        plan = self._plan
+        seeded, seed_ids, seed_post_ids = plan.round0
         states = self.states
         states.update(seeded)
-        self.ids.update(seed_ids)
-        self.next_id = len(seed_ids)
+        if plan.use_ids:
+            self.ids.update(seed_ids)
+            self.next_id = len(seed_ids)
         self.post_ids.update(seed_post_ids)
-        woken = nucleation_sites(model, self._plan.keys, self.master_seed, states)
-        if woken:
-            nobody = (None,) * model.d  # the key of a processor that hears nothing
-            for v, name in woken:
+        if plan.wakes:
+            for v, name in nucleation_sites(self.model, plan.keys, self.master_seed, states):
                 self._enter(v, name)
-                self.post_ids[v] = self.law.keyed_post(name, nobody, self.ids.get(v))
+                self.post_ids[v] = self.law.keyed_post(name, plan.nobody, self.ids.get(v))
         if self.trace is not None:
             self.trace.extend([TraceEvent(0, v, None, name)
                                for v, name in sorted(states.items())])
@@ -229,7 +234,9 @@ class MeshNetwork:
         keep their state and posts and draw nothing.  Each evaluated
         processor reads its neighbors' post ids before any of them is
         updated.  An occupant's law offers only itself or EMPTY, so a
-        processor that changes state either enters or detaches.
+        processor that changes state either enters or detaches.  The
+        round's drawer is built at its first unforced law, so a round
+        whose laws are all forced hashes no master-seed prefix.
 
         The targets are sorted only when the order is recorded: with a
         trace, or under use_ids (ids are numbered in sorted location order
@@ -246,40 +253,48 @@ class MeshNetwork:
             raise ValueError("call init_round0 first")
         self.round += 1
         r = self.round
-        rows = self._plan.rows
+        plan = self._plan
+        rows = plan.rows
         states = self.states
         law = self.law
         ruled, inert = law.ruled, law.inert
         post_ids = self.post_ids
-        if r == 1 and len(states) == len(self._plan.round0[0]):
+        if r == 1 and len(states) == plan.seeded:
             # round 0 woke nobody (it wakes only cells off the seed), so
-            # the network holds just the template
-            targets, keys = self._plan.round1
+            # the network holds just the template: the plan knows each
+            # target's key, occupant and law entry
+            targets, keys, entries = plan.round1
         else:
             targets = self._pending
             targets.update(chain.from_iterable(map(rows.__getitem__, self._posted)))
             targets.discard(None)
             if inert:
                 targets = [v for v in targets if states.get(v) not in inert]
-            if self.trace is not None or self.model.use_ids:
+            if self.trace is not None or plan.use_ids:
                 targets = sorted(targets)
             read = post_ids.get
             keys = [tuple(map(read, rows[v])) for v in targets]
+            entries = repeat(None)
 
         steps, keyed, fixed = law.steps, law.keyed_posts, law.fixed_posts
-        draw = drawer(self.master_seed, self._plan.keys, r)
-        ids_on = self.model.use_ids
-        nobody = (None,) * self.model.d
+        draw = None
+        ids_on = plan.use_ids
+        nobody = plan.nobody
         pending = set()
         posted = {}
-        for v, key in zip(targets, keys):
-            if key == nobody:
-                continue  # its last neighbor left: it idles
+        for v, key, entry in zip(targets, keys, entries):
+            if entry is None:
+                if key == nobody:
+                    continue  # its last neighbor left: it idles
+                old = states.get(v)
+                new, cdf = steps.get((old, key)) or law.step(old, key)
+            else:
+                old, new, cdf = entry
             if probe is not None:
                 probe.log_key(v, rows[v], key)
-            old = states.get(v)
-            new, cdf = steps.get((old, key)) or law.step(old, key)
             if cdf is not None:
+                if draw is None:
+                    draw = drawer(self.master_seed, plan.keys, r)
                 new = pick(cdf, draw(v))
             if (cdf is not None or new != old) and new not in inert:
                 pending.add(v)  # its state or its next draw may differ
@@ -291,7 +306,10 @@ class MeshNetwork:
                     self.ids.pop(v, None)
                     posted[v] = post_ids.pop(v)
                     continue
-                self._enter(v, new)
+                states[v] = new  # it enters
+                if ids_on:
+                    self.ids[v] = self.next_id
+                    self.next_id += 1
             elif new not in ruled:
                 continue  # it stays EMPTY, or keeps a type whose posts never vary
             # it entered, or it kept a type whose rule may post differently now

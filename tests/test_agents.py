@@ -2,6 +2,7 @@ import itertools
 import math
 import random
 from collections import Counter
+from collections.abc import MutableMapping
 from dataclasses import replace
 
 import pytest
@@ -503,6 +504,73 @@ def test_a_reused_step_equals_a_fresh_model_step():
             dropped += cdf is None and new == old and new not in law.ruled
     assert len(kinds) == 4, kinds  # ids on and off, detachment on and off
     assert dropped, "no start state had a cell the step plan leaves out"
+
+
+def _scribble(mapping, junk_key):
+    """Overwrite a mutable mapping; a read-only one must refuse."""
+    if isinstance(mapping, MutableMapping):
+        mapping.clear()
+        mapping[junk_key] = "junk"
+    else:
+        with pytest.raises(TypeError):
+            mapping[junk_key] = "junk"
+
+
+def test_steps_share_no_mutable_mapping():
+    # a step's mappings are its own or read-only: overwriting every
+    # mapping of one step(seed) result shows neither in the next
+    # step(seed) nor in the start state
+    rng = random.Random(6060)
+    seen = {"rule-free": 0, "ruled": 0, "ids": 0, "read-only": 0}
+    for trial in range(36):
+        k = 2 + trial % 2
+        side = 4 if k == 2 else 3
+        rules = ("ping", "relay", "tally") if trial % 3 else ()
+        model = random_agent_model(rng, k=k, message_rules=rules)
+        cells = rng.sample(list(Mesh(k, side).vertices()), rng.randint(1, 3))
+        model = replace(model, seed={v: rng.choice(model.type_names) for v in cells},
+                        pi_nu=rng.choice((0.1, 0.3)), use_ids=trial % 4 < 2)
+        state = nucleate(initial_state(model, Mesh(k, side)), model, rng.getrandbits(64))
+        kept = _mappings(state)
+        step = stepper(state, model)
+        seed = rng.getrandbits(64)
+        first = _mappings(step(seed))
+        scribbled = step(seed)
+        for mapping in (scribbled.occupancy, scribbled.out_messages, scribbled.ids):
+            seen["read-only"] += not isinstance(mapping, MutableMapping)
+            _scribble(mapping, (side,) * k)
+        assert _mappings(step(seed)) == first, trial
+        assert _mappings(state) == kept, trial
+        seen["ruled" if model.law.ruled else "rule-free"] += 1
+        seen["ids"] += model.use_ids
+    assert all(seen.values()), seen
+
+
+def test_a_forced_step_builds_no_drawer(monkeypatch):
+    # a stepper over a start state whose laws are all forced draws nothing,
+    # so its steps build no drawer; fidelity2's steps draw, one drawer each
+    from nucleate.agents import drawer as real
+    from nucleate.formats import load_agent_model
+    from nucleate.systems import shipped_model_path
+
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr("nucleate.agents.drawer", counting)
+    local, _ = load_agent_model(shipped_model_path("checkerboard_local"))
+    state = nucleate(initial_state(local, Mesh(2, 8)), local, 3)
+    step = stepper(state, local)
+    grown = {frozenset(step(seed).occupancy.items()) for seed in range(6)}
+    assert len(grown) == 1 and grown != {frozenset(state.occupancy.items())}
+    assert calls == []
+    fidelity, _ = load_agent_model(shipped_model_path("fidelity2"))
+    step = stepper(initial_state(fidelity, Mesh(2, 3)), fidelity)
+    for seed in range(6):
+        step(seed)
+    assert len(calls) == 6
 
 
 def test_surface_state_defaults_are_read_only():

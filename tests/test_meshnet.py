@@ -987,9 +987,9 @@ def _round0_view(net):
 
 
 def _round1_view(plan):
-    """The plan's round-1 targets and keys, as plain copies."""
-    targets, keys = plan.round1
-    return list(targets), [list(key) for key in keys]
+    """The plan's round-1 targets, keys and entries, as plain copies."""
+    targets, keys, entries = plan.round1
+    return list(targets), [list(key) for key in keys], [list(entry) for entry in entries]
 
 
 def _random_seeded_model(rng, k, side, use_ids):
@@ -1030,7 +1030,7 @@ def test_round0_template_matches_a_fresh_setup(k, use_ids):
 def test_running_a_network_leaves_the_template_alone(k, use_ids):
     # the template's dicts and the round-1 list are shared: rounds that
     # detach, re-post or enter cells in one network must not show in the
-    # next one's round 0 or in the plan's round-1 targets and keys
+    # next one's round 0 or in the plan's round-1 targets, keys and entries
     import random
 
     rng = random.Random(2500 + 10 * k + use_ids)
@@ -1047,6 +1047,92 @@ def test_running_a_network_leaves_the_template_alone(k, use_ids):
         again.init_round0()
         assert _round0_view(again) == start, trial
         assert _round1_view(again._plan) == start1, trial
+
+
+@pytest.mark.parametrize("k", [2, 3])
+@pytest.mark.parametrize("use_ids", [False, True])
+def test_plan_round1_entries_are_fresh_law_lookups(k, use_ids):
+    # the plan's round-1 entry at a target is its seed occupant (None off
+    # the seed) and that occupant's law entry at the target's key; it must
+    # equal a fresh, unmemoized `lookup` at the inputs the target hears,
+    # read both from the key and, without post ids, from the seed's
+    # round-0 posts
+    import random
+
+    from nucleate.agents import initial_state
+    from support import heard_inputs
+
+    rng = random.Random(3500 + 10 * k + use_ids)
+    side = 5 if k == 2 else 3
+    table = neighbor_table(Mesh(k, side))
+    seen = {"ruled": 0, "detach": 0, "forced": 0, "unforced": 0, "occupied target": 0}
+    for trial in range(40):
+        model = _random_seeded_model(rng, k, side, use_ids)
+        law = model.law
+        targets, keys, entries = law.plan(side).round1
+        assert len(keys) == len(entries) == len(targets), trial
+        start = initial_state(model, Mesh(k, side))
+        for v, key, (old, new, cdf) in zip(targets, keys, entries):
+            assert old == model.seed.get(v), (trial, v)
+            assert (new, cdf) == law.lookup(old, *law.heard(key)), (trial, v)
+            heard = heard_inputs(model, table, v, start.occupancy, start.out_messages)
+            assert (new, cdf) == law.lookup(old, *heard), (trial, v)
+            seen["forced" if cdf is None else "unforced"] += 1
+            seen["occupied target"] += old is not None
+        seen["ruled"] += bool(targets) and bool(law.ruled)
+        seen["detach"] += bool(targets) and model.kinetics.detach
+    assert all(seen.values()), seen
+
+
+def test_a_network_at_pi_nu_zero_never_runs_the_wake_up_kernel(monkeypatch):
+    # round 0 can wake a cell only at pi_nu > 0, so a network at pi_nu = 0
+    # never calls `nucleation_sites`; one at pi_nu > 0 calls it once
+    from dataclasses import replace
+
+    from nucleate.meshnet import nucleation_sites as real
+
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr("nucleate.meshnet.nucleation_sites", counting)
+    base = forced_growth_model(seed={(1, 1): "t"})
+    for pi_nu, expected in ((0.0, 0), (0.3, 1)):
+        calls.clear()
+        net = MeshNetwork(replace(base, pi_nu=pi_nu), 5, master_seed=8)
+        net.init_round0()
+        assert (net.states != {(1, 1): "t"}) == (pi_nu > 0), pi_nu  # cells woke
+        net.run(3)
+        assert len(calls) == expected, pi_nu
+
+
+def test_a_round_builds_its_drawer_at_its_first_unforced_law(monkeypatch):
+    # checkerboard-local's laws are all forced, so its rounds build no
+    # drawer; fidelity2's round 1 draws, and builds exactly one
+    from nucleate.formats import load_agent_model
+    from nucleate.meshnet import drawer as real
+    from nucleate.systems import shipped_model_path
+
+    rounds = []
+
+    def counting(master, keys, r):
+        rounds.append(r)
+        return real(master, keys, r)
+
+    monkeypatch.setattr("nucleate.meshnet.drawer", counting)
+    local, _ = load_agent_model(shipped_model_path("checkerboard_local"))
+    net = MeshNetwork(local, 8, master_seed=3)
+    net.init_round0()
+    net.run(5)
+    assert any(event.round > 0 for event in net.trace)  # the rounds changed cells
+    assert rounds == []
+    fidelity, _ = load_agent_model(shipped_model_path("fidelity2"))
+    net = MeshNetwork(fidelity, 3, master_seed=3, record_trace=False)
+    net.init_round0()
+    net.run_round()
+    assert rounds == [1]
 
 
 def test_seed_outside_mesh_raises_in_init_round0_every_time():

@@ -67,9 +67,12 @@ sys.exit(code)
 #: on windows of one and four cells, and its pixmap snapshot (--ppm) on
 #: a window of side 8; the standard output of
 #: meshsim and assemble without --out, in both formats; that of an
-#: untraced meshsim run in the general regime (fidelity2 detaches); a
-#: campaign read from a model file (`experiment --model`, whose results
-#: record the file's hash); and `lint-model` on each shipped model file.
+#: untraced meshsim run in the general regime (fidelity2 detaches), and
+#: the artifacts of a traced one, whose round 1 is read from the plan's
+#: template (fidelity2 wakes nobody at round 0); fidelity on a window of
+#: side 2; a campaign read from a model file (`experiment --model`, whose
+#: results record the file's hash); and `lint-model` on each shipped model
+#: file.
 PARTIAL_2D = ["meshsim", "--model", "src/nucleate/data/checkerboard_local.json",
               "--size", "16", "--rounds", "5", "--seed", "{seed}"]
 TSTAR = ["assemble", "--model", "src/nucleate/data/tstar.json", "--check-coloring",
@@ -91,6 +94,9 @@ EXTRA_CALLS = {
     "assemble-print": [TSTAR + ["--size", "16"]],
     "assemble-json": [TSTAR + ["--size", "16", "--format", "json"]],
     "meshsim-general-json": [GENERAL_2D + ["--format", "json"]],
+    "meshsim-general-out": [GENERAL_2D + OUT],
+    "fidelity-2": [["fidelity", "--model", SHIPPED[1], "--size", "2", "--samples", "2000",
+                    "--seed", "{seed}"]],
     "experiment-model": [["experiment", "--model", SHIPPED[0], "--sizes", "4,8",
                           "--rounds", "3", "--trials", "5", "--seed", "{seed}",
                           "--out", "{out}"]],
