@@ -32,10 +32,11 @@ seed changes on an n^k mesh is computed once per side and kept on the law
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from operator import itemgetter
 from types import MappingProxyType
 from typing import Callable, Mapping, NamedTuple, Optional, Sequence
 
-from .lattice import OPPOSITE, Mesh, Point, neighbor_rows
+from .lattice import OPPOSITE, Mesh, Point, index_rows, neighbor_rows
 # perfbench/tracer.py counts calls through this module's add binding by name.
 from .lattice import add  # noqa: F401
 # perfbench/tracer.py wraps this module's derive_seed binding by name; the
@@ -516,66 +517,96 @@ class TransitionLaw:
 
 class Plan:
     """What every mesh network and every model step of one model on one
-    mesh side share; no master seed changes any of it: the mesh, its rng
-    keys and neighbor rows, the key of a processor that hears nothing
-    (`nobody`), whether round 0 can wake a cell (`wakes`: pi_nu > 0) and
-    whether occupants carry ids (`use_ids`), and, built on first use, the
-    round-0 template (`round0`, of `seeded` cells) and the round-1 list
-    (`round1`), which a network reads when its round 0 woke nobody.  The
-    rng keys are built here, once per plan, so they are freed with the
-    model.  Shared, so callers copy before they add."""
+    mesh side share; no master seed changes any of it.
+
+    The mesh rounds run on vertex numbers: `verts` lists the mesh's
+    vertices in sorted (row-major) order, so vertex i is `verts[i]`,
+    `rows[i]` is the tuple of its 2k neighbors' numbers in canonical
+    direction order (`lattice.index_rows`, with `off` = N, the number of
+    vertices, off the mesh), `readers[i]` reads a register along that row
+    and `keys[i]` is its rng key bytes (`rng.window_keys`).  `index` maps a vertex back to its number; it is
+    built on first use, and no round reads it.  The plan also holds the
+    key of a processor that hears nothing (`nobody`), whether round 0 can
+    wake a cell (`wakes`: pi_nu > 0) and whether occupants carry ids
+    (`use_ids`), and, built on first use, the round-0 template (`round0`,
+    of `seeded` cells) and the round-1 list (`round1`), which a network
+    reads when its round 0 woke nobody.  Everything is built here, once
+    per plan, so it is freed with the model.  Shared, so callers copy
+    before they add."""
 
     def __init__(self, law: TransitionLaw, side: int):
         model = law.model
         self.law = law
         self.mesh = Mesh(model.k, side)
+        self.verts = list(neighbor_rows(model.k, side))
+        self.rows = index_rows(model.k, side)
+        #: i -> register -> the tuple of register entries along rows[i]:
+        #: a processor's key, read from the post id register in one call
+        self.readers = [itemgetter(*row) for row in self.rows]
         self.keys = window_keys(model.k, side)  # the cells' rng key bytes
-        self.rows = neighbor_rows(model.k, side)
+        #: the number of every off-mesh neighbor: one past the last
+        #: vertex, a slot every register of a network keeps at None
+        self.off = len(self.verts)
+        #: a network's registers before round 0: every slot None
+        self.vacant = (None,) * (self.off + 1)
         self.nobody = (None,) * model.d
         self.wakes = model.pi_nu > 0
         self.use_ids = model.use_ids
 
     @cached_property
+    def index(self) -> dict:
+        """vertex -> its number, the inverse of `verts`."""
+        return dict(zip(self.verts, range(self.off)))
+
+    @cached_property
     def round0(self) -> tuple:
-        """The seed cells' share of round 0, as three dicts: (states, ids,
-        post_ids).  Each seed cell's type, in sorted location order; its id
-        in that order under use_ids, else none; the post id of the pairs it
-        posts from silent inputs.  ValueError for a seed
-        cell outside the mesh, MessageBoundError for a seed rule that breaks
-        its bounds; neither is kept, so every `init_round0` raises it."""
+        """The seed cells' share of round 0, as (cells, post_ids, ids,
+        seeded).  `cells` and `post_ids` are registers, lists of N + 1
+        entries by vertex number: each seed cell's type, and the post id
+        of the pairs it posts from silent inputs, None elsewhere.  `ids`
+        maps each seed cell to its id, in sorted location order, under
+        use_ids, and is empty otherwise; `seeded` is the frozenset of the
+        seed cells' numbers.  ValueError for a seed cell outside the mesh,
+        MessageBoundError for a seed rule that breaks its bounds; neither
+        is kept, so every `init_round0` raises it."""
         model = self.law.model
-        states = {}
+        index = self.index
+        cells = [None] * (self.off + 1)
+        post_ids = cells.copy()
+        seeded = []
         for v in sorted(model.seed):
-            if not self.mesh.contains(v):
+            i = index.get(v)
+            if i is None:
                 raise ValueError(f"seed location {v} lies outside the mesh")
-            states[v] = model.seed[v]
-        ids = {v: i for i, v in enumerate(states)} if model.use_ids else {}
-        post_ids = {v: self.law.keyed_post(name, self.nobody, ids.get(v))
-                    for v, name in states.items()}
-        return states, ids, post_ids
+            cells[i] = model.seed[v]
+            seeded.append(i)
+        ids = {self.verts[i]: n for n, i in enumerate(seeded)} if model.use_ids else {}
+        for i in seeded:
+            post_ids[i] = self.law.keyed_post(cells[i], self.nobody, ids.get(self.verts[i]))
+        return cells, post_ids, ids, frozenset(seeded)
 
     @cached_property
     def seeded(self) -> int:
         """The number of cells in the `round0` template."""
-        return len(self.round0[0])
+        return len(self.round0[3])
 
     @cached_property
     def round1(self) -> tuple:
         """What round 1 evaluates when round 0 woke nobody, as three
-        tuples: (targets, keys, entries).  The targets are the neighbors of
-        every `round0` seed cell, less None and the inert seed cells, in
-        sorted order; a target's key is the tuple of post ids along its
-        row, and its entry is (occupant, new, cdf): its seed occupant (None
-        off the seed) and that occupant's law entry at the key,
-        `law.step(occupant, key)`.  Every network whose round 0 added no
-        cell to the template reads it, so its round 1 only draws."""
-        states, _, post_ids = self.round0
+        tuples: (targets, keys, entries).  The targets are the numbers of
+        the neighbors of every `round0` seed cell, less `off` and the inert
+        seed cells, in sorted order; a target's key is the tuple of post
+        ids along its row, and its entry is (occupant, new, cdf): its seed
+        occupant (None off the seed) and that occupant's law entry at the
+        key, `law.step(occupant, key)`.  Every network whose round 0 added
+        no cell to the template reads it, so its round 1 only draws."""
+        cells, post_ids, _, seeded = self.round0
         law = self.law
-        near = {w for v in states for w in self.rows[v]}
-        near.discard(None)
-        targets = tuple(sorted(v for v in near if states.get(v) not in law.inert))
-        keys = tuple(tuple(map(post_ids.get, self.rows[v])) for v in targets)
-        olds = map(states.get, targets)
+        near = {w for i in seeded for w in self.rows[i]}
+        near.discard(self.off)
+        targets = tuple(sorted(i for i in near if cells[i] not in law.inert))
+        keys = tuple(self.readers[i](post_ids) for i in targets)
+        olds = map(cells.__getitem__, targets)
         return targets, keys, tuple((old, *law.step(old, key))
                                     for old, key in zip(olds, keys))
 
@@ -645,17 +676,18 @@ def _round0_posts(model: AgentModel, occupancy: Mapping[Point, str],
             for v, name in occupancy.items() if model.types[name].rule is not None}
 
 
-def nucleation_sites(model: AgentModel, keys: dict, seed: int, occupied) -> list:
+def nucleation_sites(model: AgentModel, keys: list, seed: int, occupied) -> list:
     """Round-0 multiple nucleation on the window whose `window_keys` are
-    given: (v, type), in vertex order, for each location v outside
-    `occupied` that wakes, i.e. uniform(seed, v, 0) < pi_nu.  The type is
-    picked uniformly by its own hash path (seed, v, 0, 1): reusing the
-    wake-up draw, which is below pi_nu, would bias it to the first name."""
+    given: (i, type), in vertex order, for each vertex number i outside
+    `occupied` (a collection of numbers) that wakes, i.e. uniform(seed, v,
+    0) < pi_nu at its vertex v.  The type is picked uniformly by its own
+    hash path (seed, v, 0, 1): reusing the wake-up draw, which is below
+    pi_nu, would bias it to the first name."""
     woken = wakeups(seed, keys, model.pi_nu)
     if not woken:
         return woken
     names = model.type_names
-    return [(v, names[h % len(names)]) for v, h in woken if v not in occupied]
+    return [(i, names[h % len(names)]) for i, h in woken if i not in occupied]
 
 
 def nucleate(state: SurfaceState, model: AgentModel, seed: int) -> SurfaceState:
@@ -667,8 +699,10 @@ def nucleate(state: SurfaceState, model: AgentModel, seed: int) -> SurfaceState:
     ids = dict(state.ids)
     next_id = state.next_id
     window = state.window
-    for v, name in nucleation_sites(model, model.law.plan(window.side).keys, seed,
-                                    state.occupancy):
+    plan = model.law.plan(window.side)
+    occupied = set(map(plan.index.get, state.occupancy))
+    for i, name in nucleation_sites(model, plan.keys, seed, occupied):
+        v = plan.verts[i]
         occupancy[v] = name
         if model.use_ids:
             ids[v] = next_id
@@ -695,8 +729,12 @@ def stepper(state: SurfaceState, model: AgentModel) -> Callable[[int], SurfaceSt
     """step(seed) -> `model_step(state, model, seed)`, for any seed.
 
     The step's plan is built here, once: every location with an occupied
-    neighbor, in sorted order, with its occupant, its inputs from the
-    pre-round state and its law entry.  A location whose law is forced to
+    neighbor, in sorted order, with its vertex number (its rng key's index
+    in the model's `Plan`), its occupant, its inputs from the pre-round
+    state and its law entry.  It delivers along the vertex rows of
+    `lattice.neighbor_rows`, not the plan's numbered rows, so the mesh
+    rounds and the model dynamics stay two codings that check each
+    other.  A location whose law is forced to
     keep its state, and whose state has no rule to re-post, does nothing
     in any round, so the plan leaves it out.  step(seed) only draws the
     unforced laws (it builds no drawer when every law is forced), picks
@@ -710,7 +748,8 @@ def stepper(state: SurfaceState, model: AgentModel) -> Callable[[int], SurfaceSt
     window = state.window
     law = model.law
     plan = law.plan(window.side)
-    rows = plan.rows
+    rows = neighbor_rows(model.k, window.side)
+    index = plan.index
     ruled = law.ruled
     use_ids = model.use_ids
     r = state.stage + 1
@@ -724,8 +763,8 @@ def stepper(state: SurfaceState, model: AgentModel) -> Callable[[int], SurfaceSt
         old = before.get(v)
         new, cdf = law.lookup(old, glues, msgs)
         if cdf is not None or new != old or new in ruled:
-            cells.append((v, old, new, cdf, glues, msgs))
-    unforced = any(cell[3] is not None for cell in cells)
+            cells.append((v, index[v], old, new, cdf, glues, msgs))
+    unforced = any(cell[4] is not None for cell in cells)
     posting = bool(ruled or heard)  # else every step's posts are empty
     numbering = bool(use_ids or state.ids)  # else every step's ids are empty
 
@@ -735,9 +774,9 @@ def stepper(state: SurfaceState, model: AgentModel) -> Callable[[int], SurfaceSt
         posts = dict(heard) if posting else _EMPTY
         ids = dict(state.ids) if numbering else _EMPTY
         next_id = state.next_id
-        for v, old, new, cdf, glues, msgs in cells:
+        for v, i, old, new, cdf, glues, msgs in cells:
             if cdf is not None:
-                new = pick(cdf, draw(v))
+                new = pick(cdf, draw(i))
             if new is None:
                 if old is not None:
                     del occupancy[v]

@@ -321,7 +321,9 @@ def run_fidelity(model: AgentModel, side: int, samples: int,
     The two sides draw from disjoint master seeds, derive_seed(master_seed,
     "mesh", i) and derive_seed(master_seed, "model", i) (`seed_stream`):
     with one seed they would agree sample for sample, and their distance
-    would say nothing.  Every mesh sample builds and runs its own network.
+    would say nothing.  Every mesh sample builds and runs its own network,
+    and is tallied by its state register, a tuple by vertex number; the
+    few distinct registers become (location, type) frozensets once.
     The model samples all step from one start state, so its step plan
     (`agents.stepper`) is built once and each sample only draws, picks and
     applies."""
@@ -331,12 +333,17 @@ def run_fidelity(model: AgentModel, side: int, samples: int,
     per_cell = exact_round_law(model, side)
     exact = product_law(per_cell)
 
-    mesh_counts = Counter()
+    tally = Counter()
     for seed in itertools.islice(seed_stream(master_seed, "mesh"), samples):
         net = MeshNetwork(model, side, master_seed=seed, record_trace=False)
         net.init_round0()
         net.run_round()
-        mesh_counts[frozenset(net.states.items())] += 1
+        tally[tuple(net.cells)] += 1
+    verts = model.law.plan(side).verts
+    mesh_counts = Counter()
+    for cells, count in tally.items():
+        mesh_counts[frozenset([(v, name) for v, name in zip(verts, cells)
+                               if name is not None])] += count
 
     step = stepper(initial_state(model, Mesh(model.k, side)), model)
     model_counts = Counter(

@@ -9,14 +9,21 @@ iff their L1 distance is 1.  Side n makes an "n x n surface" and a mesh of
 n^k processors agree literally.
 
 `neighbor_rows(k, side)` is the one neighbour table of a window, read by
-the mesh side and the tile side alike: each vertex's 2k neighbours in canonical direction order, None
-off the window.  The mesh rounds gather post ids along it; the tile engine,
-the local-determinism check and the colouring checks walk it, skipping
-None, with no per-neighbour `Mesh.contains` test.  A windowless tile run
-reads `around` instead, through the same loop (`neighbor_reader`).  The
-rng's key bytes (`rng.window_keys`) are keyed by the table's own vertex
-tuples.  It is the package's one module-level cache: whatever a model
-derives from the rows lives on the model's plan (`agents.Plan`).
+the mesh side and the tile side alike: each vertex's 2k neighbours in
+canonical direction order, None off the window.  The model dynamics
+deliver along it; the tile engine, the local-determinism check and the
+colouring checks walk it, skipping None, with no per-neighbour
+`Mesh.contains` test.  A windowless tile run reads `around` instead,
+through the same loop (`neighbor_reader`).  It is the package's one
+module-level cache: whatever a model derives from the rows lives on the
+model's plan (`agents.Plan`).
+
+The mesh rounds run on vertex numbers instead of vertex tuples: vertex i
+of a window is the i-th of `neighbor_rows` (row-major, last axis
+fastest), so number order is sorted point order, and `index_rows` gives
+the same rows on numbers, with the number N = side^k standing for every
+neighbour off the window.  The rng's key bytes (`rng.window_keys`) are
+listed in that order too.
 """
 
 import operator
@@ -135,6 +142,28 @@ class Mesh:
         return [w for w in around(v) if min(w) >= 0 and max(w) < side]
 
 
+def _columns(k: int, side: int, items: list, edge) -> list:
+    """Per direction in canonical order, the column that lists, for each
+    vertex in row-major order, the item of its neighbor that way (`items`
+    holds one per vertex, in that order), or `edge` off the window.
+
+    Built by slicing `items`, so every entry is one of its own objects."""
+    columns = []
+    for d in directions(k):
+        axis = next(a for a, c in enumerate(d.vector) if c)
+        step = side ** (k - 1 - axis)  # index distance to the next vertex along the axis
+        line = side * step  # indices per run of the axis coordinate from 0 to side-1
+        rim = [edge] * step  # the run's first (or last) vertices: nothing beyond them
+        column = []
+        for start in range(0, len(items), line):
+            if d.vector[axis] < 0:
+                column += rim + items[start:start + line - step]
+            else:
+                column += items[start + step:start + line] + rim
+        columns.append(column)
+    return columns
+
+
 @lru_cache(maxsize=32)
 def neighbor_rows(k: int, side: int) -> dict:
     """window vertex -> its 2k neighbors in canonical direction order, each
@@ -145,20 +174,18 @@ def neighbor_rows(k: int, side: int) -> dict:
     tuples and no point is built twice.  Cached and shared, so callers
     must not mutate it."""
     vertices = list(product(range(side), repeat=k))
-    columns = []
-    for d in directions(k):
-        axis = next(a for a, c in enumerate(d.vector) if c)
-        step = side ** (k - 1 - axis)  # index distance to the next vertex along the axis
-        line = side * step  # indices per run of the axis coordinate from 0 to side-1
-        edge = [None] * step  # the run's first (or last) vertices: nothing beyond them
-        column = []
-        for start in range(0, len(vertices), line):
-            if d.vector[axis] < 0:
-                column += edge + vertices[start:start + line - step]
-            else:
-                column += vertices[start + step:start + line] + edge
-        columns.append(column)
-    return dict(zip(vertices, zip(*columns)))
+    return dict(zip(vertices, zip(*_columns(k, side, vertices, None))))
+
+
+def index_rows(k: int, side: int) -> list:
+    """The rows of `neighbor_rows(k, side)` on vertex numbers: vertex i is
+    the i-th in row-major order (last axis fastest), so number order is
+    sorted point order, and row i lists the numbers of its 2k neighbors in
+    canonical direction order, with N = side^k (one past the last vertex)
+    off the window.  Built by the same slicing, applied to range(N); not
+    cached: the mesh rounds keep it on their plan (`agents.Plan`)."""
+    size = side ** k
+    return list(zip(*_columns(k, side, list(range(size)), size)))
 
 
 def sorted_vertices(points: Collection[Point], rows: dict):

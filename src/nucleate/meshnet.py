@@ -10,6 +10,16 @@ register is read in one place: the states in `states`, the input buffers
 in `inputs`, the output buffers in `outputs` and the colors in
 `coloring()`.
 
+The network runs on vertex numbers (`agents.Plan`): vertex i is the i-th
+of the mesh in sorted order, so number order is sorted location order.
+Its registers are lists by number (`cells` for the states, `pids` for the
+post ids), each with one more slot, N, that stands for every neighbor off
+the mesh and stays None; its round sets hold numbers.  `states` and
+`post_ids` are live read-only views of them keyed by location
+(`RegisterView`), and everything else the network shows is keyed by
+location too: `ids`, the trace, `inputs`, `outputs`, `coloring()` and the
+locality probe's reads.
+
 Processors that hear nothing do nothing: an EMPTY processor stays EMPTY and
 an occupied one keeps re-posting its pairs.  Everything else samples the
 model's one-round transition law.  An occupant posts the pairs that the
@@ -25,31 +35,32 @@ and otherwise walks them as gathered (see `run_round`).
 
 A processor hears its neighbors through post ids.  The law interns every
 posted pairs tuple to a small int (`TransitionLaw.post_id`), the network
-keeps only each occupant's post id (`post_ids`; its output buffers,
-`outputs`, are read from it through `TransitionLaw.pairs_of`), and
-`neighbor_rows` lists each processor's 2k neighbors in canonical
-direction order (None off the mesh) as the window's own vertex tuples.
-A round first reads every evaluated processor's key, the tuple of post
-ids along its row, before any update; its law entry and its id-free post
-id are then memo hits keyed by that key (`TransitionLaw.step`,
+keeps only each occupant's post id (`pids`; its output buffers,
+`outputs`, are read from it through `TransitionLaw.pairs_of`), and the
+plan's `rows` list each processor's 2k neighbors' numbers in canonical
+direction order (N off the mesh).  A round first reads every evaluated
+processor's key, the tuple of post ids along its row (one call of its
+`Plan.readers` entry), before any update; its law entry and its id-free
+post id are then memo hits keyed by that key (`TransitionLaw.step`,
 `keyed_post`).  The model dynamics (`agents.model_step`) read the same
-rows but keep their own delivery, from occupant glues and posts rather
-than post ids, so the two codings check each other; their step plan
-(`agents.stepper`) delivers once per start state, and fidelity builds
-that plan once for all its model samples.
+rows on locations (`lattice.neighbor_rows`) and keep their own delivery,
+from occupant glues and posts rather than post ids, so the two codings
+check each other; their step plan (`agents.stepper`) delivers once per
+start state, and fidelity builds that plan once for all its model
+samples.
 
 Every network of one model on one side reads one plan
 (`TransitionLaw.plan`, kept on the model's law `AgentModel.law`): the mesh,
-its rows and rng keys, the key of a processor that hears nothing, whether
-round 0 can wake a cell (pi_nu > 0) and whether occupants carry ids, and
-the round-0 template (`Plan.round0`): the seed cells, validated and in
-sorted order, their ids under use_ids, and the post id of the pairs each
-posts from silent inputs.  No master seed changes any of it, so
-`init_round0` copies the template in and then wakes, enters and posts the
-nucleated cells, running no wake-up draw at pi_nu = 0; the template is
-built by the first `init_round0` that needs it, so a seed outside the mesh
-or a seed rule that breaks its bounds still raises there, not at
-construction.  Round 0 wakes only cells off the seed, so it woke nobody
+its numbering, rows and rng keys, the key of a processor that hears
+nothing, whether round 0 can wake a cell (pi_nu > 0) and whether occupants
+carry ids, and the round-0 template (`Plan.round0`): the registers with
+the seed cells, validated, their ids (in sorted order) under use_ids, and
+the post id of the pairs each posts from silent inputs.  No master seed
+changes any of it, so `init_round0` copies the template's registers and
+then wakes, enters and posts the nucleated cells, running no wake-up draw
+at pi_nu = 0; the template is built by the first `init_round0` that needs
+it, so a seed outside the mesh or a seed rule that breaks its bounds still
+raises there, not at construction.  Round 0 wakes only cells off the seed, so it woke nobody
 exactly when the network holds as many cells as the template; then it
 holds just the template, and round 1 takes its sorted targets, their keys,
 occupants and law entries from the plan's round-1 list (`Plan.round1`)
@@ -68,7 +79,7 @@ same pairs; the skip changes no state, trace, id or buffer.  An inert
 occupant (`TransitionLaw.inert`: no rule, in a model where no occupant can
 detach) can neither detach nor change its posts, so it is never evaluated,
 nor kept pending once it enters: a round reads each cell's type from
-`states` and drops the inert ones from its targets and its pending set.
+`cells` and drops the inert ones from its targets and its pending set.
 A processor's input buffers (`inputs`, a live `InputBuffers` view of the
 network) are read from the post ids as they stood at the start of the
 last round, whether or not that round evaluated it.  Looking up one
@@ -77,7 +88,8 @@ iteration scan every poster.
 """
 
 from collections.abc import Mapping
-from itertools import chain, repeat
+from itertools import chain, compress, repeat
+from operator import is_not
 from typing import NamedTuple, Optional
 
 from .agents import AgentModel, nucleation_sites, pick
@@ -85,7 +97,7 @@ from .agents import AgentModel, nucleation_sites, pick
 # rules run in TransitionLaw.rule_output.
 from .agents import message_rule  # noqa: F401
 from .coloring import Coloring
-from .lattice import Mesh, Point
+from .lattice import Mesh, Point, neighbor_rows
 # perfbench/tracer.py wraps this module's derive_seed and derived_rng
 # bindings by name; the draws go through the rng kernel.
 from .rng import derive_seed, derived_rng  # noqa: F401
@@ -99,14 +111,44 @@ class TraceEvent(NamedTuple):
     new: Optional[str]
 
 
+class RegisterView(Mapping):
+    """Live read-only map v -> a network's register entry at vertex v
+    (`cells` for `states`, `pids` for `post_ids`), for each v where it is
+    not None.  Like `dict.keys()`, it holds only its network and reads it
+    on each access; `dict(view)` takes a snapshot.  A lookup maps v to its
+    number through the plan's `index` (KeyError off the mesh or where the
+    entry is None); `len` is the network's occupant count, since every
+    occupant posts; iteration scans the register and yields the vertices
+    in sorted order.  It has no write methods, so item assignment raises
+    TypeError."""
+
+    def __init__(self, net: "MeshNetwork", register: str):
+        self._net = net
+        self._register = register
+
+    def __getitem__(self, v: Point):
+        net = self._net
+        value = getattr(net, self._register)[net._plan.index[v]]
+        if value is None:
+            raise KeyError(v)
+        return value
+
+    def __iter__(self):
+        held = map(is_not, getattr(self._net, self._register), repeat(None))
+        return compress(self._net._plan.verts, held)
+
+    def __len__(self) -> int:
+        return self._net.count
+
+
 class InputBuffers(Mapping):
     """Live read-only map v -> the input buffers the last round delivered
     to v, for each processor that heard at least one pair (none before
-    round 1).  Like `dict.keys()`, it holds only its network and reads it
+    round 1).  Like `RegisterView`, it holds only its network and reads it
     on each access, so it always shows the network's last round;
     `dict(net.inputs)` takes a snapshot.  Neighbor w's post id at the
     start of that round is `_posted[w]` if w's posts changed in it, else
-    `post_ids.get(w)`.  A lookup (`[v]`, `get`, `in`) reads v's row of 2k
+    `pids[w]`.  A lookup (`[v]`, `get`, `in`) reads v's row of 2k
     neighbors only; `len` and iteration scan every poster on each call."""
 
     def __init__(self, net: "MeshNetwork"):
@@ -114,25 +156,27 @@ class InputBuffers(Mapping):
 
     def __getitem__(self, v: Point) -> tuple:
         net = self._net
-        posted, read = net._posted, net.post_ids.get
-        key = tuple([posted[w] if w in posted else read(w) for w in net._plan.rows[v]])
+        plan = net._plan
+        posted, pids = net._posted, net.pids
+        key = tuple([posted[w] if w in posted else pids[w]
+                     for w in plan.rows[plan.index[v]]])
         if key.count(None) == len(key):
             raise KeyError(v)
         return net.law.slot(key)
 
     def _heard(self) -> set:
-        """The processors that heard a pair: the neighbors of every
-        processor that posted at the start of the last round."""
+        """The numbers of the processors that heard a pair: the neighbors
+        of every processor that posted at the start of the last round."""
         net = self._net
         posted = net._posted
-        before = [v for v in net.post_ids if v not in posted]
-        before += [v for v, pid in posted.items() if pid is not None]
+        before = [i for i, pid in enumerate(net.pids) if pid is not None and i not in posted]
+        before += [i for i, pid in posted.items() if pid is not None]
         heard = set(chain.from_iterable(map(net._plan.rows.__getitem__, before)))
-        heard.discard(None)
+        heard.discard(net._plan.off)
         return heard
 
     def __iter__(self):
-        return iter(sorted(self._heard()))
+        return map(self._net._plan.verts.__getitem__, sorted(self._heard()))
 
     def __len__(self) -> int:
         return len(self._heard())
@@ -166,6 +210,11 @@ class AccessProbe:
 class MeshNetwork:
     """n^k processors wired as a k-dimensional mesh, simulating a model."""
 
+    # fidelity builds tens of thousands of small networks: slots make each
+    # cheaper to build and its rounds cheaper to read
+    __slots__ = ("model", "mesh", "master_seed", "law", "round", "cells", "pids", "count",
+                 "ids", "next_id", "trace", "_plan", "_started", "_pending", "_posted")
+
     def __init__(self, model: AgentModel, side: int, master_seed: int = 0,
                  record_trace: bool = True):
         plan = model.law.plan(side)
@@ -174,21 +223,37 @@ class MeshNetwork:
         self.master_seed = master_seed
         self.law = plan.law
         self.round = 0
-        self.states: dict[Point, str] = {}
-        #: v -> the post id of the pairs v posts, for every occupant
-        self.post_ids: dict[Point, int] = {}
+        #: the registers, by vertex number, with one more slot (`Plan.off`)
+        #: for every off-mesh neighbor, always None: each processor's type
+        #: (None: EMPTY) and the post id of the pairs it posts (None: no
+        #: posts; every occupant posts), and the number of occupants.
+        #: `init_round0` replaces the shared empty ones with lists.
+        self.cells = self.pids = plan.vacant
+        self.count = 0
         self.ids: dict[Point, int] = {}
         self.next_id = 0
         self.trace: list[TraceEvent] = [] if record_trace else None
         self._plan = plan
         self._started = False
-        # The processors the next round evaluates, besides the neighbors of
-        # the cells whose posts changed last round: the ones whose state
-        # changed or whose law was unforced, inert occupants excepted.
+        # The numbers of the processors the next round evaluates, besides
+        # the neighbors of the cells whose posts changed last round: the
+        # ones whose state changed or whose law was unforced, inert
+        # occupants excepted.
         self._pending: set = set()
-        #: v -> v's post id at the start of the last round (None: no
-        #: posts), for each v whose posts changed in it
+        #: i -> processor i's post id at the start of the last round (None:
+        #: no posts), for each i whose posts changed in it
         self._posted: dict = {}
+
+    @property
+    def states(self) -> RegisterView:
+        """Live read-only view: v -> the type of occupant v."""
+        return RegisterView(self, "cells")
+
+    @property
+    def post_ids(self) -> RegisterView:
+        """Live read-only view: v -> the post id of the pairs occupant v
+        posts."""
+        return RegisterView(self, "pids")
 
     # -- round 0 -------------------------------------------------------
 
@@ -202,27 +267,27 @@ class MeshNetwork:
             raise ValueError("network already initialized")
         self._started = True
         plan = self._plan
-        seeded, seed_ids, seed_post_ids = plan.round0
-        states = self.states
-        states.update(seeded)
+        cells, pids, seed_ids, seeded = plan.round0
+        self.cells = cells = cells.copy()
+        self.pids = pids = pids.copy()
+        posted = dict.fromkeys(seeded)
         if plan.use_ids:
             self.ids.update(seed_ids)
             self.next_id = len(seed_ids)
-        self.post_ids.update(seed_post_ids)
         if plan.wakes:
-            for v, name in nucleation_sites(self.model, plan.keys, self.master_seed, states):
-                self._enter(v, name)
-                self.post_ids[v] = self.law.keyed_post(name, plan.nobody, self.ids.get(v))
+            for i, name in nucleation_sites(self.model, plan.keys, self.master_seed, seeded):
+                cells[i] = name
+                my_id = None
+                if plan.use_ids:
+                    my_id = self.ids[plan.verts[i]] = self.next_id
+                    self.next_id += 1
+                pids[i] = self.law.keyed_post(name, plan.nobody, my_id)
+                posted[i] = None
+        self.count = len(posted)
         if self.trace is not None:
             self.trace.extend([TraceEvent(0, v, None, name)
-                               for v, name in sorted(states.items())])
-        self._posted = dict.fromkeys(states)
-
-    def _enter(self, v: Point, name: str) -> None:
-        self.states[v] = name
-        if self.model.use_ids:
-            self.ids[v] = self.next_id
-            self.next_id += 1
+                               for v, name in zip(plan.verts, cells) if name is not None])
+        self._posted = posted
 
     # -- rounds >= 1 ---------------------------------------------------
 
@@ -242,24 +307,22 @@ class MeshNetwork:
         trace, or under use_ids (ids are numbered in sorted location order
         within a round).  Otherwise they are walked as gathered: an update
         reads only its own pre-gathered key and state, and a draw depends
-        on (seed, v, r), never on the position in the loop.  Only the
-        insertion order of `states` and `post_ids` then differs, and every
-        reader that shows an order canonicalizes it: the colouring check
-        and `formats.coloring_text` go through `lattice.sorted_vertices`,
-        `formats.ascii_snapshot` walks the grid, and fidelity compares
-        frozensets.  A rule that raises mid-round may raise at a different
-        cell."""
+        on (seed, v, r), never on the position in the loop.  Every reader
+        that shows an order reads the registers in number order, which is
+        sorted location order.  A rule that raises mid-round may raise at
+        a different cell."""
         if not self._started:
             raise ValueError("call init_round0 first")
         self.round += 1
         r = self.round
         plan = self._plan
         rows = plan.rows
-        states = self.states
+        cells, pids = self.cells, self.pids
         law = self.law
         ruled, inert = law.ruled, law.inert
-        post_ids = self.post_ids
-        if r == 1 and len(states) == plan.seeded:
+        trace = self.trace
+        ids_on = plan.use_ids
+        if r == 1 and self.count == plan.seeded:
             # round 0 woke nobody (it wakes only cells off the seed), so
             # the network holds just the template: the plan knows each
             # target's key, occupant and law entry
@@ -267,61 +330,71 @@ class MeshNetwork:
         else:
             targets = self._pending
             targets.update(chain.from_iterable(map(rows.__getitem__, self._posted)))
-            targets.discard(None)
+            targets.discard(plan.off)
             if inert:
-                targets = [v for v in targets if states.get(v) not in inert]
-            if self.trace is not None or plan.use_ids:
+                targets = [i for i in targets if cells[i] not in inert]
+            if trace is not None or ids_on:
                 targets = sorted(targets)
-            read = post_ids.get
-            keys = [tuple(map(read, rows[v])) for v in targets]
+            readers = plan.readers
+            keys = [readers[i](pids) for i in targets]
             entries = repeat(None)
 
         steps, keyed, fixed = law.steps, law.keyed_posts, law.fixed_posts
         draw = None
-        ids_on = plan.use_ids
+        verts = plan.verts
         nobody = plan.nobody
+        ids = self.ids
+        if probe is not None:
+            near = neighbor_rows(self.mesh.k, self.mesh.side)
+        count = self.count
         pending = set()
         posted = {}
-        for v, key, entry in zip(targets, keys, entries):
-            if entry is None:
-                if key == nobody:
-                    continue  # its last neighbor left: it idles
-                old = states.get(v)
-                new, cdf = steps.get((old, key)) or law.step(old, key)
-            else:
-                old, new, cdf = entry
-            if probe is not None:
-                probe.log_key(v, rows[v], key)
-            if cdf is not None:
-                if draw is None:
-                    draw = drawer(self.master_seed, plan.keys, r)
-                new = pick(cdf, draw(v))
-            if (cdf is not None or new != old) and new not in inert:
-                pending.add(v)  # its state or its next draw may differ
-            if new != old:
-                if self.trace is not None:
-                    self.trace.append(TraceEvent(r, v, old, new))
-                if new is None:
-                    del states[v]
-                    self.ids.pop(v, None)
-                    posted[v] = post_ids.pop(v)
-                    continue
-                states[v] = new  # it enters
-                if ids_on:
-                    self.ids[v] = self.next_id
-                    self.next_id += 1
-            elif new not in ruled:
-                continue  # it stays EMPTY, or keeps a type whose posts never vary
-            # it entered, or it kept a type whose rule may post differently now
-            pid = fixed.get(new)
-            if pid is None and not ids_on:
-                pid = keyed.get((new, key))
-            if pid is None:
-                pid = law.keyed_post(new, key, self.ids.get(v))
-            was = post_ids.get(v)
-            if pid != was:
-                posted[v] = was
-                post_ids[v] = pid
+        try:
+            for i, key, entry in zip(targets, keys, entries):
+                if entry is None:
+                    if key == nobody:
+                        continue  # its last neighbor left: it idles
+                    old = cells[i]
+                    new, cdf = steps.get((old, key)) or law.step(old, key)
+                else:
+                    old, new, cdf = entry
+                if probe is not None:
+                    probe.log_key(verts[i], near[verts[i]], key)
+                if cdf is not None:
+                    if draw is None:
+                        draw = drawer(self.master_seed, plan.keys, r)
+                    new = pick(cdf, draw(i))
+                if (cdf is not None or new != old) and new not in inert:
+                    pending.add(i)  # its state or its next draw may differ
+                if new != old:
+                    if trace is not None:
+                        trace.append(TraceEvent(r, verts[i], old, new))
+                    cells[i] = new
+                    if new is None:
+                        count -= 1
+                        if ids_on:
+                            ids.pop(verts[i], None)
+                        posted[i] = pids[i]
+                        pids[i] = None
+                        continue
+                    count += 1  # it enters
+                    if ids_on:
+                        ids[verts[i]] = self.next_id
+                        self.next_id += 1
+                elif new not in ruled:
+                    continue  # it stays EMPTY, or keeps a type whose posts never vary
+                # it entered, or it kept a type whose rule may post differently now
+                pid = fixed.get(new)
+                if pid is None and not ids_on:
+                    pid = keyed.get((new, key))
+                if pid is None:
+                    pid = law.keyed_post(new, key, ids[verts[i]] if ids_on else None)
+                was = pids[i]
+                if pid != was:
+                    posted[i] = was
+                    pids[i] = pid
+        finally:
+            self.count = count
         self._pending = pending
         self._posted = posted
 
@@ -337,7 +410,8 @@ class MeshNetwork:
     def outputs(self) -> dict:
         """v -> the pairs occupant v posts, read from its post id."""
         pairs_of = self.law.pairs_of
-        return {v: pairs_of[pid] for v, pid in self.post_ids.items()}
+        return {v: pairs_of[pid] for v, pid in zip(self._plan.verts, self.pids)
+                if pid is not None}
 
     @property
     def inputs(self) -> InputBuffers:
@@ -347,6 +421,6 @@ class MeshNetwork:
 
     def coloring(self) -> Coloring:
         """The simulated surface as a coloring: each occupant's type color."""
-        types = self.model.types
-        return Coloring({v: types[name].color for v, name in self.states.items()},
-                        self.mesh, self.model.colors)
+        color = {name: t.color for name, t in self.model.types.items()}
+        return Coloring({v: color[name] for v, name in zip(self._plan.verts, self.cells)
+                         if name is not None}, self.mesh, self.model.colors)

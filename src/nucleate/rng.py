@@ -16,8 +16,9 @@ hashes the same bytes, bit for bit, at a fraction of the cost:
   each draw copies that *prefix state* and hashes only its own tail;
 * `wakeups` gives the round-0 nucleation draws and `drawer` the draws of
   later rounds, each reading a window's vertex bytes (`window_keys`,
-  built once per model and side and keyed by the vertex tuples of
-  `lattice.neighbor_rows`) instead of calling `repr` per draw;
+  built once per model and side and listed by vertex number, the
+  row-major order of `lattice.neighbor_rows`) instead of calling `repr`
+  per draw, so a cell is named by its number;
 * `seed_stream(master, *path)` yields `derive_seed(master, *path, i)` for
   i = 0, 1, ..., the per-trial and per-sample seeds of `experiment`.
 
@@ -79,19 +80,18 @@ def _prefix(head: bytes) -> blake2b:
     return h
 
 
-def window_keys(k: int, side: int) -> dict:
-    """vertex -> repr(vertex).encode() for every vertex of {0..side-1}^k,
-    in row-major vertex order: the part of a cell's hash key that no round
-    or seed changes.  Keyed by the vertex tuples of
-    `lattice.neighbor_rows(k, side)`, so a row's neighbours look their keys
-    up by identity.  Built on every call; `agents.Plan` builds one per
-    model and mesh side."""
-    return {v: repr(v).encode() for v in neighbor_rows(k, side)}
+def window_keys(k: int, side: int) -> list:
+    """repr(v).encode() for every vertex v of {0..side-1}^k, in row-major
+    vertex order, so entry i is vertex number i's (`lattice.index_rows`):
+    the part of a cell's hash key that no round or seed changes.  Built on
+    every call; `agents.Plan` builds one per model and mesh side."""
+    return [repr(v).encode() for v in neighbor_rows(k, side)]
 
 
-def wakeups(master: int, keys: dict, pi_nu: float) -> list:
-    """(v, derive_seed(master, v, 0, 1)) for each vertex v of `keys`, in
-    its order, with uniform(master, v, 0) < pi_nu.
+def wakeups(master: int, keys: list, pi_nu: float) -> list:
+    """(i, derive_seed(master, v, 0, 1)) for each vertex v of `keys`, by
+    its number i there and in that order, with uniform(master, v, 0) <
+    pi_nu.
 
     The test is exact and reads the digest bytes: uniform is (h >> 11) /
     2^53, so it lies below pi_nu exactly when the 64-bit h lies below
@@ -105,25 +105,25 @@ def wakeups(master: int, keys: dict, pi_nu: float) -> list:
     top = ceil(pi_nu * 2 ** 53) << 11
     limit = top.to_bytes(8, "big") if top < 1 << 64 else b"\xff" * 9
     woken = []
-    for v, key in keys.items():
+    for i, key in enumerate(keys):
         wake = prefix.copy()
         wake.update(key)
         wake.update(b", 0)")
         if wake.digest() < limit:
             cell = prefix.copy()
             cell.update(key + b", 0, 1)")
-            woken.append((v, int.from_bytes(cell.digest(), "big")))
+            woken.append((i, int.from_bytes(cell.digest(), "big")))
     return woken
 
 
-def drawer(master: int, keys: dict, r: int) -> Callable[[tuple], float]:
-    """The draws of round r: v -> uniform(master, v, r), bit for bit, for
-    the vertices of `keys`."""
+def drawer(master: int, keys: list, r: int) -> Callable[[int], float]:
+    """The draws of round r: i -> uniform(master, v, r), bit for bit, for
+    the vertex v whose key bytes are keys[i]."""
     prefix = _prefix(b"(%d, " % master)
     tail = b", %d)" % r
 
-    def draw(v: tuple) -> float:
+    def draw(i: int) -> float:
         h = prefix.copy()
-        h.update(keys[v] + tail)
+        h.update(keys[i] + tail)
         return (int.from_bytes(h.digest(), "big") >> 11) * _UNIT
     return draw

@@ -420,11 +420,13 @@ class EvaluateEveryoneNetwork(MeshNetwork):
     the public `lookup` (one call per cell, read for both the forced test
     and the draw), unless it is an occupant that can neither detach nor
     change its posts.  The oracle for the event-driven round, which must
-    match it round for round.  It keeps its own posts as pairs in `pairs`,
-    and `delivered` holds the input buffers of the last round.  After each
-    round it rebuilds `post_ids` from `pairs`, and `_posted` from every
+    match it round for round.  It keeps its own occupancy and posts keyed
+    by vertex, the posts as pairs in `pairs`, and `delivered` holds the
+    input buffers of the last round.  After each round it writes them into
+    the network's registers by vertex number (`cells`, and `pids` from
+    `pairs`, plus the occupant count) and rebuilds `_posted` from every
     poster's post id at the start of the round, so the inherited views
-    (`inputs`, `outputs`) show its rounds."""
+    (`states`, `post_ids`, `inputs`, `outputs`) show its rounds."""
 
     def init_round0(self):
         super().init_round0()
@@ -436,10 +438,10 @@ class EvaluateEveryoneNetwork(MeshNetwork):
         r = self.round
         d = self.model.d
         table = self.table
-        states = self.states
+        states = dict(self.states)
 
         outputs = self.pairs
-        start = self.post_ids
+        start = self.pids
         delivered = {}
         for v in outputs:
             pairs = outputs[v]
@@ -477,12 +479,19 @@ class EvaluateEveryoneNetwork(MeshNetwork):
                     self.ids.pop(v, None)
                     outputs.pop(v, None)
                     continue
-                if old is None:
-                    self._enter(v, new)
-                else:
-                    states[v] = new
+                states[v] = new
+                if old is None and self.model.use_ids:
+                    self.ids[v] = self.next_id
+                    self.next_id += 1
                 outputs[v] = law.posts(new, glues, msgs, self.ids.get(v))
             elif new is not None and types[new].rule is not None:
                 outputs[v] = law.posts(new, glues, msgs, self.ids.get(v))
-        self.post_ids = {v: law.post_id(pairs) for v, pairs in outputs.items()}
-        self._posted = {v: start.get(v) for v in start.keys() | self.post_ids.keys()}
+        index = self._plan.index
+        cells, pids = [None] * len(start), [None] * len(start)
+        for v, name in states.items():
+            cells[index[v]] = name
+        for v, pairs in outputs.items():
+            pids[index[v]] = law.post_id(pairs)
+        self.cells, self.pids, self.count = cells, pids, len(states)
+        self._posted = {i: was for i, (was, now) in enumerate(zip(start, pids))
+                        if was is not None or now is not None}

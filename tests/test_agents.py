@@ -221,13 +221,15 @@ def test_neighbor_table_matches_add_and_contains():
 
 
 def test_neighbor_rows_match_around_and_reuse_the_window_keys():
+    # the rows hold the table's own vertex tuples, and the window keys list
+    # those vertices' bytes in the table's order, so key i is vertex i's
     for k in (2, 3):
         for side in range(1, 7):
             window = Mesh(k, side)
             keys = window_keys(k, side)
             rows = neighbor_rows(k, side)
-            assert all(v is key for v, key in zip(rows, keys)) and len(rows) == len(keys)
-            own = {v: v for v in keys}  # each vertex -> the key object itself
+            assert keys == [repr(v).encode() for v in rows] and len(rows) == len(keys)
+            own = {v: v for v in rows}  # each vertex -> the table's own tuple
             for v, row in rows.items():
                 assert len(row) == 2 * k, (k, side, v)
                 for w, expected in zip(row, around(v)):
@@ -235,6 +237,26 @@ def test_neighbor_rows_match_around_and_reuse_the_window_keys():
                         assert w == expected and w is own[expected], (k, side, v)
                     else:
                         assert w is None, (k, side, v)
+
+
+@pytest.mark.parametrize("k", [2, 3])
+@pytest.mark.parametrize("side", [1, 2, 5])
+def test_plan_numbers_the_vertices_in_sorted_order(k, side):
+    # vertex i of a plan is the i-th in sorted order; its numbered row,
+    # read back through `verts` with the off-mesh number as None, is its
+    # vertex row, and its key bytes are its repr
+    model = AgentModel(types={"t": AgentType("t", ("g",) * (2 * k))},
+                       rules=BindingRules({("g", "g"): 1}), temperature=1, k=k)
+    plan = model.law.plan(side)
+    verts = plan.verts
+    assert verts == sorted(Mesh(k, side).vertices())
+    assert plan.off == len(verts) == side ** k
+    rows = neighbor_rows(k, side)
+    assert len(plan.rows) == len(verts)
+    for i, v in enumerate(verts):
+        assert tuple(None if w == plan.off else verts[w] for w in plan.rows[i]) == rows[v]
+        assert plan.keys[i] == repr(v).encode()
+        assert plan.index[v] == i
 
 
 @pytest.mark.parametrize("k", [2, 3])

@@ -287,8 +287,9 @@ def _next_evaluated(net: MeshNetwork) -> set:
     """The processors net's next round evaluates: the pending ones and the
     neighbors of the cells whose posts changed last round, less the inert
     occupants and the processors that hear no pair."""
-    mesh, inert = net.mesh, _inert_types(net.model)
-    near = set(net._pending).union(*map(mesh.neighbors, net._posted))
+    mesh, inert, verts = net.mesh, _inert_types(net.model), net._plan.verts
+    posted = [verts[i] for i in net._posted]
+    near = {verts[i] for i in net._pending}.union(*map(mesh.neighbors, posted))
     return {v for v in near if net.states.get(v) not in inert
             and any(w in net.post_ids for w in mesh.neighbors(v))}
 
@@ -349,7 +350,7 @@ def test_probe_reads_exactly_the_evaluated_neighborhoods(k, static):
             assert set(probe.reads) == expected, (trial, r)
             assert len(probe.reads) == len(expected), (trial, r)
             if r == 1 and not woke:  # round 1 evaluates the plan's targets
-                assert evaluated == set(net._plan.round1[0]), trial
+                assert evaluated == {net._plan.verts[i] for i in net._plan.round1[0]}, trial
             neighbor_reads += len(expected) - len(evaluated)
     assert neighbor_reads > 0
 
@@ -458,13 +459,13 @@ def test_processor_views_track_anatomy():
 
 
 def test_processor_views_read_one_row_of_post_ids():
-    # a lookup reads v's 2k neighbors' post ids, never the whole map: with
-    # every whole-map read of post_ids sealed, inputs[v] gives what it
-    # gave before, for every vertex
-    class Sealed(dict):
+    # a lookup reads v's 2k neighbors' post ids, never the whole register:
+    # with every whole-register read of the post ids sealed, inputs[v]
+    # gives what it gave before, for every vertex
+    class Sealed(list):
         def _sealed(self, *args):
-            raise AssertionError("read the whole post_ids map")
-        __iter__ = keys = items = values = copy = _sealed
+            raise AssertionError("read the whole post id register")
+        __iter__ = __reversed__ = __len__ = copy = index = count = _sealed
 
     net = MeshNetwork(churning_ping_model(), 6, master_seed=41)
     net.init_round0()
@@ -477,7 +478,7 @@ def test_processor_views_read_one_row_of_post_ids():
 
     before = views()
     assert sum(buffers is not None for buffers in before.values()) > 1
-    net.post_ids = Sealed(net.post_ids)
+    net.pids = Sealed(net.pids)
     assert views() == before
     with pytest.raises(KeyError):
         net.inputs[(6, 0)]  # off the mesh
@@ -499,6 +500,64 @@ def test_a_held_input_view_follows_its_network():
         assert len(held) == len(fresh) and list(held) == sorted(fresh), r
         changed += snapshot != dict(held)
     assert changed
+
+
+@pytest.mark.parametrize("k", [2, 3])
+@pytest.mark.parametrize("use_ids", [False, True], ids=["no-ids", "ids"])
+def test_register_views_show_the_traced_occupancy(k, use_ids):
+    # `states` and `post_ids` are live read-only views over the numbered
+    # registers: after every round, a view held from round 0 and a fresh
+    # one both show the occupancy replayed from the trace, with its length
+    # and in sorted order; a lookup off the mesh or at an empty cell raises
+    # KeyError, a write raises TypeError, and the post ids give `outputs`
+    import random
+    from dataclasses import replace
+
+    rng = random.Random(3600 + 10 * k + use_ids)
+    side = 6 if k == 2 else 4
+    off_mesh = [(side,) + (0,) * (k - 1), (-1,) * k, (0,) * (k - 1)]
+    seen = {"detached": 0, "entered": 0, "empty lookups": 0}
+    for trial in range(12):
+        model = replace(_regime_model(rng, k, static=False), use_ids=use_ids)
+        if trial % 2:
+            model = replace(model, kinetics=replace(model.kinetics, detach=True, p_off=0.3))
+        net = MeshNetwork(model, side, master_seed=rng.getrandbits(64))
+        held_states, held_posts = net.states, net.post_ids
+        assert dict(held_states) == {} and len(held_states) == 0
+        net.init_round0()
+        replayed = {}
+        for r in range(9):
+            if r:
+                net.run_round()
+            for event in net.trace:
+                if event.round == r:
+                    assert replayed.get(event.coordinates) == event.old, (trial, r)
+                    if event.new is None:
+                        del replayed[event.coordinates]
+                        seen["detached"] += 1
+                    else:
+                        replayed[event.coordinates] = event.new
+                        seen["entered"] += 1
+            for states in (held_states, net.states):
+                assert dict(states) == replayed and states == replayed, (trial, r)
+                assert len(states) == len(replayed), (trial, r)
+                assert list(states) == sorted(replayed), (trial, r)
+            for view in (net.states, net.post_ids):
+                for v in off_mesh:
+                    with pytest.raises(KeyError):
+                        view[v]
+                    assert v not in view and view.get(v) is None
+                empty = next((v for v in net.mesh.vertices() if v not in replayed), None)
+                if empty is not None:
+                    with pytest.raises(KeyError):
+                        view[empty]
+                    seen["empty lookups"] += 1
+                with pytest.raises(TypeError):
+                    view[(0,) * k] = "t"
+            pairs = {v: net.law.pairs_of[pid] for v, pid in held_posts.items()}
+            assert pairs == net.outputs and list(pairs) == sorted(replayed), (trial, r)
+            assert len(held_posts) == len(replayed), (trial, r)
+    assert all(seen.values()), seen
 
 
 def test_three_dimensional_forced_growth():
@@ -874,7 +933,9 @@ def test_round1_template_matches_evaluate_everyone_oracle(k):
         probe = AccessProbe()
         net.run_round(probe=probe)
         # round 1 evaluates exactly the plan's round-1 targets
-        assert {reader for reader, _ in probe.reads} == set(net._plan.round1[0]), trial
+        plan = net._plan
+        assert ({reader for reader, _ in probe.reads}
+                == {plan.verts[i] for i in plan.round1[0]}), trial
         _match_evaluate_everyone_oracle(model, side, master, seen, ("template", trial))
         seen["pi_nu 0"] += model.pi_nu == 0
         seen["pi_nu > 0"] += model.pi_nu > 0
@@ -987,9 +1048,11 @@ def _round0_view(net):
 
 
 def _round1_view(plan):
-    """The plan's round-1 targets, keys and entries, as plain copies."""
+    """The plan's round-1 targets (as vertices), keys and entries, as plain
+    copies."""
     targets, keys, entries = plan.round1
-    return list(targets), [list(key) for key in keys], [list(entry) for entry in entries]
+    return ([plan.verts[i] for i in targets], [list(key) for key in keys],
+            [list(entry) for entry in entries])
 
 
 def _random_seeded_model(rng, k, side, use_ids):
@@ -1069,10 +1132,12 @@ def test_plan_round1_entries_are_fresh_law_lookups(k, use_ids):
     for trial in range(40):
         model = _random_seeded_model(rng, k, side, use_ids)
         law = model.law
-        targets, keys, entries = law.plan(side).round1
+        plan = law.plan(side)
+        targets, keys, entries = plan.round1
         assert len(keys) == len(entries) == len(targets), trial
         start = initial_state(model, Mesh(k, side))
-        for v, key, (old, new, cdf) in zip(targets, keys, entries):
+        for v, key, (old, new, cdf) in zip(map(plan.verts.__getitem__, targets), keys,
+                                           entries):
             assert old == model.seed.get(v), (trial, v)
             assert (new, cdf) == law.lookup(old, *law.heard(key)), (trial, v)
             heard = heard_inputs(model, table, v, start.occupancy, start.out_messages)

@@ -37,17 +37,16 @@ def test_derive_seed_and_uniform_are_pinned(path, seed, u):
 def test_window_keys_are_the_vertex_reprs_in_vertex_order():
     for k in (2, 3):
         for side in (1, 3):
-            keys = window_keys(k, side)
-            assert list(keys) == list(Mesh(k, side).vertices())
-            assert all(key == repr(v).encode() for v, key in keys.items())
+            assert window_keys(k, side) == [repr(v).encode() for v in Mesh(k, side).vertices()]
 
 
 @settings(max_examples=60, deadline=None)
 @given(SEEDS, st.sampled_from([2, 3]), st.integers(1, 6), st.integers(0, 40))
 def test_drawer_equals_uniform(seed, k, side, r):
+    # the draws are named by vertex number, the index into the key list
     draw = drawer(seed, window_keys(k, side), r)
-    for v in Mesh(k, side).vertices():
-        assert draw(v) == uniform(seed, v, r)
+    for i, v in enumerate(Mesh(k, side).vertices()):
+        assert draw(i) == uniform(seed, v, r)
 
 
 @settings(max_examples=60, deadline=None)
@@ -58,7 +57,7 @@ def test_drawer_equals_uniform(seed, k, side, r):
                  st.sampled_from([1.0, 0.5, 0.375, 2.0 ** -53]),
                  st.integers(0, 2 ** 53).map(lambda m: m * 2.0 ** -53)))
 def test_wakeups_equal_uniform_and_derive_seed(seed, k, side, pi_nu):
-    expected = [(v, derive_seed(seed, v, 0, 1)) for v in Mesh(k, side).vertices()
+    expected = [(i, derive_seed(seed, v, 0, 1)) for i, v in enumerate(Mesh(k, side).vertices())
                 if uniform(seed, v, 0) < pi_nu]
     assert wakeups(seed, window_keys(k, side), pi_nu) == expected
 
@@ -67,19 +66,43 @@ def test_wakeups_equal_uniform_and_derive_seed(seed, k, side, pi_nu):
 @given(SEEDS, st.sampled_from([2, 3]), st.integers(1, 6), st.data())
 def test_wakeup_threshold_is_exact(seed, k, side, data):
     keys = window_keys(k, side)
-    v = data.draw(st.sampled_from(list(keys)))
-    one = {v: keys[v]}
+    verts = list(Mesh(k, side).vertices())
+    i = data.draw(st.integers(0, len(keys) - 1))
+    v = verts[i]
+    one = [keys[i]]  # a key list of one vertex, which it names 0
     u = uniform(seed, v, 0)
     # a cell wakes iff its draw lies strictly below pi_nu
     assert wakeups(seed, one, u) == []
-    assert wakeups(seed, one, math.nextafter(u, 1)) == [(v, derive_seed(seed, v, 0, 1))]
+    assert wakeups(seed, one, math.nextafter(u, 1)) == [(0, derive_seed(seed, v, 0, 1))]
 
 
 @pytest.mark.parametrize("seed", [0, 7, 2 ** 64 - 1])
 def test_wakeup_bounds(seed):
     keys = window_keys(2, 6)
     assert wakeups(seed, keys, 0.0) == []
-    assert wakeups(seed, keys, 1.0) == [(v, derive_seed(seed, v, 0, 1)) for v in keys]
+    assert wakeups(seed, keys, 1.0) == [(i, derive_seed(seed, v, 0, 1))
+                                        for i, v in enumerate(Mesh(2, 6).vertices())]
+
+
+@pytest.mark.parametrize("k", [2, 3])
+@pytest.mark.parametrize("side", [1, 2, 5])
+def test_the_plan_keys_and_kernel_follow_its_numbering(k, side):
+    # the plan's key list is in vertex-number order, so the kernel's draws
+    # and wake-ups at number i are the reference ones at verts[i]
+    plan = _one_type_model(k).law.plan(side)
+    seed = 2 ** 64 - 1 - side
+    draw = drawer(seed, plan.keys, 3)
+    assert [draw(i) for i in range(len(plan.verts))] == [uniform(seed, v, 3) for v in plan.verts]
+    assert wakeups(seed, plan.keys, 0.5) == [(i, derive_seed(seed, v, 0, 1))
+                                             for i, v in enumerate(plan.verts)
+                                             if uniform(seed, v, 0) < 0.5]
+
+
+def _one_type_model(k):
+    from nucleate.agents import AgentModel, AgentType, BindingRules
+
+    return AgentModel(types={"t": AgentType("t", ("g",) * (2 * k))},
+                      rules=BindingRules({("g", "g"): 1}), temperature=1, k=k)
 
 
 #: every code point but the surrogates, as st.text's default alphabet, without

@@ -71,8 +71,10 @@ sys.exit(code)
 #: the artifacts of a traced one, whose round 1 is read from the plan's
 #: template (fidelity2 wakes nobody at round 0); fidelity on a window of
 #: side 2; a campaign read from a model file (`experiment --model`, whose
-#: results record the file's hash); and `lint-model` on each shipped model
-#: file.
+#: results record the file's hash); `lint-model` on each shipped model
+#: file; and the edge windows of the numbered mesh rounds: meshsim on a
+#: window of one cell, whose every neighbor row is the off-mesh number,
+#: and a campaign on sides 1, 2 and 3.
 PARTIAL_2D = ["meshsim", "--model", "src/nucleate/data/checkerboard_local.json",
               "--size", "16", "--rounds", "5", "--seed", "{seed}"]
 TSTAR = ["assemble", "--model", "src/nucleate/data/tstar.json", "--check-coloring",
@@ -101,6 +103,10 @@ EXTRA_CALLS = {
                           "--rounds", "3", "--trials", "5", "--seed", "{seed}",
                           "--out", "{out}"]],
     "lint-model": [["lint-model", "--model", path] for path in SHIPPED],
+    "meshsim-side-1": [PARTIAL_2D + ["--size", "1"] + OUT],
+    "experiment-tiny": [["experiment", "--rule", "checkerboard-local", "--sizes", "1,2,3",
+                         "--rounds", "4", "--trials", "6", "--seed", "{seed}",
+                         "--out", "{out}"]],
 }
 
 
