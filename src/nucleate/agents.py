@@ -524,15 +524,15 @@ class Plan:
     `rows[i]` is the tuple of its 2k neighbors' numbers in canonical
     direction order (`lattice.index_rows`, with `off` = N, the number of
     vertices, off the mesh), `readers[i]` reads a register along that row
-    and `keys[i]` is its rng key bytes (`rng.window_keys`).  `index` maps a vertex back to its number; it is
-    built on first use, and no round reads it.  The plan also holds the
-    key of a processor that hears nothing (`nobody`), whether round 0 can
-    wake a cell (`wakes`: pi_nu > 0) and whether occupants carry ids
-    (`use_ids`), and, built on first use, the round-0 template (`round0`,
-    of `seeded` cells) and the round-1 list (`round1`), which a network
-    reads when its round 0 woke nobody.  Everything is built here, once
-    per plan, so it is freed with the model.  Shared, so callers copy
-    before they add."""
+    and `keys[i]` is its rng key bytes (`rng.window_keys`).  `index` maps
+    a vertex back to its number; it is built on first use, and no round
+    reads it.  The plan also holds the key of a processor that hears
+    nothing (`nobody`), whether round 0 can wake a cell (`wakes`: pi_nu >
+    0) and whether occupants carry ids (`use_ids`), and, built on first
+    use, the round-0 template (`round0`, of `seeded` cells) and the
+    round-1 list (`round1`), which a network reads when its round 0 woke
+    nobody.  Everything is built here, once per plan, so it is freed with
+    the model.  Shared, so callers copy before they add."""
 
     def __init__(self, law: TransitionLaw, side: int):
         model = law.model
