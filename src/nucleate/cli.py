@@ -168,7 +168,7 @@ def cmd_meshsim(args) -> int:
         "seed": args.seed,
         "size": args.size,
         "rounds": args.rounds,
-        "occupied": len(net.states),
+        "occupied": net.count,
         "coloring": coloring_report,
     }
     _finish_surface(args, report, coloring.assignment, net.mesh, model.colors,

@@ -94,7 +94,7 @@ class ExperimentResult:
 
 def surface_success(net: MeshNetwork) -> bool:
     """Full coverage plus a valid weak coloring of the network's surface."""
-    if len(net.states) != net.mesh.size:
+    if net.count != net.mesh.size:
         return False
     return check_weak_coloring(net.coloring()).valid
 

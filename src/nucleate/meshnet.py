@@ -14,11 +14,11 @@ The network runs on vertex numbers (`agents.Plan`): vertex i is the i-th
 of the mesh in sorted order, so number order is sorted location order.
 Its registers are lists by number (`cells` for the states, `pids` for the
 post ids), each with one more slot, N, that stands for every neighbor off
-the mesh and stays None; its round sets hold numbers.  `states` and
-`post_ids` are live read-only views of them keyed by location
-(`RegisterView`), and everything else the network shows is keyed by
-location too: `ids`, the trace, `inputs`, `outputs`, `coloring()` and the
-locality probe's reads.
+the mesh and stays None; nothing else holds a copy of them, and its round
+sets hold numbers.  What it shows is keyed by location: `states` and
+`outputs` are snapshots of the registers in sorted order (`count`, the
+number of occupants, builds none), and `ids`, the trace, `inputs`,
+`coloring()` and the locality probe's reads are keyed by location too.
 
 Processors that hear nothing do nothing: an EMPTY processor stays EMPTY and
 an occupied one keeps re-posting its pairs.  Everything else samples the
@@ -29,9 +29,9 @@ which checks every rule output against the model's declared bounds; the
 network builds no pairs itself.
 Per-processor randomness is derived from (master seed, coordinates, round),
 and each update reads only its own inputs and state, so a round's outcome
-does not depend on the order in which processors are evaluated.  A round
-therefore sorts its targets only when a trace or ids record that order,
-and otherwise walks them as gathered (see `run_round`).
+does not depend on the order in which processors are evaluated.  Every
+round still walks its targets in one order, number order (see
+`run_round`).
 
 A processor hears its neighbors through post ids.  The law interns every
 posted pairs tuple to a small int (`TransitionLaw.post_id`), the network
@@ -88,8 +88,7 @@ iteration scan every poster.
 """
 
 from collections.abc import Mapping
-from itertools import chain, compress, repeat
-from operator import is_not
+from itertools import chain, repeat
 from typing import NamedTuple, Optional
 
 from .agents import AgentModel, nucleation_sites, pick
@@ -111,40 +110,10 @@ class TraceEvent(NamedTuple):
     new: Optional[str]
 
 
-class RegisterView(Mapping):
-    """Live read-only map v -> a network's register entry at vertex v
-    (`cells` for `states`, `pids` for `post_ids`), for each v where it is
-    not None.  Like `dict.keys()`, it holds only its network and reads it
-    on each access; `dict(view)` takes a snapshot.  A lookup maps v to its
-    number through the plan's `index` (KeyError off the mesh or where the
-    entry is None); `len` is the network's occupant count, since every
-    occupant posts; iteration scans the register and yields the vertices
-    in sorted order.  It has no write methods, so item assignment raises
-    TypeError."""
-
-    def __init__(self, net: "MeshNetwork", register: str):
-        self._net = net
-        self._register = register
-
-    def __getitem__(self, v: Point):
-        net = self._net
-        value = getattr(net, self._register)[net._plan.index[v]]
-        if value is None:
-            raise KeyError(v)
-        return value
-
-    def __iter__(self):
-        held = map(is_not, getattr(self._net, self._register), repeat(None))
-        return compress(self._net._plan.verts, held)
-
-    def __len__(self) -> int:
-        return self._net.count
-
-
 class InputBuffers(Mapping):
     """Live read-only map v -> the input buffers the last round delivered
     to v, for each processor that heard at least one pair (none before
-    round 1).  Like `RegisterView`, it holds only its network and reads it
+    round 1).  Like `dict.keys()`, it holds only its network and reads it
     on each access, so it always shows the network's last round;
     `dict(net.inputs)` takes a snapshot.  Neighbor w's post id at the
     start of that round is `_posted[w]` if w's posts changed in it, else
@@ -245,15 +214,9 @@ class MeshNetwork:
         self._posted: dict = {}
 
     @property
-    def states(self) -> RegisterView:
-        """Live read-only view: v -> the type of occupant v."""
-        return RegisterView(self, "cells")
-
-    @property
-    def post_ids(self) -> RegisterView:
-        """Live read-only view: v -> the post id of the pairs occupant v
-        posts."""
-        return RegisterView(self, "pids")
+    def states(self) -> dict:
+        """A snapshot: v -> the type of occupant v, in sorted order."""
+        return {v: name for v, name in zip(self._plan.verts, self.cells) if name is not None}
 
     # -- round 0 -------------------------------------------------------
 
@@ -262,10 +225,12 @@ class MeshNetwork:
         from the plan's `round0` template), then wake every other processor
         with probability pi_nu into a uniformly random non-EMPTY state
         (`nucleation_sites`, never called at pi_nu = 0).  Every occupant
-        posts from silent inputs."""
+        posts from silent inputs.  The network counts as started only
+        once all of this has run, so a seed or a rule that raises here
+        raises again on the next call, and `run_round` still refuses to
+        run."""
         if self._started:
             raise ValueError("network already initialized")
-        self._started = True
         plan = self._plan
         cells, pids, seed_ids, seeded = plan.round0
         self.cells = cells = cells.copy()
@@ -288,6 +253,7 @@ class MeshNetwork:
             self.trace.extend([TraceEvent(0, v, None, name)
                                for v, name in zip(plan.verts, cells) if name is not None])
         self._posted = posted
+        self._started = True
 
     # -- rounds >= 1 ---------------------------------------------------
 
@@ -303,14 +269,10 @@ class MeshNetwork:
         round's drawer is built at its first unforced law, so a round
         whose laws are all forced hashes no master-seed prefix.
 
-        The targets are sorted only when the order is recorded: with a
-        trace, or under use_ids (ids are numbered in sorted location order
-        within a round).  Otherwise they are walked as gathered: an update
-        reads only its own pre-gathered key and state, and a draw depends
-        on (seed, v, r), never on the position in the loop.  Every reader
-        that shows an order reads the registers in number order, which is
-        sorted location order.  A rule that raises mid-round may raise at
-        a different cell."""
+        The targets are walked in number order, which is sorted location
+        order: the trace and the ids (numbered in that order within a
+        round) record it, and a rule that raises mid-round stops the round
+        at the same cell with or without a trace."""
         if not self._started:
             raise ValueError("call init_round0 first")
         self.round += 1
@@ -333,8 +295,7 @@ class MeshNetwork:
             targets.discard(plan.off)
             if inert:
                 targets = [i for i in targets if cells[i] not in inert]
-            if trace is not None or ids_on:
-                targets = sorted(targets)
+            targets = sorted(targets)
             readers = plan.readers
             keys = [readers[i](pids) for i in targets]
             entries = repeat(None)

@@ -425,8 +425,8 @@ class EvaluateEveryoneNetwork(MeshNetwork):
     input buffers of the last round.  After each round it writes them into
     the network's registers by vertex number (`cells`, and `pids` from
     `pairs`, plus the occupant count) and rebuilds `_posted` from every
-    poster's post id at the start of the round, so the inherited views
-    (`states`, `post_ids`, `inputs`, `outputs`) show its rounds."""
+    poster's post id at the start of the round, so what it inherits
+    (`states`, `count`, `inputs`, `outputs`) shows its rounds."""
 
     def init_round0(self):
         super().init_round0()
@@ -438,7 +438,7 @@ class EvaluateEveryoneNetwork(MeshNetwork):
         r = self.round
         d = self.model.d
         table = self.table
-        states = dict(self.states)
+        states = self.states
 
         outputs = self.pairs
         start = self.pids

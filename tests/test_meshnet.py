@@ -290,8 +290,9 @@ def _next_evaluated(net: MeshNetwork) -> set:
     mesh, inert, verts = net.mesh, _inert_types(net.model), net._plan.verts
     posted = [verts[i] for i in net._posted]
     near = {verts[i] for i in net._pending}.union(*map(mesh.neighbors, posted))
-    return {v for v in near if net.states.get(v) not in inert
-            and any(w in net.post_ids for w in mesh.neighbors(v))}
+    states, posting = net.states, net.outputs
+    return {v for v in near if states.get(v) not in inert
+            and any(w in posting for w in mesh.neighbors(v))}
 
 
 def _regime_model(rng, k: int, static: bool) -> AgentModel:
@@ -341,7 +342,7 @@ def test_probe_reads_exactly_the_evaluated_neighborhoods(k, static):
         assert trial < 12 or not woke, trial
         mesh = net.mesh
         for r in range(1, 9):
-            posting = set(net.post_ids)
+            posting = set(net.outputs)
             evaluated = _next_evaluated(net)
             expected = {(v, v) for v in evaluated} | {
                 (v, w) for v in evaluated for w in mesh.neighbors(v) if w in posting}
@@ -452,7 +453,8 @@ def test_processor_views_track_anatomy():
     assert net.outputs.get((2, 2), silent) == silent
     # the posts are kept as post ids only; `outputs` is read from them
     law = net.law
-    assert net.outputs == {v: law.pairs_of[pid] for v, pid in net.post_ids.items()}
+    assert net.outputs == {v: law.pairs_of[pid] for v, pid in zip(net._plan.verts, net.pids)
+                           if pid is not None}
     assert set(net.outputs) == set(net.states)
     with pytest.raises(AttributeError):
         net.outputs = {}
@@ -505,26 +507,24 @@ def test_a_held_input_view_follows_its_network():
 @pytest.mark.parametrize("k", [2, 3])
 @pytest.mark.parametrize("use_ids", [False, True], ids=["no-ids", "ids"])
 def test_register_views_show_the_traced_occupancy(k, use_ids):
-    # `states` and `post_ids` are live read-only views over the numbered
-    # registers: after every round, a view held from round 0 and a fresh
-    # one both show the occupancy replayed from the trace, with its length
-    # and in sorted order; a lookup off the mesh or at an empty cell raises
-    # KeyError, a write raises TypeError, and the post ids give `outputs`
+    # `states` and `outputs` are snapshots of the numbered registers: after
+    # every round, `states` is the occupancy replayed from the trace, in
+    # sorted order, `count` is its size, and exactly the occupants hold a
+    # post id, so `outputs` lists them in the same order
     import random
     from dataclasses import replace
 
     rng = random.Random(3600 + 10 * k + use_ids)
     side = 6 if k == 2 else 4
-    off_mesh = [(side,) + (0,) * (k - 1), (-1,) * k, (0,) * (k - 1)]
-    seen = {"detached": 0, "entered": 0, "empty lookups": 0}
+    seen = {"detached": 0, "entered": 0}
     for trial in range(12):
         model = replace(_regime_model(rng, k, static=False), use_ids=use_ids)
         if trial % 2:
             model = replace(model, kinetics=replace(model.kinetics, detach=True, p_off=0.3))
         net = MeshNetwork(model, side, master_seed=rng.getrandbits(64))
-        held_states, held_posts = net.states, net.post_ids
-        assert dict(held_states) == {} and len(held_states) == 0
+        assert net.states == {} and net.count == 0
         net.init_round0()
+        index = net._plan.index
         replayed = {}
         for r in range(9):
             if r:
@@ -538,25 +538,12 @@ def test_register_views_show_the_traced_occupancy(k, use_ids):
                     else:
                         replayed[event.coordinates] = event.new
                         seen["entered"] += 1
-            for states in (held_states, net.states):
-                assert dict(states) == replayed and states == replayed, (trial, r)
-                assert len(states) == len(replayed), (trial, r)
-                assert list(states) == sorted(replayed), (trial, r)
-            for view in (net.states, net.post_ids):
-                for v in off_mesh:
-                    with pytest.raises(KeyError):
-                        view[v]
-                    assert v not in view and view.get(v) is None
-                empty = next((v for v in net.mesh.vertices() if v not in replayed), None)
-                if empty is not None:
-                    with pytest.raises(KeyError):
-                        view[empty]
-                    seen["empty lookups"] += 1
-                with pytest.raises(TypeError):
-                    view[(0,) * k] = "t"
-            pairs = {v: net.law.pairs_of[pid] for v, pid in held_posts.items()}
-            assert pairs == net.outputs and list(pairs) == sorted(replayed), (trial, r)
-            assert len(held_posts) == len(replayed), (trial, r)
+            states = net.states
+            assert states == replayed and list(states) == sorted(replayed), (trial, r)
+            assert net.count == len(replayed), (trial, r)
+            posters = [i for i, pid in enumerate(net.pids) if pid is not None]
+            assert posters == [index[v] for v in sorted(replayed)], (trial, r)
+            assert list(net.outputs) == sorted(replayed), (trial, r)
     assert all(seen.values()), seen
 
 
@@ -687,8 +674,8 @@ def test_static_rounds_match_silent_twins_on_random_models():
     # every type runs the do-nothing `silence` rule, so that none of their
     # occupants is inert.  Round by round the two must agree on states,
     # trace, ids, posts and input buffers, though the static side
-    # re-evaluates fewer processors.  An untraced copy of the static side,
-    # which walks its targets unsorted unless ids are on, must agree too.
+    # re-evaluates fewer processors.  An untraced copy of the static side
+    # must agree too.
     import random
     from dataclasses import replace
 
@@ -752,10 +739,11 @@ def test_static_rounds_match_silent_twins_on_random_models():
 
 
 def _assert_same_rounds(untraced: MeshNetwork, traced: MeshNetwork, where) -> None:
-    """An untraced network agrees with its traced twin on states, ids,
-    posts and delivered inputs."""
+    """An untraced network agrees with its traced twin on states, the
+    occupant count, ids, posts and delivered inputs."""
     assert untraced.trace is None
     assert untraced.states == traced.states, where
+    assert untraced.count == traced.count == len(traced.states), where
     assert untraced.ids == traced.ids, where
     assert untraced.outputs == traced.outputs, where
     assert dict(untraced.inputs) == dict(traced.inputs), where
@@ -766,11 +754,10 @@ def _match_evaluate_everyone_oracle(model, side: int, master: int, seen: dict,
     """Run `model` for 12 rounds on the event-driven mesh and on the oracle
     that delivers to, and samples, every processor hearing a pair; round by
     round the two must agree on states, trace, ids, posts and delivered
-    inputs, and an untraced copy of the mesh, which walks its targets
-    unsorted unless ids are on, must agree with it.  The mesh's input
-    buffers are also looked up one processor at a time, for the
-    processors that heard no pair each round, and for every processor in
-    the last round.  Counts in `seen` the rounds where the mesh skipped a
+    inputs, and an untraced copy of the mesh must agree with it.  The
+    mesh's input buffers are also looked up one processor at a time, for
+    the processors that heard no pair each round, and for every processor
+    in the last round.  Counts in `seen` the rounds where the mesh skipped a
     processor the oracle evaluated, and those that left an unforced cell
     pending.  Returns the event-driven network."""
     from support import EvaluateEveryoneNetwork
@@ -1044,7 +1031,7 @@ def test_model_dynamics_match_the_mesh_round_for_round():
 def _round0_view(net):
     """Everything round 0 leaves in a network, as plain copies."""
     return (list(net.states.items()), dict(net.ids), dict(net.outputs),
-            dict(net.post_ids), list(net.trace), net.next_id)
+            list(net.pids), list(net.trace), net.next_id)
 
 
 def _round1_view(plan):
@@ -1206,6 +1193,59 @@ def test_seed_outside_mesh_raises_in_init_round0_every_time():
         net = MeshNetwork(model, 3)  # construction never reads the seed
         with pytest.raises(ValueError, match=r"seed location \(3, 1\) lies outside the mesh"):
             net.init_round0()
+
+
+@pytest.mark.parametrize("case", ["seed off the mesh", "seed rule", "woken rule"])
+def test_a_failed_init_round0_leaves_the_network_unstarted(case):
+    # a network counts as started only once round 0 has run, so a retry
+    # raises the first error again and a round is refused with `round`
+    # still 0
+    bad = AgentType("a", ("g",) * 4, color=1, rule="loud")
+    model, match = {
+        "seed off the mesh": (forced_growth_model(seed={(0, 0): "t", (3, 1): "t"}),
+                              r"seed location \(3, 1\) lies outside the mesh"),
+        "seed rule": (AgentModel(types={"a": bad}, rules=BindingRules({}), temperature=1,
+                                 seed={(1, 1): "a"}, messages=("p",)), "emitted 'offalphabet'"),
+        "woken rule": (AgentModel(types={"a": bad}, rules=BindingRules({}), temperature=1,
+                                  pi_nu=1.0, messages=("p",)), "emitted 'offalphabet'"),
+    }[case]
+    net = MeshNetwork(model, 3)
+    for _ in range(2):
+        with pytest.raises(ValueError, match=match):
+            net.init_round0()
+    with pytest.raises(ValueError, match="call init_round0 first"):
+        net.run_round()
+    assert net.round == 0
+
+
+@register_rule("crowded")
+def crowded(agent, glues, messages, my_id=None):
+    """Posts "p" on every side while it hears at most one message; hearing
+    two, it emits a symbol off the alphabet."""
+    heard = sum(m is not None for m in messages)
+    return RuleOutput(("p" if heard < 2 else "offalphabet",) * len(glues))
+
+
+def test_a_round_that_raises_stops_at_the_same_cell_with_or_without_a_trace():
+    # round 1 fills the seed's four neighbors; in round 2 the seed and the
+    # four cells diagonal to it hear two or more messages and raise.  The
+    # mesh is large enough that a set of round-2 targets iterates out of
+    # number order, and both twins must stop at the same cell, leaving
+    # the same registers
+    types = {"a": AgentType("a", ("g",) * 4, color=1, rule="crowded")}
+    model = AgentModel(types=types, rules=BindingRules({("g", "g"): 1}), temperature=1,
+                       seed={(5, 5): "a"}, kinetics=Kinetics(lambda_on=1.0), messages=("p",))
+    traced = MeshNetwork(model, 12, master_seed=3)
+    untraced = MeshNetwork(model, 12, master_seed=3, record_trace=False)
+    for net in (traced, untraced):
+        net.init_round0()
+        net.run_round()
+        assert net.count == 5
+        with pytest.raises(MessageBoundError, match="emitted 'offalphabet'"):
+            net.run_round()
+    assert untraced.cells == traced.cells and untraced.pids == traced.pids
+    assert untraced.count == traced.count == len(traced.states)
+    assert traced.trace[-1].round == 2  # the cells before the raise entered
 
 
 def test_a_dropped_model_frees_its_law_and_plans():
